@@ -1,14 +1,12 @@
 // Extension (§3.3, option 4 + docs/KEY_RECOVERY.md): recovering changed
 // keys directly from the sketch instead of replaying a key stream. Compares
-// the three --recovery modes on the small router at 300 s / EWMA:
-//   * replay        — the paper's two-pass baseline: plain k-ary sketch,
-//                     collect the interval's distinct keys, then ESTIMATE
-//                     each against the error sketch (pass 2),
-//   * group-testing — per-bit counters, keys read from the cells (33x
-//                     memory, the paper's predicted drawback),
-//   * invertible    — majority-vote candidate per bucket (3x memory),
-//                     single pass, recover_heavy_keys on the error sketch.
-// Reports recall/precision of each single-pass mode against the replay
+// the two --recovery modes on the small router at 300 s / EWMA:
+//   * replay     — the paper's two-pass baseline: plain k-ary sketch,
+//                  collect the interval's distinct keys, then ESTIMATE
+//                  each against the error sketch (pass 2),
+//   * invertible — majority-vote candidate per bucket (3x memory),
+//                  single pass, recover_heavy_keys on the error sketch.
+// Reports recall/precision of the single-pass mode against the replay
 // baseline's flagged set (same seed, same (H, K), same threshold rule — the
 // counters are identical, so the baseline is exactly what the recovery
 // sweep is trying to reproduce without the second pass), recall against the
@@ -24,7 +22,6 @@
 #include "detect/detection.h"
 #include "eval/trace_cache.h"
 #include "forecast/runner.h"
-#include "sketch/group_testing.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
 #include "support/bench_util.h"
@@ -34,15 +31,12 @@
 
 namespace {
 
-// All three modes key on kDstIp; the hand-picked sketch types must cover
+// Both modes key on kDstIp; the hand-picked sketch types must cover
 // that key domain (core/sketch_binding.h).
 static_assert(scd::core::kSketchCoversKeyKind<scd::sketch::KarySketch,
                                               scd::traffic::KeyKind::kDstIp>);
 static_assert(scd::core::kSketchCoversKeyKind<scd::sketch::MvSketch,
                                               scd::traffic::KeyKind::kDstIp>);
-static_assert(
-    scd::core::kSketchCoversKeyKind<scd::sketch::GroupTestingSketch,
-                                    scd::traffic::KeyKind::kDstIp>);
 
 constexpr std::size_t kH = 5;
 constexpr std::size_t kK = 4096;
@@ -95,10 +89,9 @@ int main() {
   using namespace scd;
   bench::print_header(
       "Extension: single-pass changed-key recovery",
-      "replay vs group-testing vs invertible (small router, 300s, EWMA)",
+      "replay vs invertible (small router, 300s, EWMA)",
       "an invertible sketch recovers the replayed changer set in one pass, "
-      "cheaper in wall time than two-pass replay; group testing pays 33x "
-      "memory");
+      "cheaper in wall time than two-pass replay");
 
   const double interval = 300.0;
   const auto& stream = bench::stream_for("small", interval);
@@ -186,32 +179,6 @@ int main() {
     }
   }
 
-  // ---- group-testing sketch: single pass + per-bit readout ----
-  ModeRun group;
-  group.keys.resize(intervals);
-  {
-    const auto family =
-        std::make_shared<const hash::TabulationHashFamily>(kSeed, kH);
-    const sketch::GroupTestingSketch prototype(family, kK);
-    group.table_bytes = prototype.table_bytes();
-    forecast::ForecastRunner<sketch::GroupTestingSketch> runner(model,
-                                                               prototype);
-    for (std::size_t t = 0; t < intervals; ++t) {
-      sketch::GroupTestingSketch observed = prototype;
-      common::Stopwatch sw;
-      for (const auto& u : raw[t]) observed.update(u.key, u.update);
-      group.update_s += sw.seconds();
-      const auto step = runner.step(observed);
-      if (!step.has_value() || t < warmup) continue;
-      const double l2 = std::sqrt(std::max(step->error.estimate_f2(), 0.0));
-      sw.reset();
-      const auto recovered =
-          step->error.recover_heavy_keys(kThresholdFrac * l2);
-      group.recover_s += sw.seconds();
-      for (const auto& r : recovered) group.keys[t].insert(r.key);
-    }
-  }
-
   // ---- exact per-flow truth (context, not the gating baseline) ----
   std::vector<std::unordered_set<std::uint64_t>> pf_flagged(intervals);
   for (std::size_t t = warmup; t < intervals; ++t) {
@@ -224,28 +191,23 @@ int main() {
   }
 
   const PrecisionRecall mv_vs_replay = score(mv.keys, replay.keys);
-  const PrecisionRecall gt_vs_replay = score(group.keys, replay.keys);
   const PrecisionRecall replay_vs_truth = score(replay.keys, pf_flagged);
   const PrecisionRecall mv_vs_truth = score(mv.keys, pf_flagged);
-  const PrecisionRecall gt_vs_truth = score(group.keys, pf_flagged);
 
   std::printf(
-      "mode           wall(ms)  update(ms)  recover(ms)  memory(KiB)\n");
+      "mode        wall(ms)  update(ms)  recover(ms)  memory(KiB)\n");
   const auto row = [](const char* name, const ModeRun& run) {
-    std::printf("%-14s %8.1f  %10.1f  %11.1f  %11.1f\n", name,
+    std::printf("%-11s %8.1f  %10.1f  %11.1f  %11.1f\n", name,
                 run.wall_s() * 1e3, run.update_s * 1e3, run.recover_s * 1e3,
                 static_cast<double>(run.table_bytes) / 1024.0);
   };
   row("replay", replay);
   row("invertible", mv);
-  row("group-testing", group);
-  std::printf("vs replay baseline:  invertible recall=%.3f precision=%.3f | "
-              "group-testing recall=%.3f precision=%.3f\n",
-              mv_vs_replay.recall, mv_vs_replay.precision, gt_vs_replay.recall,
-              gt_vs_replay.precision);
+  std::printf("vs replay baseline:  invertible recall=%.3f precision=%.3f\n",
+              mv_vs_replay.recall, mv_vs_replay.precision);
   std::printf("vs per-flow truth:   replay recall=%.3f | invertible "
-              "recall=%.3f | group-testing recall=%.3f\n",
-              replay_vs_truth.recall, mv_vs_truth.recall, gt_vs_truth.recall);
+              "recall=%.3f\n",
+              replay_vs_truth.recall, mv_vs_truth.recall);
 
   bench::check(mv_vs_replay.recall >= 0.95 && mv_vs_replay.precision >= 0.9,
                "invertible recovery reproduces the two-pass changer set "
@@ -258,18 +220,5 @@ int main() {
                "two-pass replay",
                common::str_format("%.1f ms vs %.1f ms", mv.wall_s() * 1e3,
                                   replay.wall_s() * 1e3));
-  bench::check(gt_vs_replay.recall > 0.6,
-               "group-testing recovery finds most replayed changers",
-               common::str_format("recall=%.3f", gt_vs_replay.recall));
-  bench::check(static_cast<double>(group.table_bytes) /
-                       static_cast<double>(replay.table_bytes) >
-                   10.0,
-               "group testing pays the paper's predicted memory multiple",
-               common::str_format(
-                   "%.0fx vs k-ary (invertible pays %.0fx)",
-                   static_cast<double>(group.table_bytes) /
-                       static_cast<double>(replay.table_bytes),
-                   static_cast<double>(mv.table_bytes) /
-                       static_cast<double>(replay.table_bytes)));
   return bench::finish();
 }

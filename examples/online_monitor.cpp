@@ -12,13 +12,12 @@
 //     vs forecast estimate, per-row bucket values, threshold, config
 //     fingerprint (docs/OBSERVABILITY.md).
 //
-// With --recovery=invertible (or group-testing) the monitor switches to
+// With --recovery=invertible the monitor switches to
 // single-pass sketch recovery: changed keys are read directly out of the
 // forecast-error sketch (docs/KEY_RECOVERY.md), so there is no replay pass
 // and no key storage at all — the final stats line shows keys_replayed=0.
 //
-//   ./build/examples/online_monitor [--recovery=replay|group-testing|
-//                                     invertible]
+//   ./build/examples/online_monitor [--recovery=replay|invertible]
 //                                   [--trace-out FILE]
 //                                   [--flight-recorder-dir DIR]
 #include <algorithm>
@@ -43,8 +42,8 @@ int main(int argc, char** argv) {
 
   common::FlagParser flags;
   flags.add_flag("recovery",
-                 "changed-key recovery mode: replay (two-pass baseline), "
-                 "group-testing, or invertible (docs/KEY_RECOVERY.md)",
+                 "changed-key recovery mode: replay (two-pass baseline) "
+                 "or invertible (docs/KEY_RECOVERY.md)",
                  "replay");
   flags.add_flag("trace-out",
                  "write span trace as Chrome trace-event JSON to FILE", "");
@@ -65,14 +64,12 @@ int main(int argc, char** argv) {
   }
   const std::string recovery_name = flags.get("recovery");
   core::RecoveryMode recovery = core::RecoveryMode::kReplay;
-  if (recovery_name == "group-testing") {
-    recovery = core::RecoveryMode::kGroupTesting;
-  } else if (recovery_name == "invertible") {
+  if (recovery_name == "invertible") {
     recovery = core::RecoveryMode::kInvertible;
   } else if (recovery_name != "replay") {
     std::fprintf(stderr,
-                 "unknown --recovery mode '%s' (want replay, group-testing, "
-                 "or invertible)\n",
+                 "unknown --recovery mode '%s' (want replay or "
+                 "invertible)\n",
                  recovery_name.c_str());
     return 2;
   }

@@ -58,6 +58,13 @@ THIS codebase's contracts, not C++ in general:
                      table row needs a live annotation. A stale doc about
                      lock order is worse than none.
 
+  byte-codec         src/ code must not hand-roll little-endian codecs: a
+                     shift by `8 * i` (or `i * 8`) is the signature of a
+                     per-byte pack/unpack loop, and every such loop lives
+                     in common/bytes.h (store_le / load_le, ByteWriter,
+                     ByteReader). One bounds-checked codec means one place
+                     to get truncation, endianness and speed right.
+
 Waivers: append `// scd-lint: allow(<rule>)` to the offending line (or the
 line directly above it); `// scd-lint: allow-file(<rule>)` within the first
 30 lines of a file waives the rule for the whole file.
@@ -133,7 +140,13 @@ INCLUDE_CANON = [
 
 ALL_RULES = ("throw-not-assert", "kkeybits-binding", "metric-docs",
              "include-hygiene", "simd-isolation", "mutex-wrapper",
-             "mo-rationale", "lock-order-doc")
+             "mo-rationale", "lock-order-doc", "byte-codec")
+
+# ---- byte-codec ----
+# A shift by a multiple of a loop index: `v >> (8 * i)`, `b << (i * 8)`.
+BYTE_SHIFT = re.compile(
+    r"(?:<<|>>)\s*\(?\s*(?:8\s*\*\s*[A-Za-z_]\w*|[A-Za-z_]\w*\s*\*\s*8)\b")
+BYTE_CODEC_HOME = "src/common/bytes.h"
 
 # ---- mutex-wrapper ----
 # The raw synchronization vocabulary that bypasses the annotated wrappers.
@@ -526,6 +539,32 @@ def check_mutex_wrapper(root: Path, src_files: list[Path]) -> list[Violation]:
 
 
 # --------------------------------------------------------------------------
+# byte-codec
+# --------------------------------------------------------------------------
+
+def check_byte_codec(root: Path, src_files: list[Path]) -> list[Violation]:
+    violations = []
+    for path in src_files:
+        rel = path.relative_to(root).as_posix()
+        if rel == BYTE_CODEC_HOME:
+            continue
+        raw = path.read_text()
+        lines = raw.splitlines()
+        if file_waived(lines, "byte-codec"):
+            continue
+        text = strip_comments_and_strings(raw)
+        for m in BYTE_SHIFT.finditer(text):
+            lineno = line_of(text, m.start())
+            if waived(lines, lineno, "byte-codec"):
+                continue
+            violations.append(Violation(
+                rel, lineno, "byte-codec",
+                "hand-rolled little-endian byte loop; use common/bytes.h "
+                "(store_le / load_le, ByteWriter, ByteReader)"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # mo-rationale
 # --------------------------------------------------------------------------
 
@@ -676,6 +715,7 @@ def main(argv: list[str]) -> int:
     violations += check_mutex_wrapper(root, src_files)
     violations += check_mo_rationale(root, src_files)
     violations += check_lock_order_doc(root, src_files)
+    violations += check_byte_codec(root, src_files)
 
     for v in violations:
         print(v)

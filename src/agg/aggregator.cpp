@@ -58,8 +58,9 @@ class Aggregator::Impl {
         }()) {
     std::sort(config_.nodes.begin(), config_.nodes.end());
     for (std::uint64_t node : config_.nodes) nodes_[node] = NodeState{};
-    expected_family_ =
-        registry_.tabulation(config_.pipeline.seed, config_.pipeline.h);
+    // Build the one hash family every accepted packet shares up front, so
+    // the first contribution does not pay for it.
+    (void)registry_.tabulation(config_.pipeline.seed, config_.pipeline.h);
     fingerprint_ = core::config_fingerprint(config_.pipeline);
 #if SCD_OBS_ENABLED
     if (config_.pipeline.metrics) instruments_ = &AggInstruments::global();
@@ -95,17 +96,23 @@ class Aggregator::Impl {
       return {SubmitOutcome::kStale, 0};
     }
 
-    // Decode and validate BEFORE touching any aggregation state, so a
-    // malformed packet cannot leave a half-registered contribution behind.
-    sketch::KarySketch sketch =
-        sketch::sketch_from_bytes(payload.sketch_packet, registry_);
-    if (sketch.family() != expected_family_ ||
-        sketch.width() != config_.pipeline.k) {
+    // Check the packet header against the global config before decoding:
+    // a packet for another family or geometry never reaches the decoder or
+    // the family registry, whose entries live as long as the aggregator.
+    const sketch::SketchHeader header =
+        sketch::read_sketch_header(payload.sketch_packet);
+    if (header.kind != sketch::FamilyKind::kTabulation ||
+        header.seed != config_.pipeline.seed ||
+        header.rows != config_.pipeline.h || header.k != config_.pipeline.k) {
       throw std::invalid_argument(
           "Aggregator: node " + std::to_string(node_id) +
           " shipped a sketch with incompatible hash family or geometry "
           "(expected seed/h/k of the global config)");
     }
+    // Decode and validate BEFORE touching any aggregation state, so a
+    // malformed packet cannot leave a half-registered contribution behind.
+    sketch::KarySketch sketch =
+        sketch::sketch_from_bytes(payload.sketch_packet, registry_);
     auto pending_it = pending_.find(interval_index);
     if (pending_it != pending_.end() &&
         (pending_it->second.start_s != payload.start_s ||
@@ -199,7 +206,6 @@ class Aggregator::Impl {
   AggregatorConfig config_;
   core::ChangeDetectionPipeline global_;
   sketch::FamilyRegistry registry_;
-  sketch::KarySketch::FamilyPtr expected_family_;
   std::uint64_t fingerprint_ = 0;
   std::uint64_t next_to_close_ = 0;
   AggregatorStats stats_;

@@ -95,8 +95,9 @@ class Aggregator {
   Aggregator(Aggregator&&) noexcept;
   Aggregator& operator=(Aggregator&&) noexcept;
 
-  /// Integrates one node's interval contribution. The sketch packet is
-  /// decoded and checked against the global hash family and geometry;
+  /// Integrates one node's interval contribution. The sketch packet's
+  /// header is checked against the global hash family and geometry before
+  /// the packet is decoded;
   /// contributions to the same interval must agree exactly on
   /// (start_s, len_s). Throws sketch::SerializeError (malformed packet) or
   /// std::invalid_argument (incompatible geometry / inconsistent interval

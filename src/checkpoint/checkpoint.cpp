@@ -1,12 +1,6 @@
 #include "checkpoint/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <bit>
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -17,7 +11,7 @@
 
 #include "checkpoint/checkpoint_metrics.h"
 #include "common/atomic_file.h"
-#include "common/crc32.h"
+#include "common/frame.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/pipeline.h"
@@ -125,32 +119,33 @@ class PosixFileOps final : public FileOps {
 // ---------------------------------------------------------------------------
 // Frame encode/parse
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+constexpr common::FrameFormat kFormat{
+    .magic = kCheckpointMagic,
+    .version = kCheckpointVersion,
+    .min_kind = static_cast<std::uint32_t>(PayloadKind::kSerial),
+    .max_kind = static_cast<std::uint32_t>(PayloadKind::kParallel),
+    .fields = 2,  // config_fingerprint, interval_index
+};
+static_assert(kFormat.header_bytes() == kCheckpointHeaderBytes);
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+[[nodiscard]] CheckpointErrorKind checkpoint_kind(
+    common::FrameErrorKind kind) noexcept {
+  switch (kind) {
+    case common::FrameErrorKind::kTruncated:
+      return CheckpointErrorKind::kTruncated;
+    case common::FrameErrorKind::kBadMagic:
+      return CheckpointErrorKind::kBadMagic;
+    case common::FrameErrorKind::kBadVersion:
+      return CheckpointErrorKind::kBadVersion;
+    case common::FrameErrorKind::kBadHeaderCrc:
+    case common::FrameErrorKind::kBadPayloadCrc:
+      return CheckpointErrorKind::kBadCrc;
+    case common::FrameErrorKind::kBadKind:
+    case common::FrameErrorKind::kOversized:
+    case common::FrameErrorKind::kTrailingBytes:
+      return CheckpointErrorKind::kBadPayload;
   }
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
+  return CheckpointErrorKind::kBadPayload;
 }
 
 }  // namespace
@@ -158,74 +153,22 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 std::vector<std::uint8_t> encode_checkpoint_frame(
     PayloadKind kind, std::uint64_t config_fingerprint,
     std::uint64_t interval_index, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kCheckpointHeaderBytes + payload.size());
-  put_u32(out, kCheckpointMagic);
-  put_u32(out, kCheckpointVersion);
-  put_u32(out, static_cast<std::uint32_t>(kind));
-  put_u32(out, 0);  // reserved
-  put_u64(out, config_fingerprint);
-  put_u64(out, interval_index);
-  put_u64(out, payload.size());
-  put_u32(out, common::crc32(payload.data(), payload.size()));
-  put_u32(out, common::crc32(out.data(), out.size()));  // header CRC
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  const std::uint64_t fields[] = {config_fingerprint, interval_index};
+  return common::encode_frame(kFormat, static_cast<std::uint32_t>(kind),
+                              fields, payload);
 }
 
 CheckpointFrame decode_checkpoint_frame(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < kCheckpointHeaderBytes) {
-    throw CheckpointError(CheckpointErrorKind::kTruncated,
-                          "file ends inside the " +
-                              std::to_string(kCheckpointHeaderBytes) +
-                              "-byte header (" + std::to_string(bytes.size()) +
-                              " bytes)");
-  }
-  const std::uint8_t* p = bytes.data();
-  if (get_u32(p) != kCheckpointMagic) {
-    throw CheckpointError(CheckpointErrorKind::kBadMagic,
-                          "leading bytes are not \"SCDP\"");
-  }
-  const std::uint32_t header_crc = get_u32(p + 44);
-  if (common::crc32(p, 44) != header_crc) {
-    throw CheckpointError(CheckpointErrorKind::kBadCrc,
-                          "header CRC32 mismatch");
-  }
-  const std::uint32_t version = get_u32(p + 4);
-  if (version != kCheckpointVersion) {
-    throw CheckpointError(CheckpointErrorKind::kBadVersion,
-                          "version " + std::to_string(version) +
-                              " is not the supported version " +
-                              std::to_string(kCheckpointVersion));
-  }
-  const std::uint32_t kind = get_u32(p + 8);
-  if (kind != static_cast<std::uint32_t>(PayloadKind::kSerial) &&
-      kind != static_cast<std::uint32_t>(PayloadKind::kParallel)) {
-    throw CheckpointError(CheckpointErrorKind::kBadPayload,
-                          "unknown payload kind " + std::to_string(kind));
+  common::FrameHead head;
+  try {
+    head = common::parse_frame(kFormat, bytes, common::kNoPayloadCeiling);
+  } catch (const common::FrameError& e) {
+    throw CheckpointError(checkpoint_kind(e.kind()), e.what());
   }
   CheckpointFrame parsed;
-  parsed.kind = static_cast<PayloadKind>(kind);
-  parsed.config_fingerprint = get_u64(p + 16);
-  parsed.interval_index = get_u64(p + 24);
-  const std::uint64_t payload_len = get_u64(p + 32);
-  const std::uint64_t body = bytes.size() - kCheckpointHeaderBytes;
-  if (body < payload_len) {
-    throw CheckpointError(CheckpointErrorKind::kTruncated,
-                          "payload holds " + std::to_string(body) + " of " +
-                              std::to_string(payload_len) + " bytes");
-  }
-  if (body > payload_len) {
-    throw CheckpointError(CheckpointErrorKind::kBadPayload,
-                          std::to_string(body - payload_len) +
-                              " trailing bytes after the payload");
-  }
-  const std::uint32_t payload_crc = get_u32(p + 40);
-  if (common::crc32(p + kCheckpointHeaderBytes,
-                    static_cast<std::size_t>(payload_len)) != payload_crc) {
-    throw CheckpointError(CheckpointErrorKind::kBadCrc,
-                          "payload CRC32 mismatch");
-  }
+  parsed.kind = static_cast<PayloadKind>(head.kind);
+  parsed.config_fingerprint = head.fields[0];
+  parsed.interval_index = head.fields[1];
   parsed.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(
                                             kCheckpointHeaderBytes),
                         bytes.end());

@@ -17,9 +17,10 @@
 //   u32 payload_crc32 | u32 header_crc32          (48-byte header)
 //   payload_len bytes of pipeline state
 // header_crc32 covers the 44 bytes before it; payload_crc32 covers the
-// payload. A restore against a pipeline whose config_fingerprint differs —
-// different sketch geometry, model, thresholds — is a typed error
-// (kConfigMismatch), never a silent misload.
+// payload. This is common/frame.h's shared CRC frame (the wire protocol's
+// too) with two u64 fields. A restore against a pipeline whose
+// config_fingerprint differs — different sketch geometry, model,
+// thresholds — is a typed error (kConfigMismatch), never a silent misload.
 #pragma once
 
 #include <cstddef>

@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
@@ -23,7 +24,6 @@
 #include "obs/pipeline_metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
-#include "sketch/group_testing.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
 #include "sketch/serialize.h"
@@ -64,6 +64,10 @@ void PipelineConfig::validate() const {
     throw std::invalid_argument(
         "PipelineConfig: refit_window must be >= 4 when re-fitting");
   }
+  if (recovery != RecoveryMode::kReplay &&
+      recovery != RecoveryMode::kInvertible) {
+    throw std::invalid_argument("PipelineConfig: unknown recovery mode");
+  }
   if (recovery != RecoveryMode::kReplay) {
     // The sketch-recovery modes keep no key set: replay scheduling and key
     // sampling are meaningless, so reject non-default settings instead of
@@ -80,13 +84,6 @@ void PipelineConfig::validate() const {
           "1.0 (no keys are sampled)");
     }
   }
-  if (recovery == RecoveryMode::kGroupTesting &&
-      !traffic::key_fits_32bit(key_kind)) {
-    throw std::invalid_argument(
-        "PipelineConfig: group-testing recovery covers 32-bit key kinds "
-        "only (the bit counters span 32 bits); use kInvertible for 64-bit "
-        "keys");
-  }
 }
 
 std::uint64_t config_fingerprint(const PipelineConfig& config) noexcept {
@@ -95,8 +92,10 @@ std::uint64_t config_fingerprint(const PipelineConfig& config) noexcept {
   // flight-recorder dumps stamp it too; checkpoint delegates here.
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   const auto mix_u64 = [&hash](std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (v >> (8 * i)) & 0xffu;
+    std::uint8_t bytes[8];
+    common::store_le(bytes, v);
+    for (const std::uint8_t b : bytes) {
+      hash ^= b;
       hash *= 0x100000001b3ULL;
     }
   };
@@ -167,47 +166,8 @@ constexpr std::uint64_t kEngineStateVersion = 3;
 /// to stay inside the buffer.
 constexpr std::uint64_t kEngineStateSentinel = 0x5cdc0de5e17a11edULL;
 
-class ByteWriter {
- public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
- private:
-  std::vector<std::uint8_t>& out_;
-};
-
-class ByteReader {
- public:
-  ByteReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] std::uint64_t u64() {
-    if (size_ - pos_ < 8) {
-      throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
-                                   "engine state ends mid-field");
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+using common::ByteReader;
+using common::ByteWriter;
 
 /// Bridges the engine's byte stream to the forecast layer's typed
 /// StateWriter: signals (sketches) are written as a register count followed
@@ -221,13 +181,12 @@ class SketchStateWriter final : public forecast::StateWriter<Sketch> {
   void write_u64(std::uint64_t value) override { out_.u64(value); }
   void write_f64(double value) override { out_.f64(value); }
   void write_signal(const Sketch& value) override {
-    const auto regs = value.registers();
-    out_.u64(regs.size());
-    for (const double r : regs) out_.f64(r);
+    out_.u64(value.registers().size());
+    out_.array(value.registers());
     if constexpr (requires { value.candidates(); }) {
       out_.u64(value.candidates().size());
-      for (const std::uint64_t c : value.candidates()) out_.u64(c);
-      for (const double v : value.votes()) out_.f64(v);
+      out_.array(value.candidates());
+      out_.array(value.votes());
     }
   }
 
@@ -252,7 +211,7 @@ class SketchStateReader final : public forecast::StateReader<Sketch> {
               " registers, expected " + std::to_string(expected_));
     }
     scratch_.resize(expected_);
-    for (double& r : scratch_) r = in_.f64();
+    in_.array(std::span(scratch_));
     out.load_registers(scratch_);
     if constexpr (requires { out.candidates(); }) {
       const std::size_t cells = out.candidates().size();
@@ -264,10 +223,10 @@ class SketchStateReader final : public forecast::StateReader<Sketch> {
                 " cells, expected " + std::to_string(cells));
       }
       std::vector<std::uint64_t> candidates(cells);
-      for (std::uint64_t& c : candidates) c = in_.u64();
+      in_.array(std::span(candidates));
       std::vector<double> votes(cells);
-      for (double& v : votes) {
-        v = in_.f64();
+      in_.array(std::span(votes));
+      for (const double v : votes) {
         if (!std::isfinite(v) || v < 0.0) {
           throw sketch::SerializeError(
               sketch::SerializeErrorKind::kCorruptRegisters,
@@ -418,7 +377,7 @@ class EngineBase {
 
 /// The pipeline engine, generic over the sketch family. SketchT decides the
 /// key-identification strategy at compile time: a sketch exposing
-/// recover_heavy_keys() (MvSketch, GroupTestingSketch) runs the replay-free
+/// recover_heavy_keys() (MvSketch) runs the replay-free
 /// recovery sweep and keeps no key set at all; a plain k-ary sketch runs the
 /// paper's key replay. The runtime RecoveryMode -> SketchT mapping lives in
 /// ChangeDetectionPipeline::Impl.
@@ -1128,8 +1087,7 @@ class ChangeDetectionPipeline::Impl {
       if (callback_) callback_(report);
       reports_.push_back(std::move(report));
     };
-    // RecoveryMode x key width -> engine sketch type. validate() already
-    // rejected group-testing with a 64-bit key kind.
+    // RecoveryMode x key width -> engine sketch type.
     const bool key32 = traffic::key_fits_32bit(config_.key_kind);
     switch (config_.recovery) {
       case RecoveryMode::kReplay:
@@ -1146,10 +1104,6 @@ class ChangeDetectionPipeline::Impl {
         } else {
           engine_ = std::make_unique<Engine<sketch::MvSketch64>>(config_, emit);
         }
-        break;
-      case RecoveryMode::kGroupTesting:
-        engine_ =
-            std::make_unique<Engine<sketch::GroupTestingSketch>>(config_, emit);
         break;
     }
   }
@@ -1232,8 +1186,13 @@ std::vector<std::uint8_t> ChangeDetectionPipeline::save_state() const {
 
 void ChangeDetectionPipeline::restore_state(
     const std::vector<std::uint8_t>& bytes) {
-  ByteReader in(bytes.data(), bytes.size());
-  impl_->engine_->restore_state(in);
+  ByteReader in(bytes, "engine state");
+  try {
+    impl_->engine_->restore_state(in);
+  } catch (const common::TruncatedError& e) {
+    throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
+                                 e.what());
+  }
   if (in.remaining() != 0) {
     throw sketch::SerializeError(
         sketch::SerializeErrorKind::kTrailingBytes,

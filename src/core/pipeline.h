@@ -58,17 +58,18 @@ enum class ThresholdBaseline {
 ///   * kReplay — the paper's §3.3 key replay: remember the interval's keys
 ///     and run each through ESTIMATE at close (exact ranking, but a second
 ///     pass plus O(distinct keys) state per interval);
-///   * kGroupTesting — read keys out of the per-bit counters of the
-///     group-testing sketch (no key state; 33x memory/UPDATE cost);
 ///   * kInvertible — read keys out of the majority-vote invertible sketch
 ///     (no key state; 3x memory, single-pass).
-/// In the sketch-recovery modes the pipeline keeps no key set at all:
-/// changed keys are recovered directly from the forecast-error sketch
-/// S_e(t), so KeyReplayMode and key_sample_rate do not apply.
+/// In kInvertible mode the pipeline keeps no key set at all: changed keys
+/// are recovered directly from the forecast-error sketch S_e(t), so
+/// KeyReplayMode and key_sample_rate do not apply.
+///
+/// The values are fixed because config_fingerprint mixes them: renumbering
+/// kInvertible would orphan every invertible checkpoint and break every
+/// invertible wire handshake. (1 was the retired group-testing mode.)
 enum class RecoveryMode {
-  kReplay,
-  kGroupTesting,
-  kInvertible,
+  kReplay = 0,
+  kInvertible = 2,
 };
 
 struct PipelineConfig {
@@ -88,8 +89,7 @@ struct PipelineConfig {
   double key_sample_rate = 1.0;          // fraction of keys replayed
   /// Key-identification strategy. The sketch-recovery modes require the
   /// defaults for the replay knobs they make meaningless (kCurrentInterval,
-  /// key_sample_rate 1.0 — validate() rejects anything else) and
-  /// kGroupTesting additionally requires a 32-bit key kind.
+  /// key_sample_rate 1.0 — validate() rejects anything else).
   RecoveryMode recovery = RecoveryMode::kReplay;
   /// §6 boundary-effect mitigation: draw each interval's length from an
   /// exponential distribution with mean interval_s (clamped to
@@ -178,8 +178,7 @@ struct IntervalBatch {
   double start_s = 0.0;
   double len_s = 0.0;
   std::uint64_t records = 0;
-  /// Row-major register table. h x k for the replay/invertible modes'
-  /// counter table; h x k x 33 cell table for kGroupTesting.
+  /// Row-major h x k register table.
   std::vector<double> registers;
   std::vector<std::uint64_t> keys;  // distinct keys (shard-concatenated)
   /// kInvertible only: the merged sketch's per-bucket majority-vote state

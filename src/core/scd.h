@@ -25,7 +25,6 @@
 #include "forecast/runner.h"
 #include "gridsearch/grid_search.h"
 #include "sketch/count_sketch.h"
-#include "sketch/group_testing.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/serialize.h"
 #include "traffic/csv_import.h"

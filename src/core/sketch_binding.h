@@ -10,7 +10,6 @@
 
 #include <type_traits>
 
-#include "sketch/group_testing.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
 #include "traffic/key_extract.h"
@@ -51,10 +50,5 @@ static_assert(kSketchCoversKeyKind<sketch::MvSketch64,
 static_assert(!kSketchCoversKeyKind<sketch::MvSketch,
                                     traffic::KeyKind::kSrcDstPair>,
               "64-bit key kinds must bind to MvSketch64");
-static_assert(kSketchCoversKeyKind<sketch::GroupTestingSketch,
-                                   traffic::KeyKind::kDstIp>);
-static_assert(!kSketchCoversKeyKind<sketch::GroupTestingSketch,
-                                    traffic::KeyKind::kSrcDstPair>,
-              "group-testing recovery hashes 32-bit keys only");
 
 }  // namespace scd::core

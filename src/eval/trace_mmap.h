@@ -12,11 +12,12 @@
 // ingest_interval — no BoundedQueue, no per-record virtual dispatch, one
 // decode per record into a reusable scratch buffer.
 //
-// Validation mirrors src/checkpoint: every way an on-disk file can lie has
-// a typed error, checked in order (open, header length, magic, version,
-// body length), and a file that maps successfully is structurally sound —
-// record_count() whole records are present, no trailing garbage. A
-// zero-record trace (header only) is valid.
+// Validation is traffic::check_trace_header, the same check TraceReader
+// runs: every way an on-disk file can lie has a typed traffic::TraceError,
+// checked in order (open, header length, magic, version, body length), and
+// a file that maps successfully is structurally sound — record_count()
+// whole records are present, no trailing garbage. A zero-record trace
+// (header only) is valid.
 //
 // feed_trace() reproduces ChangeDetectionPipeline::add_record's stream
 // contract exactly — same interval grid (first record opens interval 0 at
@@ -32,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <string>
 
 #include "core/pipeline.h"
@@ -40,39 +40,12 @@
 
 namespace scd::eval {
 
-/// Why mapping a trace failed. Typed like CheckpointErrorKind: callers
-/// distinguish "no such file" from "this file is not a trace" from "this
-/// trace was cut off mid-record".
-enum class TraceMapErrorKind {
-  kOpenFailed,       ///< open/fstat/mmap itself failed
-  kTruncatedHeader,  ///< file ends inside the 16-byte header
-  kBadMagic,         ///< leading bytes are not "SCDT"
-  kBadVersion,       ///< unknown trace format version
-  kTruncatedBody,    ///< file ends inside a record (short final record)
-  kTrailingBytes,    ///< file longer than header's record_count implies
-};
-
-[[nodiscard]] const char* trace_map_error_kind_name(
-    TraceMapErrorKind kind) noexcept;
-
-/// Thrown by every MappedTrace validation failure path.
-class TraceMapError : public std::runtime_error {
- public:
-  TraceMapError(TraceMapErrorKind kind, const std::string& message);
-
-  [[nodiscard]] TraceMapErrorKind map_kind() const noexcept { return kind_; }
-
- private:
-  TraceMapErrorKind kind_;
-};
-
 /// RAII read-only mapping of one .scdt trace file. Move-only; the mapping
 /// (and the records decoded from it) stays valid for the object's lifetime.
 class MappedTrace {
  public:
-  /// Opens, maps, and validates `path`. Throws TraceMapError with the
-  /// specific kind on the first violation (see enum above); on throw nothing
-  /// stays mapped.
+  /// Opens, maps, and validates `path`. Throws traffic::TraceError with the
+  /// specific kind on the first violation; on throw nothing stays mapped.
   explicit MappedTrace(const std::string& path);
   ~MappedTrace();
   MappedTrace(MappedTrace&& other) noexcept;
@@ -86,8 +59,7 @@ class MappedTrace {
   [[nodiscard]] std::size_t size_bytes() const noexcept { return map_len_; }
 
   /// Decodes record `index` (< record_count()) in place from the mapped
-  /// bytes. Fields are read with explicit little-endian shifts — FlowRecord
-  /// has alignment padding, so the mapped bytes are never cast.
+  /// bytes (traffic::decode_trace_record).
   [[nodiscard]] traffic::FlowRecord record(std::size_t index) const noexcept;
 
   /// Bulk decode of `out.size()` records starting at `first` into caller

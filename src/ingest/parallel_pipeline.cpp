@@ -1,7 +1,6 @@
 #include "ingest/parallel_pipeline.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -10,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/thread_annotations.h"
@@ -19,7 +19,6 @@
 #include "ingest/ingest_metrics.h"
 #include "ingest/shard_set.h"
 #include "obs/metrics.h"
-#include "sketch/group_testing.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
 #include "sketch/serialize.h"
@@ -33,36 +32,6 @@ namespace {
 /// Front-end state stream layout version; bump on any field change. The
 /// serial engine's payload is versioned separately inside its own blob.
 constexpr std::uint64_t kFrontendStateVersion = 1;
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_f64(std::vector<std::uint8_t>& out, double v) {
-  append_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-[[nodiscard]] std::uint64_t take_u64(const std::vector<std::uint8_t>& in,
-                                     std::size_t& pos) {
-  if (in.size() - pos < 8) {
-    throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
-                                 "parallel front-end state ends mid-field");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos += 8;
-  return v;
-}
-
-[[nodiscard]] double take_f64(const std::vector<std::uint8_t>& in,
-                              std::size_t& pos) {
-  return std::bit_cast<double>(take_u64(in, pos));
-}
 
 }  // namespace
 
@@ -110,8 +79,7 @@ class ParallelPipeline::Impl {
         1, parallel_.queue_capacity / parallel_.batch_size);
     // Shard-set dispatch mirrors the serial engine's (recovery mode, key
     // width) switch so the workers accumulate the same sketch type the
-    // detection engine consumes. validate() has already rejected the
-    // group-testing + 64-bit combination.
+    // detection engine consumes.
     const bool key32 = traffic::key_fits_32bit(config_.key_kind);
     const auto make_shards = [&]<typename SketchT>() {
       shards_ = std::make_unique<ShardSet<SketchT>>(
@@ -132,9 +100,6 @@ class ParallelPipeline::Impl {
         } else {
           make_shards.operator()<sketch::MvSketch64>();
         }
-        break;
-      case core::RecoveryMode::kGroupTesting:
-        make_shards.operator()<sketch::GroupTestingSketch>();
         break;
     }
     pending_.resize(parallel_.workers);
@@ -237,16 +202,17 @@ class ParallelPipeline::Impl {
       // boundary, so restore/replay semantics are unchanged.
       const PendingClose& close = *active_close_;
       std::vector<std::uint8_t> bytes;
-      append_u64(bytes, kFrontendStateVersion);
-      append_u64(bytes, 1);  // a closed interval implies a started stream
-      append_f64(bytes, close.start_s + config_.interval_s);
-      append_f64(bytes, close.last_time);
-      append_u64(bytes, close.records);
-      append_u64(bytes, close.out_of_order);
-      append_u64(bytes, close.interval_index + 1);
+      common::ByteWriter out(bytes);
+      out.u64(kFrontendStateVersion);
+      out.u64(1);  // a closed interval implies a started stream
+      out.f64(close.start_s + config_.interval_s);
+      out.f64(close.last_time);
+      out.u64(close.records);
+      out.u64(close.out_of_order);
+      out.u64(close.interval_index + 1);
       const std::vector<std::uint8_t> serial = serial_.save_state();
-      append_u64(bytes, serial.size());
-      bytes.insert(bytes.end(), serial.begin(), serial.end());
+      out.u64(serial.size());
+      out.bytes(serial);
       return bytes;
     }
     if (records_since_barrier_ != 0) {
@@ -264,53 +230,60 @@ class ParallelPipeline::Impl {
       }
     }
     std::vector<std::uint8_t> bytes;
-    append_u64(bytes, kFrontendStateVersion);
-    append_u64(bytes, started_ ? 1 : 0);
-    append_f64(bytes, current_start_);
-    append_f64(bytes, last_time_);
-    append_u64(bytes, stats_.records);
-    append_u64(bytes, stats_.out_of_order_records);
-    append_u64(bytes, stats_.barriers);
+    common::ByteWriter out(bytes);
+    out.u64(kFrontendStateVersion);
+    out.u64(started_ ? 1 : 0);
+    out.f64(current_start_);
+    out.f64(last_time_);
+    out.u64(stats_.records);
+    out.u64(stats_.out_of_order_records);
+    out.u64(stats_.barriers);
     // Shard sketches are all drained at a barrier and backpressure_waits is
     // a transient liveness counter, so the serial engine blob is the only
     // nested payload.
     const std::vector<std::uint8_t> serial = serial_.save_state();
-    append_u64(bytes, serial.size());
-    bytes.insert(bytes.end(), serial.begin(), serial.end());
+    out.u64(serial.size());
+    out.bytes(serial);
     return bytes;
   }
 
   void restore_state(const std::vector<std::uint8_t>& bytes) {
-    std::size_t pos = 0;
-    const std::uint64_t version = take_u64(bytes, pos);
-    if (version != kFrontendStateVersion) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kBadVersion,
-          "parallel front-end state version " + std::to_string(version) +
-              " is not the supported version " +
-              std::to_string(kFrontendStateVersion));
+    common::ByteReader in(bytes, "parallel front-end state");
+    std::uint64_t serial_size = 0;
+    try {
+      const std::uint64_t version = in.u64();
+      if (version != kFrontendStateVersion) {
+        throw sketch::SerializeError(
+            sketch::SerializeErrorKind::kBadVersion,
+            "parallel front-end state version " + std::to_string(version) +
+                " is not the supported version " +
+                std::to_string(kFrontendStateVersion));
+      }
+      started_ = in.u64() != 0;
+      current_start_ = in.f64();
+      last_time_ = in.f64();
+      stats_ = ParallelStats{};
+      stats_.records = in.u64();
+      stats_.out_of_order_records = in.u64();
+      stats_.barriers = static_cast<std::size_t>(in.u64());
+      serial_size = in.u64();
+    } catch (const common::TruncatedError& e) {
+      throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
+                                   e.what());
     }
-    started_ = take_u64(bytes, pos) != 0;
-    current_start_ = take_f64(bytes, pos);
-    last_time_ = take_f64(bytes, pos);
-    stats_ = ParallelStats{};
-    stats_.records = take_u64(bytes, pos);
-    stats_.out_of_order_records = take_u64(bytes, pos);
-    stats_.barriers = static_cast<std::size_t>(take_u64(bytes, pos));
-    const std::uint64_t serial_size = take_u64(bytes, pos);
-    if (bytes.size() - pos < serial_size) {
+    if (in.remaining() < serial_size) {
       throw sketch::SerializeError(
           sketch::SerializeErrorKind::kTruncated,
           "parallel front-end state ends inside the serial engine blob");
     }
-    if (bytes.size() - pos > serial_size) {
+    if (in.remaining() > serial_size) {
       throw sketch::SerializeError(
           sketch::SerializeErrorKind::kTrailingBytes,
           "parallel front-end state has trailing bytes after the serial "
           "engine blob");
     }
-    serial_.restore_state(std::vector<std::uint8_t>(
-        bytes.begin() + static_cast<std::ptrdiff_t>(pos), bytes.end()));
+    const auto serial = in.bytes(in.remaining());
+    serial_.restore_state({serial.begin(), serial.end()});
     records_since_barrier_ = 0;
     for (Chunk& chunk : pending_) chunk.clear();
     common::MutexLock lock(close_mutex_);

@@ -121,7 +121,7 @@ class ShardSetBase {
 
 /// Templated on the sketch type (not the hash family) so the parallel path
 /// covers every engine the core pipeline can run: plain k-ary (either
-/// family), the invertible majority-vote sketch, and group testing. Sketches
+/// family) and the invertible majority-vote sketch. Sketches
 /// that recover keys from their own state (`recover_heavy_keys`) skip the
 /// per-shard distinct-key buffers entirely — that is the single-pass win —
 /// and vote-carrying sketches publish their merged candidate/vote arrays

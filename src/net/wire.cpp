@@ -1,112 +1,62 @@
 #include "net/wire.h"
 
 #include <cmath>
-#include <cstring>
 
-#include "common/crc32.h"
+#include "common/bytes.h"
+#include "common/frame.h"
 #include "sketch/serialize.h"
 
 namespace scd::net {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+// The kind range is checked before the MessageType cast, so an unknown type
+// is a typed reject (kBadType), never an out-of-range enum.
+constexpr common::FrameFormat kFormat{
+    .magic = kWireMagic,
+    .version = kWireVersion,
+    .min_kind = static_cast<std::uint32_t>(MessageType::kHello),
+    .max_kind = static_cast<std::uint32_t>(MessageType::kBye),
+    .fields = 3,  // node_id, interval_index, config_fingerprint
+};
+static_assert(kFormat.header_bytes() == kFrameHeaderBytes);
+
+[[nodiscard]] WireErrorKind wire_kind(common::FrameErrorKind kind) noexcept {
+  switch (kind) {
+    case common::FrameErrorKind::kTruncated:
+      return WireErrorKind::kTruncated;
+    case common::FrameErrorKind::kBadMagic:
+      return WireErrorKind::kBadMagic;
+    case common::FrameErrorKind::kBadVersion:
+      return WireErrorKind::kBadVersion;
+    case common::FrameErrorKind::kBadKind:
+      return WireErrorKind::kBadType;
+    case common::FrameErrorKind::kBadHeaderCrc:
+    case common::FrameErrorKind::kBadPayloadCrc:
+      return WireErrorKind::kBadCrc;
+    case common::FrameErrorKind::kOversized:
+      return WireErrorKind::kOversized;
+    case common::FrameErrorKind::kTrailingBytes:
+      return WireErrorKind::kBadPayload;
   }
+  return WireErrorKind::kBadPayload;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+[[nodiscard]] WireError to_wire_error(const common::FrameError& e) {
+  return {wire_kind(e.kind()), e.what()};
 }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] double get_f64(const std::uint8_t* p) noexcept {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-/// Validates the 56 header bytes (magic, CRC, version, type, length bound)
-/// and returns the parsed header. Shared by decode_frame and FrameReader so
-/// both reject identically.
-[[nodiscard]] FrameHeader parse_header(const std::uint8_t* p,
-                                       std::size_t max_payload_bytes) {
-  if (get_u32(p) != kWireMagic) {
-    throw WireError(WireErrorKind::kBadMagic,
-                    "leading bytes are not \"SCDN\"");
-  }
-  const std::uint32_t header_crc = get_u32(p + 52);
-  if (common::crc32(p, 52) != header_crc) {
-    throw WireError(WireErrorKind::kBadCrc, "header CRC32 mismatch");
-  }
-  const std::uint32_t version = get_u32(p + 4);
-  if (version != kWireVersion) {
-    throw WireError(WireErrorKind::kBadVersion,
-                    "protocol version " + std::to_string(version) +
-                        " is not the supported version " +
-                        std::to_string(kWireVersion));
-  }
-  const std::uint32_t type = get_u32(p + 8);
-  if (!message_type_known(type)) {
-    throw WireError(WireErrorKind::kBadType,
-                    "unknown message type " + std::to_string(type));
-  }
+[[nodiscard]] FrameHeader header_of(const common::FrameHead& head) noexcept {
   FrameHeader header;
-  header.type = static_cast<MessageType>(type);
-  header.node_id = get_u64(p + 16);
-  header.interval_index = get_u64(p + 24);
-  header.config_fingerprint = get_u64(p + 32);
-  header.payload_len = get_u64(p + 40);
-  if (header.payload_len > max_payload_bytes) {
-    throw WireError(WireErrorKind::kOversized,
-                    "declared payload of " +
-                        std::to_string(header.payload_len) +
-                        " bytes exceeds the " +
-                        std::to_string(max_payload_bytes) + "-byte ceiling");
-  }
+  header.type = static_cast<MessageType>(head.kind);
+  header.node_id = head.fields[0];
+  header.interval_index = head.fields[1];
+  header.config_fingerprint = head.fields[2];
+  header.payload_len = head.payload_len;
   return header;
 }
 
-void check_payload_crc(const FrameHeader& header, const std::uint8_t* head,
-                       const std::uint8_t* payload) {
-  const std::uint32_t payload_crc = get_u32(head + 48);
-  if (common::crc32(payload, static_cast<std::size_t>(header.payload_len)) !=
-      payload_crc) {
-    throw WireError(WireErrorKind::kBadCrc, "payload CRC32 mismatch");
-  }
-}
-
 }  // namespace
-
-bool message_type_known(std::uint32_t value) noexcept {
-  return value >= static_cast<std::uint32_t>(MessageType::kHello) &&
-         value <= static_cast<std::uint32_t>(MessageType::kBye);
-}
 
 const char* message_type_name(MessageType type) noexcept {
   switch (type) {
@@ -182,49 +132,24 @@ WireError::WireError(WireErrorKind kind, const std::string& message)
 
 std::vector<std::uint8_t> encode_frame(const FrameHeader& header,
                                        std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(out, kWireMagic);
-  put_u32(out, kWireVersion);
-  put_u32(out, static_cast<std::uint32_t>(header.type));
-  put_u32(out, 0);  // reserved
-  put_u64(out, header.node_id);
-  put_u64(out, header.interval_index);
-  put_u64(out, header.config_fingerprint);
-  put_u64(out, payload.size());
-  put_u32(out, common::crc32(payload.data(), payload.size()));
-  put_u32(out, common::crc32(out.data(), out.size()));  // header CRC
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  const std::uint64_t fields[] = {header.node_id, header.interval_index,
+                                  header.config_fingerprint};
+  return common::encode_frame(kFormat, static_cast<std::uint32_t>(header.type),
+                              fields, payload);
 }
 
 Frame decode_frame(std::span<const std::uint8_t> bytes,
                    std::size_t max_payload_bytes) {
-  if (bytes.size() < kFrameHeaderBytes) {
-    throw WireError(WireErrorKind::kTruncated,
-                    "buffer ends inside the " +
-                        std::to_string(kFrameHeaderBytes) + "-byte header (" +
-                        std::to_string(bytes.size()) + " bytes)");
+  try {
+    Frame frame;
+    frame.header =
+        header_of(common::parse_frame(kFormat, bytes, max_payload_bytes));
+    const auto payload = bytes.subspan(kFrameHeaderBytes);
+    frame.payload.assign(payload.begin(), payload.end());
+    return frame;
+  } catch (const common::FrameError& e) {
+    throw to_wire_error(e);
   }
-  const FrameHeader header = parse_header(bytes.data(), max_payload_bytes);
-  const std::uint64_t body = bytes.size() - kFrameHeaderBytes;
-  if (body < header.payload_len) {
-    throw WireError(WireErrorKind::kTruncated,
-                    "payload holds " + std::to_string(body) + " of " +
-                        std::to_string(header.payload_len) + " bytes");
-  }
-  if (body > header.payload_len) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    std::to_string(body - header.payload_len) +
-                        " trailing bytes after the payload");
-  }
-  check_payload_crc(header, bytes.data(), bytes.data() + kFrameHeaderBytes);
-  Frame frame;
-  frame.header = header;
-  frame.payload.assign(bytes.begin() +
-                           static_cast<std::ptrdiff_t>(kFrameHeaderBytes),
-                       bytes.end());
-  return frame;
 }
 
 void FrameReader::feed(std::span<const std::uint8_t> bytes) {
@@ -239,103 +164,80 @@ void FrameReader::feed(std::span<const std::uint8_t> bytes) {
 }
 
 std::optional<Frame> FrameReader::next() {
-  const std::size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) return std::nullopt;
-  const std::uint8_t* head = buffer_.data() + consumed_;
-  const FrameHeader header = parse_header(head, max_payload_bytes_);
-  if (available < kFrameHeaderBytes + header.payload_len) return std::nullopt;
-  check_payload_crc(header, head, head + kFrameHeaderBytes);
-  Frame frame;
-  frame.header = header;
-  frame.payload.assign(head + kFrameHeaderBytes,
-                       head + kFrameHeaderBytes + header.payload_len);
-  consumed_ += kFrameHeaderBytes + static_cast<std::size_t>(header.payload_len);
-  return frame;
+  const std::span<const std::uint8_t> buffered =
+      std::span(buffer_).subspan(consumed_);
+  if (buffered.size() < kFrameHeaderBytes) return std::nullopt;
+  try {
+    const common::FrameHead head =
+        common::parse_frame_head(kFormat, buffered, max_payload_bytes_);
+    if (buffered.size() - kFrameHeaderBytes < head.payload_len) {
+      return std::nullopt;
+    }
+    const auto payload = buffered.subspan(
+        kFrameHeaderBytes, static_cast<std::size_t>(head.payload_len));
+    common::check_frame_payload(head, payload);
+    Frame frame;
+    frame.header = header_of(head);
+    frame.payload.assign(payload.begin(), payload.end());
+    consumed_ += kFrameHeaderBytes + payload.size();
+    return frame;
+  } catch (const common::FrameError& e) {
+    throw to_wire_error(e);
+  }
 }
-
-namespace {
 
 constexpr std::uint64_t kIntervalPayloadVersion = 1;
-
-[[nodiscard]] std::uint64_t take_u64(std::span<const std::uint8_t> in,
-                                     std::size_t& pos) {
-  if (in.size() - pos < 8) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    "interval payload ends mid-field");
-  }
-  const std::uint64_t v = get_u64(in.data() + pos);
-  pos += 8;
-  return v;
-}
-
-[[nodiscard]] double take_f64(std::span<const std::uint8_t> in,
-                              std::size_t& pos) {
-  if (in.size() - pos < 8) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    "interval payload ends mid-field");
-  }
-  const double v = get_f64(in.data() + pos);
-  pos += 8;
-  return v;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_interval_payload(
     const IntervalPayload& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(8 * 6 + payload.sketch_packet.size() + 8 * payload.keys.size());
-  put_u64(out, kIntervalPayloadVersion);
-  put_f64(out, payload.start_s);
-  put_f64(out, payload.len_s);
-  put_u64(out, payload.records);
-  put_u64(out, payload.sketch_packet.size());
-  out.insert(out.end(), payload.sketch_packet.begin(),
-             payload.sketch_packet.end());
-  put_u64(out, payload.keys.size());
-  for (const std::uint64_t key : payload.keys) put_u64(out, key);
+  common::ByteWriter w(out);
+  w.u64(kIntervalPayloadVersion);
+  w.f64(payload.start_s);
+  w.f64(payload.len_s);
+  w.u64(payload.records);
+  w.u64(payload.sketch_packet.size());
+  w.bytes(payload.sketch_packet);
+  w.u64(payload.keys.size());
+  w.array(std::span<const std::uint64_t>(payload.keys));
   return out;
 }
 
 IntervalPayload decode_interval_payload(std::span<const std::uint8_t> bytes) {
-  std::size_t pos = 0;
-  const std::uint64_t version = take_u64(bytes, pos);
-  if (version != kIntervalPayloadVersion) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    "interval payload version " + std::to_string(version) +
-                        " is not the supported version " +
-                        std::to_string(kIntervalPayloadVersion));
-  }
+  common::ByteReader in(bytes, "interval payload");
   IntervalPayload payload;
-  payload.start_s = take_f64(bytes, pos);
-  payload.len_s = take_f64(bytes, pos);
-  if (!std::isfinite(payload.start_s) || !std::isfinite(payload.len_s) ||
-      !(payload.len_s > 0.0)) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    "interval times must be finite with len_s > 0");
+  try {
+    const std::uint64_t version = in.u64();
+    if (version != kIntervalPayloadVersion) {
+      throw WireError(WireErrorKind::kBadPayload,
+                      "interval payload version " + std::to_string(version) +
+                          " is not the supported version " +
+                          std::to_string(kIntervalPayloadVersion));
+    }
+    payload.start_s = in.f64();
+    payload.len_s = in.f64();
+    if (!std::isfinite(payload.start_s) || !std::isfinite(payload.len_s) ||
+        !(payload.len_s > 0.0)) {
+      throw WireError(WireErrorKind::kBadPayload,
+                      "interval times must be finite with len_s > 0");
+    }
+    payload.records = in.u64();
+    const auto packet = in.bytes(static_cast<std::size_t>(in.u64()));
+    payload.sketch_packet.assign(packet.begin(), packet.end());
+    const std::uint64_t key_count = in.u64();
+    if (in.remaining() / 8 < key_count) {
+      throw WireError(WireErrorKind::kBadPayload,
+                      "interval payload ends inside the key list");
+    }
+    payload.keys.resize(static_cast<std::size_t>(key_count));
+    in.array(std::span(payload.keys));
+  } catch (const common::TruncatedError& e) {
+    throw WireError(WireErrorKind::kBadPayload, e.what());
   }
-  payload.records = take_u64(bytes, pos);
-  const std::uint64_t sketch_len = take_u64(bytes, pos);
-  if (bytes.size() - pos < sketch_len) {
+  if (in.remaining() != 0) {
     throw WireError(WireErrorKind::kBadPayload,
-                    "interval payload ends inside the sketch packet");
-  }
-  payload.sketch_packet.assign(
-      bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-      bytes.begin() + static_cast<std::ptrdiff_t>(pos + sketch_len));
-  pos += static_cast<std::size_t>(sketch_len);
-  const std::uint64_t key_count = take_u64(bytes, pos);
-  if ((bytes.size() - pos) / 8 < key_count) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    "interval payload ends inside the key list");
-  }
-  payload.keys.reserve(static_cast<std::size_t>(key_count));
-  for (std::uint64_t i = 0; i < key_count; ++i) {
-    payload.keys.push_back(take_u64(bytes, pos));
-  }
-  if (pos != bytes.size()) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    std::to_string(bytes.size() - pos) +
+                    std::to_string(in.remaining()) +
                         " trailing bytes after the key list");
   }
   return payload;

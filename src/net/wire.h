@@ -14,10 +14,11 @@
 //   u64 payload_len | u32 payload_crc32 | u32 header_crc32
 //   payload_len bytes of payload
 // header_crc32 covers the 52 bytes before it; payload_crc32 covers the
-// payload. Frames arrive over TCP as an undelimited byte stream; FrameReader
-// re-frames it incrementally and rejects anything malformed with a typed
-// WireError, so a corrupt or hostile peer can be dropped and counted without
-// ever poisoning aggregator state.
+// payload — common/frame.h's shared CRC frame (checkpoint files use it too)
+// with three u64 fields. Frames arrive over TCP as an undelimited byte
+// stream; FrameReader re-frames it incrementally and rejects anything
+// malformed with a typed WireError, so a corrupt or hostile peer can be
+// dropped and counted without ever poisoning aggregator state.
 //
 // The kIntervalData payload reuses the sketch export packet
 // (sketch::sketch_to_bytes) verbatim: the same hardened deserialization and
@@ -56,9 +57,6 @@ enum class MessageType : std::uint32_t {
   kBye = 5,           ///< clean end-of-stream from the node (no payload)
 };
 
-/// True when `value` decodes to a known MessageType; the decoder checks
-/// before the enum cast so an unknown type byte is a typed reject, not UB.
-[[nodiscard]] bool message_type_known(std::uint32_t value) noexcept;
 [[nodiscard]] const char* message_type_name(MessageType type) noexcept;
 
 /// Why a frame or payload was rejected. The wire crosses trust boundaries,

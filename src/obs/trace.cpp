@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/bytes.h"
 #include "common/mutex.h"
 #include "common/strutil.h"
 #include "obs/metrics.h"
@@ -27,24 +28,16 @@ namespace {
 
 void SpanContext::encode(
     std::array<std::uint8_t, kWireBytes>& out) const noexcept {
-  const std::array<std::uint64_t, 3> words = {trace_id, span_id,
-                                              parent_span_id};
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    for (std::size_t b = 0; b < 8; ++b) {
-      out[w * 8 + b] = static_cast<std::uint8_t>(words[w] >> (8 * b));
-    }
-  }
+  common::store_le(out.data(), trace_id);
+  common::store_le(out.data() + 8, span_id);
+  common::store_le(out.data() + 16, parent_span_id);
 }
 
 SpanContext SpanContext::decode(
     const std::array<std::uint8_t, kWireBytes>& in) noexcept {
-  std::array<std::uint64_t, 3> words = {0, 0, 0};
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    for (std::size_t b = 0; b < 8; ++b) {
-      words[w] |= static_cast<std::uint64_t>(in[w * 8 + b]) << (8 * b);
-    }
-  }
-  return SpanContext{words[0], words[1], words[2]};
+  return SpanContext{common::load_le<std::uint64_t>(in.data()),
+                     common::load_le<std::uint64_t>(in.data() + 8),
+                     common::load_le<std::uint64_t>(in.data() + 16)};
 }
 
 std::uint64_t trace_now_ns() noexcept {

@@ -292,8 +292,7 @@ class BasicMvSketch {
   }
 
   /// Memory footprint of counters + candidates + votes in bytes (excludes
-  /// the shared hash family) — 3x the plain k-ary table, vs 33x for the
-  /// group-testing sketch.
+  /// the shared hash family) — 3x the plain k-ary table.
   [[nodiscard]] std::size_t table_bytes() const noexcept {
     return table_.size() * sizeof(double) +
            candidates_.size() * sizeof(std::uint64_t) +

@@ -23,6 +23,7 @@
 #include <istream>
 #include <map>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -87,6 +88,19 @@ class FamilyRegistry {
   std::map<std::pair<std::uint64_t, std::size_t>, KarySketch64::FamilyPtr> cw_;
 };
 
+/// The fixed 25-byte packet header. read_sketch_header validates magic,
+/// version, family kind and dimensions without reading the body or touching
+/// a FamilyRegistry, so a receiver can refuse a packet built for another
+/// hash family or geometry before decoding it. Throws SerializeError.
+struct SketchHeader {
+  FamilyKind kind = FamilyKind::kTabulation;
+  std::uint64_t seed = 0;
+  std::size_t rows = 0;
+  std::size_t k = 0;
+};
+[[nodiscard]] SketchHeader read_sketch_header(
+    std::span<const std::uint8_t> packet);
+
 /// Writes a sketch. Throws SerializeError(kWriteFailed) on stream failure.
 void write_sketch(std::ostream& out, const KarySketch& sketch);
 void write_sketch(std::ostream& out, const KarySketch64& sketch);
@@ -97,6 +111,8 @@ void write_sketch(std::ostream& out, const MvSketch64& sketch);
 /// SerializeError on malformed input or a family-kind mismatch (an
 /// invertible-family dump fed to a k-ary reader, or vice versa, is
 /// kFamilyMismatch — the typed reject the aggregator counts and drops).
+/// Every value is validated before the FamilyRegistry is consulted, so a
+/// rejected dump never adds a family to it.
 /// Trailing stream data is allowed: exporters concatenate sketches into one
 /// stream.
 [[nodiscard]] KarySketch read_sketch32(std::istream& in,
@@ -110,7 +126,8 @@ void write_sketch(std::ostream& out, const MvSketch64& sketch);
 
 /// Convenience: (de)serialize via a byte buffer (the "export packet").
 /// Unlike the stream readers, the *_from_bytes parsers reject trailing
-/// bytes — a packet is exactly one sketch.
+/// bytes — a packet is exactly one sketch, and its length must match the
+/// header (kTruncated / kTrailingBytes) before any register is allocated.
 [[nodiscard]] std::vector<std::uint8_t> sketch_to_bytes(const KarySketch& s);
 [[nodiscard]] KarySketch sketch_from_bytes(
     const std::vector<std::uint8_t>& bytes, FamilyRegistry& registry);

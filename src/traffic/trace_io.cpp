@@ -2,64 +2,38 @@
 
 #include <array>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 #include "traffic/flow_record.h"
 
 namespace scd::traffic {
 
+const char* trace_error_kind_name(TraceErrorKind kind) noexcept {
+  switch (kind) {
+    case TraceErrorKind::kOpenFailed: return "open-failed";
+    case TraceErrorKind::kTruncatedHeader: return "truncated-header";
+    case TraceErrorKind::kBadMagic: return "bad-magic";
+    case TraceErrorKind::kBadVersion: return "bad-version";
+    case TraceErrorKind::kTruncatedBody: return "truncated-body";
+    case TraceErrorKind::kTrailingBytes: return "trailing-bytes";
+  }
+  return "unknown";
+}
+
 namespace {
 
-// Serialization helpers: explicit little-endian packing so traces are
-// portable across hosts.
-template <typename T>
-void put_le(std::uint8_t*& p, T value) noexcept {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    *p++ = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-template <typename T>
-T get_le(const std::uint8_t*& p) noexcept {
-  T value = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    value = static_cast<T>(value | (static_cast<T>(*p++) << (8 * i)));
-  }
-  return value;
-}
-
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
-
-void encode_record(const FlowRecord& r, std::uint8_t* buf) noexcept {
-  std::uint8_t* p = buf;
-  put_le<std::uint64_t>(p, r.timestamp_us);
-  put_le<std::uint32_t>(p, r.src_ip);
-  put_le<std::uint32_t>(p, r.dst_ip);
-  put_le<std::uint16_t>(p, r.src_port);
-  put_le<std::uint16_t>(p, r.dst_port);
-  put_le<std::uint8_t>(p, r.protocol);
-  put_le<std::uint8_t>(p, r.tos);
-  put_le<std::uint16_t>(p, r.flags);
-  put_le<std::uint32_t>(p, r.packets);
-  put_le<std::uint64_t>(p, r.bytes);
-  assert(static_cast<std::size_t>(p - buf) == kTraceRecordBytes);
-}
-
-FlowRecord decode_record(const std::uint8_t* buf) noexcept {
-  const std::uint8_t* p = buf;
-  FlowRecord r;
-  r.timestamp_us = get_le<std::uint64_t>(p);
-  r.src_ip = get_le<std::uint32_t>(p);
-  r.dst_ip = get_le<std::uint32_t>(p);
-  r.src_port = get_le<std::uint16_t>(p);
-  r.dst_port = get_le<std::uint16_t>(p);
-  r.protocol = get_le<std::uint8_t>(p);
-  r.tos = get_le<std::uint8_t>(p);
-  r.flags = get_le<std::uint16_t>(p);
-  r.packets = get_le<std::uint32_t>(p);
-  r.bytes = get_le<std::uint64_t>(p);
-  return r;
+void encode_record(const FlowRecord& r, std::uint8_t* p) noexcept {
+  using common::store_le;
+  store_le(p, r.timestamp_us);
+  store_le(p + 8, r.src_ip);
+  store_le(p + 12, r.dst_ip);
+  store_le(p + 16, r.src_port);
+  store_le(p + 18, r.dst_port);
+  p[20] = r.protocol;
+  p[21] = r.tos;
+  store_le(p + 22, r.flags);
+  store_le(p + 24, r.packets);
+  store_le(p + 28, r.bytes);
 }
 
 }  // namespace
@@ -67,11 +41,10 @@ FlowRecord decode_record(const std::uint8_t* buf) noexcept {
 TraceWriter::TraceWriter(const std::string& path)
     : out_(path, std::ios::binary | std::ios::trunc), path_(path) {
   if (!out_) throw std::runtime_error("TraceWriter: cannot open " + path);
-  std::array<std::uint8_t, kHeaderBytes> header{};
-  std::uint8_t* p = header.data();
-  put_le<std::uint32_t>(p, kTraceMagic);
-  put_le<std::uint32_t>(p, kTraceVersion);
-  put_le<std::uint64_t>(p, 0);  // patched by finish()
+  std::array<std::uint8_t, kTraceHeaderBytes> header{};
+  common::store_le(header.data(), kTraceMagic);
+  common::store_le(header.data() + 4, kTraceVersion);
+  // header[8..16): record_count, patched by finish()
   out_.write(reinterpret_cast<const char*>(header.data()), header.size());
 }
 
@@ -98,10 +71,9 @@ void TraceWriter::finish() {
   if (finished_) return;
   finished_ = true;
   out_.seekp(8);  // record_count offset
-  std::array<std::uint8_t, 8> buf{};
-  std::uint8_t* p = buf.data();
-  put_le<std::uint64_t>(p, count_);
-  out_.write(reinterpret_cast<const char*>(buf.data()), buf.size());
+  std::uint8_t count[8];
+  common::store_le(count, count_);
+  out_.write(reinterpret_cast<const char*>(count), sizeof(count));
   out_.close();
   if (!out_ && count_ > 0) {
     throw std::runtime_error("TraceWriter: finalize failed on " + path_);
@@ -109,29 +81,31 @@ void TraceWriter::finish() {
 }
 
 TraceReader::TraceReader(const std::string& path)
-    : in_(path, std::ios::binary) {
-  if (!in_) throw std::runtime_error("TraceReader: cannot open " + path);
-  std::array<std::uint8_t, kHeaderBytes> header{};
+    : in_(path, std::ios::binary | std::ios::ate), path_(path) {
+  if (!in_) {
+    throw TraceError(TraceErrorKind::kOpenFailed, "cannot open " + path);
+  }
+  const std::streamoff file_len = in_.tellg();
+  if (file_len < 0) {
+    throw TraceError(TraceErrorKind::kOpenFailed, "cannot size " + path);
+  }
+  in_.seekg(0);
+  std::array<std::uint8_t, kTraceHeaderBytes> header{};
   in_.read(reinterpret_cast<char*>(header.data()), header.size());
-  if (!in_) throw std::runtime_error("TraceReader: truncated header in " + path);
-  const std::uint8_t* p = header.data();
-  const auto magic = get_le<std::uint32_t>(p);
-  const auto version = get_le<std::uint32_t>(p);
-  count_ = get_le<std::uint64_t>(p);
-  if (magic != kTraceMagic) {
-    throw std::runtime_error("TraceReader: bad magic in " + path);
-  }
-  if (version != kTraceVersion) {
-    throw std::runtime_error("TraceReader: unsupported version in " + path);
-  }
+  count_ = check_trace_header(
+      std::span(header).first(static_cast<std::size_t>(in_.gcount())),
+      static_cast<std::uint64_t>(file_len), path);
 }
 
 bool TraceReader::next(FlowRecord& out) {
   if (read_ >= count_) return false;
   std::array<std::uint8_t, kTraceRecordBytes> buf{};
   in_.read(reinterpret_cast<char*>(buf.data()), buf.size());
-  if (!in_) return false;
-  out = decode_record(buf.data());
+  if (!in_) {
+    throw TraceError(TraceErrorKind::kTruncatedBody,
+                     path_ + " ends inside record " + std::to_string(read_));
+  }
+  out = decode_trace_record(buf.data());
   ++read_;
   return true;
 }

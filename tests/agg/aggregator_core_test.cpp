@@ -5,12 +5,15 @@
 // invisible at every single vantage point but alarms in the aggregate.
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "agg/aggregator.h"
+#include "common/bytes.h"
 #include "common/random.h"
 #include "core/pipeline.h"
 #include "net/wire.h"
@@ -244,6 +247,57 @@ TEST(AggregatorCore, RejectsUnknownNodesAndIncompatibleContributions) {
   garbage.sketch_packet[0] ^= 0xff;
   EXPECT_THROW(agg.submit(2, 0, garbage), sketch::SerializeError);
   EXPECT_EQ(agg.stats().contributions, 1u);
+}
+
+/// Resident set size of this process in KiB (Linux /proc), 0 if unknown.
+std::size_t rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return static_cast<std::size_t>(std::stoull(line.substr(6)));
+    }
+  }
+  return 0;
+}
+
+/// A tabulation sketch packet for (seed, rows = 32, k = 2): header plus
+/// `body_bytes` zero bytes. A full body is rows * k * 8 = 512 bytes.
+std::vector<std::uint8_t> foreign_packet(std::uint64_t seed,
+                                         std::size_t body_bytes) {
+  std::vector<std::uint8_t> packet;
+  common::ByteWriter w(packet);
+  w.u32(sketch::kSketchMagic);
+  w.u32(sketch::kSketchVersion);
+  w.u8(static_cast<std::uint8_t>(sketch::FamilyKind::kTabulation));
+  w.u64(seed);
+  w.u32(32);
+  w.u32(2);
+  packet.resize(packet.size() + body_bytes);
+  return packet;
+}
+
+TEST(AggregatorCore, ForeignPacketsAreRejectedWithoutGrowingMemory) {
+  // Every fresh (seed, rows) a decoder meets would build a hash family
+  // (16 MiB at rows = 32) and cache it for the aggregator's lifetime. The
+  // header check must refuse such packets before any decode or registry
+  // lookup, truncated or full-length alike.
+  Aggregator agg(three_nodes());
+  const net::IntervalPayload genuine =
+      node_payload(agg.config().pipeline, 1, 0);
+  net::IntervalPayload payload = genuine;
+  const std::size_t before = rss_kib();
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    payload.sketch_packet =
+        foreign_packet(0xf00d0000 + i, i % 2 == 0 ? 0 : 512);
+    EXPECT_THROW(agg.submit(1, 0, payload), std::invalid_argument);
+  }
+  EXPECT_EQ(agg.stats().contributions, 0u);
+  const std::size_t after = rss_kib();
+  EXPECT_LT(after, before + (std::size_t{16} << 10))
+      << "rejected packets grew RSS from " << before << " KiB to " << after;
+  // The node's watermark did not move: its real contribution still lands.
+  EXPECT_EQ(agg.submit(1, 0, genuine).outcome, SubmitOutcome::kAccepted);
 }
 
 // ---------------------------------------------------------------------------

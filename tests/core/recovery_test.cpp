@@ -58,45 +58,29 @@ TEST(RecoveryConfig, RejectsKeySampling) {
   auto c = recovery_config(RecoveryMode::kInvertible);
   c.key_sample_rate = 0.5;
   EXPECT_THROW(c.validate(), std::invalid_argument);
-  c = recovery_config(RecoveryMode::kGroupTesting);
-  c.key_sample_rate = 0.5;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
-TEST(RecoveryConfig, GroupTestingRequires32BitKeys) {
-  auto c = recovery_config(RecoveryMode::kGroupTesting);
-  c.key_kind = traffic::KeyKind::kSrcDstPair;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+TEST(RecoveryConfig, InvertibleAccepts64BitKeys) {
   // The invertible family covers 64-bit keys via the Carter-Wegman sketch.
-  c = recovery_config(RecoveryMode::kInvertible);
+  auto c = recovery_config(RecoveryMode::kInvertible);
   c.key_kind = traffic::KeyKind::kSrcDstPair;
   EXPECT_NO_THROW(c.validate());
+}
+
+TEST(RecoveryConfig, RejectsUnknownMode) {
+  auto c = recovery_config(RecoveryMode::kReplay);
+  c.recovery = static_cast<RecoveryMode>(1);
+  EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
 TEST(RecoveryConfig, FingerprintDistinguishesModes) {
   const auto replay = recovery_config(RecoveryMode::kReplay);
   const auto invertible = recovery_config(RecoveryMode::kInvertible);
-  const auto group = recovery_config(RecoveryMode::kGroupTesting);
   EXPECT_NE(config_fingerprint(replay), config_fingerprint(invertible));
-  EXPECT_NE(config_fingerprint(replay), config_fingerprint(group));
-  EXPECT_NE(config_fingerprint(invertible), config_fingerprint(group));
 }
 
 TEST(RecoveryPipeline, InvertibleDetectsInjectedSpike) {
   ChangeDetectionPipeline pipeline(recovery_config(RecoveryMode::kInvertible));
-  feed_stream(pipeline, 10, 999, 20000.0, 6, 6);
-  bool found = false;
-  for (const auto& report : pipeline.reports()) {
-    for (const auto& alarm : report.alarms) {
-      if (alarm.key == 999) found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(RecoveryPipeline, GroupTestingDetectsInjectedSpike) {
-  ChangeDetectionPipeline pipeline(
-      recovery_config(RecoveryMode::kGroupTesting));
   feed_stream(pipeline, 10, 999, 20000.0, 6, 6);
   bool found = false;
   for (const auto& report : pipeline.reports()) {
@@ -236,16 +220,6 @@ TEST(RecoveryPipeline, RestoreRejectsCrossModeSnapshots) {
   ChangeDetectionPipeline invertible(
       recovery_config(RecoveryMode::kInvertible));
   EXPECT_ANY_THROW(invertible.restore_state(snapshot));
-}
-
-TEST(RecoveryPipeline, GroupTestingCheckpointRoundTrip) {
-  auto config = recovery_config(RecoveryMode::kGroupTesting);
-  ChangeDetectionPipeline a(config);
-  feed_stream(a, 6);
-  const auto snapshot = a.save_state();
-  ChangeDetectionPipeline b(config);
-  EXPECT_NO_THROW(b.restore_state(snapshot));
-  EXPECT_EQ(b.stats().intervals_closed, a.stats().intervals_closed);
 }
 
 }  // namespace

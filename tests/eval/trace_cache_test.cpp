@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "traffic/synthetic.h"
+#include "traffic/trace_io.h"
 
 namespace scd::eval {
 namespace {
@@ -63,6 +64,17 @@ TEST_F(TraceCacheTest, CorruptedFileIsRegenerated) {
   }
   const auto& records = cached_trace(profile);
   EXPECT_GT(records.size(), 100u);  // regenerated despite the bad file
+}
+
+TEST_F(TraceCacheTest, TornFileIsRegenerated) {
+  // A cache file cut off mid-record must not load as a shorter trace: the
+  // reader rejects it at open and the cache regenerates the full trace.
+  const auto profile = tiny_profile("cache_t4");
+  const auto full = traffic::SyntheticTraceGenerator(profile.config).generate();
+  const std::string path = dir_ + "/cache_t4.scdt";
+  traffic::write_trace(path, full);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 20);
+  EXPECT_EQ(cached_trace(profile).size(), full.size());
 }
 
 TEST_F(TraceCacheTest, DirOverrideIsHonored) {

@@ -3,7 +3,8 @@
 // Corpus half (corrupt-checkpoint style): every way an on-disk .scdt file
 // can lie — truncated header, foreign magic, future version, a short final
 // record, trailing garbage — must surface as the matching typed
-// TraceMapError, and a zero-record file (header only) must map cleanly.
+// traffic::TraceError from both MappedTrace and TraceReader, and a
+// zero-record file (header only) must map cleanly.
 //
 // Feed half: feed_trace() batches 4K-record slices through update_batch and
 // ingest_interval, so its reports must be bit-identical to the per-record
@@ -91,8 +92,13 @@ core::PipelineConfig corpus_config() {
   return config;
 }
 
+/// One corpus file per test: ctest runs the cases as parallel processes, so
+/// a shared name would let one case rewrite the file under another.
 std::string corpus_trace() {
-  const std::string path = fresh_path("mmap_corpus.scdt");
+  const std::string path = fresh_path(
+      std::string("mmap_corpus_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".scdt");
   traffic::write_trace(path, corpus_records());
   return path;
 }
@@ -107,16 +113,22 @@ AlarmSet alarm_set(const std::vector<core::IntervalReport>& reports) {
   return out;
 }
 
-void expect_map_error(const std::string& path, TraceMapErrorKind kind,
+/// Both readers share one header check, so every corrupt file must be
+/// rejected at open by each of them with the same typed kind.
+void expect_map_error(const std::string& path, traffic::TraceErrorKind kind,
                       const std::string& label) {
   SCOPED_TRACE(label);
-  try {
-    MappedTrace trace(path);
-    FAIL() << "mapped successfully; expected "
-           << trace_map_error_kind_name(kind);
-  } catch (const TraceMapError& error) {
-    EXPECT_EQ(error.map_kind(), kind) << error.what();
-  }
+  const auto expect_rejected = [&](const char* reader, const auto& open) {
+    try {
+      open();
+      ADD_FAILURE() << reader << " opened successfully; expected "
+                    << traffic::trace_error_kind_name(kind);
+    } catch (const traffic::TraceError& error) {
+      EXPECT_EQ(error.kind(), kind) << reader << ": " << error.what();
+    }
+  };
+  expect_rejected("MappedTrace", [&] { MappedTrace trace(path); });
+  expect_rejected("TraceReader", [&] { traffic::TraceReader reader(path); });
 }
 
 TEST(MappedTrace, RoundTripMatchesTraceReader) {
@@ -151,7 +163,7 @@ TEST(MappedTrace, ZeroRecordFileIsValid) {
 
 TEST(MappedTrace, MissingFileIsOpenFailed) {
   expect_map_error(fresh_path("mmap_missing.scdt"),
-                   TraceMapErrorKind::kOpenFailed, "missing file");
+                   traffic::TraceErrorKind::kOpenFailed, "missing file");
 }
 
 TEST(MappedTrace, TruncatedHeaderIsTyped) {
@@ -161,7 +173,7 @@ TEST(MappedTrace, TruncatedHeaderIsTyped) {
                                 std::size_t{15}}) {
     write_file(path, {pristine.begin(), pristine.begin() +
                                             static_cast<std::ptrdiff_t>(len)});
-    expect_map_error(path, TraceMapErrorKind::kTruncatedHeader,
+    expect_map_error(path, traffic::TraceErrorKind::kTruncatedHeader,
                      "header cut at byte " + std::to_string(len));
   }
 }
@@ -171,7 +183,7 @@ TEST(MappedTrace, BadMagicIsTyped) {
   std::vector<std::uint8_t> bytes = read_file(path);
   bytes[0] ^= 0xff;
   write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kBadMagic, "flipped magic");
+  expect_map_error(path, traffic::TraceErrorKind::kBadMagic, "flipped magic");
 }
 
 TEST(MappedTrace, BadVersionIsTyped) {
@@ -179,7 +191,8 @@ TEST(MappedTrace, BadVersionIsTyped) {
   std::vector<std::uint8_t> bytes = read_file(path);
   bytes[4] = 0x7f;  // version field, little-endian low byte
   write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kBadVersion, "future version");
+  expect_map_error(path, traffic::TraceErrorKind::kBadVersion,
+                   "future version");
 }
 
 TEST(MappedTrace, ShortFinalRecordIsTyped) {
@@ -187,12 +200,12 @@ TEST(MappedTrace, ShortFinalRecordIsTyped) {
   std::vector<std::uint8_t> bytes = read_file(path);
   bytes.pop_back();  // cut the last record one byte short
   write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kTruncatedBody,
+  expect_map_error(path, traffic::TraceErrorKind::kTruncatedBody,
                    "short final record");
   // Losing a whole record is the same lie: the header still promises it.
   bytes.resize(bytes.size() + 1 - traffic::kTraceRecordBytes);
   write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kTruncatedBody,
+  expect_map_error(path, traffic::TraceErrorKind::kTruncatedBody,
                    "missing final record");
 }
 
@@ -201,7 +214,7 @@ TEST(MappedTrace, TrailingBytesAreTyped) {
   std::vector<std::uint8_t> bytes = read_file(path);
   bytes.push_back(0xab);
   write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kTrailingBytes,
+  expect_map_error(path, traffic::TraceErrorKind::kTrailingBytes,
                    "trailing garbage");
 }
 

@@ -1,6 +1,7 @@
 // Compatibility matrix: every forecast model must behave identically across
 // every LinearSignal instantiation the library ships — scalar, dense vector,
-// 32-bit k-ary sketch, 64-bit k-ary sketch, and the group-testing sketch.
+// 32-bit k-ary sketch, 64-bit k-ary sketch, and the invertible (majority-vote)
+// sketch.
 // The invariants checked per (model, space):
 //   * ready() flips at the same observation count as on scalars,
 //   * an all-zero series forecasts (near) zero,
@@ -12,8 +13,8 @@
 
 #include "forecast/model_factory.h"
 #include "perflow/dense_vector.h"
-#include "sketch/group_testing.h"
 #include "sketch/kary_sketch.h"
+#include "sketch/mv_sketch.h"
 
 namespace scd::forecast {
 namespace {
@@ -144,19 +145,18 @@ TEST(ModelSpaceMatrix, KarySketch64) {
   }
 }
 
-TEST(ModelSpaceMatrix, GroupTestingSketch) {
+TEST(ModelSpaceMatrix, MvSketch) {
   for (const auto& mcase : all_cases()) {
-    const auto family =
-        std::make_shared<const hash::TabulationHashFamily>(3, 5);
-    const sketch::GroupTestingSketch prototype(family, 512);
+    const auto family = sketch::make_tabulation_family(3, 5);
+    const sketch::MvSketch prototype(family, 512);
     run_matrix_case(
         mcase, prototype,
         [&family](double v) {
-          sketch::GroupTestingSketch obs(family, 512);
+          sketch::MvSketch obs(family, 512);
           obs.update(7, v);
           return obs;
         },
-        [](const sketch::GroupTestingSketch& f) { return f.estimate(7); });
+        [](const sketch::MvSketch& f) { return f.estimate(7); });
   }
 }
 

@@ -1,6 +1,6 @@
 // Fixture: would trip include-hygiene, kkeybits-binding, mutex-wrapper,
-// mo-rationale and lock-order-doc, but every finding carries a waiver — the
-// tree must lint clean.
+// mo-rationale, lock-order-doc and byte-codec, but every finding carries a
+// waiver — the tree must lint clean.
 // scd-lint: allow-file(kkeybits-binding)
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -30,6 +30,11 @@ struct LegacyBridge {
 unsigned long sample(std::atomic<unsigned long>& hits) {
   // scd-lint: allow(mo-rationale)
   return hits.load(std::memory_order_relaxed);
+}
+
+unsigned char low_byte(unsigned long v, int i) {
+  // scd-lint: allow(byte-codec)
+  return static_cast<unsigned char>(v >> (8 * i));
 }
 
 }  // namespace scd

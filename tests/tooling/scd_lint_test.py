@@ -92,6 +92,10 @@ class FixtureTest(unittest.TestCase):
         self.assert_single_violation(
             "lock-order-doc-stale", "lock-order-doc", "docs/CONCURRENCY.md")
 
+    def test_byte_codec_fires_on_hand_rolled_loop(self):
+        self.assert_single_violation(
+            "byte-codec", "byte-codec", "src/net/packet.cpp")
+
     def test_waivers_silence_every_rule(self):
         code, lines = run_lint(FIXTURES / "clean")
         self.assertEqual(code, 0, f"clean fixture not clean: {lines}")
@@ -106,7 +110,7 @@ class FixtureTest(unittest.TestCase):
             buf.getvalue().split(),
             ["throw-not-assert", "kkeybits-binding", "metric-docs",
              "include-hygiene", "simd-isolation", "mutex-wrapper",
-             "mo-rationale", "lock-order-doc"])
+             "mo-rationale", "lock-order-doc", "byte-codec"])
 
     def test_missing_root_is_a_usage_error(self):
         code, _ = run_lint(REPO_ROOT / "tests" / "tooling" / "no-such-dir")

@@ -45,8 +45,8 @@ TEST(TraceReaderFuzz, RandomBytesNeverCrash) {
 }
 
 TEST(TraceReaderFuzz, ValidHeaderHugeCountDoesNotFabricate) {
-  // Header claims 2^40 records but the body is empty: next() must return
-  // false rather than invent data.
+  // Header claims 2^40 records but the body is empty: the reader must
+  // refuse the file at open rather than invent (or silently drop) data.
   std::string bytes;
   const auto put32 = [&bytes](std::uint32_t v) {
     for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
@@ -55,9 +55,12 @@ TEST(TraceReaderFuzz, ValidHeaderHugeCountDoesNotFabricate) {
   put32(kTraceVersion);
   for (int i = 0; i < 8; ++i) bytes.push_back(i == 5 ? '\x01' : '\0');  // 2^40
   const auto path = temp_file("huge.scdt", bytes);
-  TraceReader reader(path);
-  FlowRecord r;
-  EXPECT_FALSE(reader.next(r));
+  try {
+    TraceReader reader(path);
+    ADD_FAILURE() << "trace with a missing body opened";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.kind(), TraceErrorKind::kTruncatedBody) << e.what();
+  }
   std::remove(path.c_str());
 }
 

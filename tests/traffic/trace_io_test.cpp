@@ -122,16 +122,39 @@ TEST_F(TraceIoTest, TruncatedHeaderThrows) {
   EXPECT_THROW({ TraceReader reader(path); }, std::runtime_error);
 }
 
-TEST_F(TraceIoTest, TruncatedBodyStopsCleanly) {
+TEST_F(TraceIoTest, TruncatedBodyIsRejectedAtOpen) {
   const auto path = temp_path("truncbody.scdt");
+  std::vector<FlowRecord> records;
+  for (std::uint64_t t = 1; t <= 10; ++t) records.push_back(sample_record(t));
+  write_trace(path, records);
+  // A torn copy: the last 20 bytes are gone, so record 10 is cut short.
+  // Reading it as a 9-record trace would silently drop data.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 20);
+  try {
+    TraceReader reader(path);
+    FAIL() << "truncated trace opened";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.kind(), TraceErrorKind::kTruncatedBody) << e.what();
+  }
+  EXPECT_THROW((void)read_trace(path), TraceError);
+}
+
+TEST_F(TraceIoTest, UnfinishedWriterIsRejectedAtOpen) {
+  const auto path = temp_path("unfinished.scdt");
   write_trace(path, {sample_record(1), sample_record(2)});
-  // Chop the last record in half.
-  std::filesystem::resize_file(
-      path, std::filesystem::file_size(path) - kTraceRecordBytes / 2);
-  TraceReader reader(path);
-  FlowRecord r;
-  EXPECT_TRUE(reader.next(r));
-  EXPECT_FALSE(reader.next(r));  // truncated record is not fabricated
+  // A writer killed before finish() leaves the provisional record count 0
+  // in the header while the records are on disk.
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekp(8);
+  const char zero[8] = {};
+  file.write(zero, sizeof(zero));
+  file.close();
+  try {
+    TraceReader reader(path);
+    FAIL() << "unfinished trace opened as an empty trace";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.kind(), TraceErrorKind::kTrailingBytes) << e.what();
+  }
 }
 
 TEST_F(TraceIoTest, WriterCountsRecords) {
