@@ -1,20 +1,26 @@
 // Extension (§3.3, option 4 + docs/KEY_RECOVERY.md): recovering changed
 // keys directly from the sketch instead of replaying a key stream. Compares
-// the two --recovery modes on the small router at 300 s / EWMA:
+// the two --recovery modes on the small router at 300 s / EWMA, each arm
+// doing what the pipeline does per interval:
 //   * replay     — the paper's two-pass baseline: plain k-ary sketch,
-//                  collect the interval's distinct keys, then ESTIMATE
-//                  each against the error sketch (pass 2),
-//   * invertible — majority-vote candidate per bucket (3x memory),
-//                  single pass, recover_heavy_keys on the error sketch.
+//                  collect the interval's distinct keys, forecast, then
+//                  ESTIMATE each key against the error sketch (pass 2),
+//   * invertible — majority-vote sketch (3x the k-ary table; the current
+//                  and the previous interval's are kept), single pass,
+//                  forecast on its k-ary counters only, then sweep the
+//                  error sketch with both intervals' candidates.
 // Reports recall/precision of the single-pass mode against the replay
 // baseline's flagged set (same seed, same (H, K), same threshold rule — the
 // counters are identical, so the baseline is exactly what the recovery
 // sweep is trying to reproduce without the second pass), recall against the
-// exact per-flow truth as context, memory, and wall time (update + recover).
+// exact per-flow truth as context, memory, and wall time (update + forecast
+// step + ESTIMATEF2 + key identification). Each arm's wall time is the
+// median of kRepetitions interleaved runs.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -42,17 +48,114 @@ constexpr std::size_t kH = 5;
 constexpr std::size_t kK = 4096;
 constexpr std::uint64_t kSeed = 0x6007e57;
 constexpr double kThresholdFrac = 0.10;
+constexpr std::size_t kRepetitions = 5;
 
-/// One mode's accumulated run: wall time split into the streaming pass and
-/// the key-identification step, plus per-interval recovered/flagged sets.
+/// One mode's run: wall time split into the streaming pass, the forecast
+/// step (with ESTIMATEF2) and the key identification, plus per-interval
+/// recovered/flagged sets.
 struct ModeRun {
   double update_s = 0.0;
+  double forecast_s = 0.0;
   double recover_s = 0.0;
   std::size_t table_bytes = 0;
   // Keys identified per interval (empty set when detection did not run).
   std::vector<std::unordered_set<std::uint64_t>> keys;
-  [[nodiscard]] double wall_s() const { return update_s + recover_s; }
+  [[nodiscard]] double wall_s() const {
+    return update_s + forecast_s + recover_s;
+  }
 };
+
+/// Per-interval input shared by both arms.
+struct Workload {
+  const std::vector<std::vector<scd::sketch::Record>>& raw;
+  const scd::forecast::ModelConfig& model;
+  std::size_t warmup;
+};
+
+[[nodiscard]] double threshold_of(const scd::sketch::KarySketch& error) {
+  return kThresholdFrac * std::sqrt(std::max(error.estimate_f2(), 0.0));
+}
+
+ModeRun run_replay(const Workload& w) {
+  using namespace scd;
+  ModeRun run;
+  run.keys.resize(w.raw.size());
+  const auto family =
+      std::make_shared<const hash::TabulationHashFamily>(kSeed, kH);
+  sketch::KarySketch observed(family, kK);
+  run.table_bytes = observed.table_bytes();
+  forecast::ForecastRunner<sketch::KarySketch> runner(w.model, observed);
+  for (std::size_t t = 0; t < w.raw.size(); ++t) {
+    observed.set_zero();
+    std::unordered_set<std::uint64_t> interval_keys;
+    common::Stopwatch sw;
+    for (const auto& u : w.raw[t]) {
+      observed.update(u.key, u.update);
+      interval_keys.insert(u.key);  // pass-1 distinct-key collection
+    }
+    run.update_s += sw.seconds();
+    sw.reset();
+    const auto step = runner.step(observed);
+    if (!step.has_value() || t < w.warmup) {
+      run.forecast_s += sw.seconds();
+      continue;
+    }
+    const double threshold = threshold_of(step->error);
+    run.forecast_s += sw.seconds();
+    sw.reset();
+    for (const auto key : interval_keys) {  // pass 2: replay ESTIMATE
+      if (std::abs(step->error.estimate(key)) >= threshold) {
+        run.keys[t].insert(key);
+      }
+    }
+    run.recover_s += sw.seconds();
+  }
+  return run;
+}
+
+ModeRun run_invertible(const Workload& w) {
+  using namespace scd;
+  ModeRun run;
+  run.keys.resize(w.raw.size());
+  const auto family =
+      std::make_shared<const hash::TabulationHashFamily>(kSeed, kH);
+  sketch::MvSketch observed(family, kK);
+  sketch::MvSketch previous(family, kK);
+  run.table_bytes = observed.table_bytes() + previous.table_bytes();
+  forecast::ForecastRunner<sketch::KarySketch> runner(w.model,
+                                                      observed.counters());
+  for (std::size_t t = 0; t < w.raw.size(); ++t) {
+    common::Stopwatch sw;
+    for (const auto& u : w.raw[t]) observed.update(u.key, u.update);
+    run.update_s += sw.seconds();
+    sw.reset();
+    const auto step = runner.step(observed.counters());
+    if (step.has_value() && t >= w.warmup) {
+      const double threshold = threshold_of(step->error);
+      run.forecast_s += sw.seconds();
+      sw.reset();
+      const sketch::MvSketch* const sources[] = {&observed, &previous};
+      const auto recovered =
+          sketch::recover_heavy_keys<hash::TabulationHashFamily>(
+              step->error, threshold, sources);
+      for (const auto& r : recovered) run.keys[t].insert(r.key);
+      run.recover_s += sw.seconds();
+    } else {
+      run.forecast_s += sw.seconds();
+    }
+    std::swap(observed, previous);
+    observed.set_zero();
+  }
+  return run;
+}
+
+/// The run whose wall time is the median of `runs` (odd count).
+const ModeRun& median_run(std::vector<ModeRun>& runs) {
+  std::sort(runs.begin(), runs.end(), [](const ModeRun& a, const ModeRun& b) {
+    return a.wall_s() < b.wall_s();
+  });
+  return runs[runs.size() / 2];
+}
 
 struct PrecisionRecall {
   double recall = 1.0;
@@ -122,62 +225,16 @@ int main() {
     }
   }
 
-  // ---- replay baseline: two passes over each interval's distinct keys ----
-  ModeRun replay;
-  replay.keys.resize(intervals);
-  {
-    const auto family =
-        std::make_shared<const hash::TabulationHashFamily>(kSeed, kH);
-    const sketch::KarySketch prototype(family, kK);
-    replay.table_bytes = prototype.table_bytes();
-    forecast::ForecastRunner<sketch::KarySketch> runner(model, prototype);
-    for (std::size_t t = 0; t < intervals; ++t) {
-      sketch::KarySketch observed = prototype;
-      std::unordered_set<std::uint64_t> interval_keys;
-      common::Stopwatch sw;
-      for (const auto& u : raw[t]) {
-        observed.update(u.key, u.update);
-        interval_keys.insert(u.key);  // pass-1 distinct-key collection
-      }
-      replay.update_s += sw.seconds();
-      const auto step = runner.step(observed);
-      if (!step.has_value() || t < warmup) continue;
-      const double l2 = std::sqrt(std::max(step->error.estimate_f2(), 0.0));
-      const double threshold = kThresholdFrac * l2;
-      sw.reset();
-      for (const auto key : interval_keys) {  // pass 2: replay ESTIMATE
-        if (std::abs(step->error.estimate(key)) >= threshold) {
-          replay.keys[t].insert(key);
-        }
-      }
-      replay.recover_s += sw.seconds();
-    }
+  // ---- both arms, interleaved so drift in the host hits both alike ----
+  const Workload workload{raw, model, warmup};
+  std::vector<ModeRun> replay_runs;
+  std::vector<ModeRun> mv_runs;
+  for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+    replay_runs.push_back(run_replay(workload));
+    mv_runs.push_back(run_invertible(workload));
   }
-
-  // ---- invertible (majority-vote) sketch: single pass + bucket sweep ----
-  ModeRun mv;
-  mv.keys.resize(intervals);
-  {
-    const auto family =
-        std::make_shared<const hash::TabulationHashFamily>(kSeed, kH);
-    const sketch::MvSketch prototype(family, kK);
-    mv.table_bytes = prototype.table_bytes();
-    forecast::ForecastRunner<sketch::MvSketch> runner(model, prototype);
-    for (std::size_t t = 0; t < intervals; ++t) {
-      sketch::MvSketch observed = prototype;
-      common::Stopwatch sw;
-      for (const auto& u : raw[t]) observed.update(u.key, u.update);
-      mv.update_s += sw.seconds();
-      const auto step = runner.step(observed);
-      if (!step.has_value() || t < warmup) continue;
-      const double l2 = std::sqrt(std::max(step->error.estimate_f2(), 0.0));
-      sw.reset();
-      const auto recovered =
-          step->error.recover_heavy_keys(kThresholdFrac * l2);
-      mv.recover_s += sw.seconds();
-      for (const auto& r : recovered) mv.keys[t].insert(r.key);
-    }
-  }
+  const ModeRun& replay = median_run(replay_runs);
+  const ModeRun& mv = median_run(mv_runs);
 
   // ---- exact per-flow truth (context, not the gating baseline) ----
   std::vector<std::unordered_set<std::uint64_t>> pf_flagged(intervals);
@@ -194,11 +251,14 @@ int main() {
   const PrecisionRecall replay_vs_truth = score(replay.keys, pf_flagged);
   const PrecisionRecall mv_vs_truth = score(mv.keys, pf_flagged);
 
+  std::printf("median of %zu interleaved runs per mode\n", kRepetitions);
   std::printf(
-      "mode        wall(ms)  update(ms)  recover(ms)  memory(KiB)\n");
+      "mode        wall(ms)  update(ms)  forecast(ms)  recover(ms)  "
+      "memory(KiB)\n");
   const auto row = [](const char* name, const ModeRun& run) {
-    std::printf("%-11s %8.1f  %10.1f  %11.1f  %11.1f\n", name,
-                run.wall_s() * 1e3, run.update_s * 1e3, run.recover_s * 1e3,
+    std::printf("%-11s %8.1f  %10.1f  %12.1f  %11.1f  %11.1f\n", name,
+                run.wall_s() * 1e3, run.update_s * 1e3, run.forecast_s * 1e3,
+                run.recover_s * 1e3,
                 static_cast<double>(run.table_bytes) / 1024.0);
   };
   row("replay", replay);

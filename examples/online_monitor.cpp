@@ -13,9 +13,10 @@
 //     fingerprint (docs/OBSERVABILITY.md).
 //
 // With --recovery=invertible the monitor switches to
-// single-pass sketch recovery: changed keys are read directly out of the
-// forecast-error sketch (docs/KEY_RECOVERY.md), so there is no replay pass
-// and no key storage at all — the final stats line shows keys_replayed=0.
+// single-pass sketch recovery: the forecast-error sketch's heavy buckets
+// are named by the current and previous interval's majority votes
+// (docs/KEY_RECOVERY.md), so there is no replay pass and no key storage at
+// all — the final stats line shows keys_replayed=0.
 //
 //   ./build/examples/online_monitor [--recovery=replay|invertible]
 //                                   [--trace-out FILE]

@@ -161,7 +161,10 @@ constexpr std::uint64_t kUpdateSampleMask = 63;
 /// v3: recovery counters (recovery_candidates, keys_recovered) join the
 /// stats block, and invertible-family signals carry their candidate/vote
 /// state after the registers.
-constexpr std::uint64_t kEngineStateVersion = 3;
+/// v4: every signal (model state, pending, history) is counters-only in both
+/// recovery modes; an invertible engine appends the previous interval's
+/// candidate and vote arrays after the history.
+constexpr std::uint64_t kEngineStateVersion = 4;
 /// Trailing sentinel: catches a reader/writer field-order drift that happens
 /// to stay inside the buffer.
 constexpr std::uint64_t kEngineStateSentinel = 0x5cdc0de5e17a11edULL;
@@ -170,10 +173,8 @@ using common::ByteReader;
 using common::ByteWriter;
 
 /// Bridges the engine's byte stream to the forecast layer's typed
-/// StateWriter: signals (sketches) are written as a register count followed
-/// by the raw register doubles. Invertible sketches append their
-/// candidate/vote state (same cell count) so a restored error sketch stays
-/// recoverable.
+/// StateWriter: signals (k-ary sketches) are written as a register count
+/// followed by the raw register doubles.
 template <typename Sketch>
 class SketchStateWriter final : public forecast::StateWriter<Sketch> {
  public:
@@ -183,11 +184,6 @@ class SketchStateWriter final : public forecast::StateWriter<Sketch> {
   void write_signal(const Sketch& value) override {
     out_.u64(value.registers().size());
     out_.array(value.registers());
-    if constexpr (requires { value.candidates(); }) {
-      out_.u64(value.candidates().size());
-      out_.array(value.candidates());
-      out_.array(value.votes());
-    }
   }
 
  private:
@@ -213,28 +209,6 @@ class SketchStateReader final : public forecast::StateReader<Sketch> {
     scratch_.resize(expected_);
     in_.array(std::span(scratch_));
     out.load_registers(scratch_);
-    if constexpr (requires { out.candidates(); }) {
-      const std::size_t cells = out.candidates().size();
-      const std::uint64_t aux = in_.u64();
-      if (aux != cells) {
-        throw sketch::SerializeError(
-            sketch::SerializeErrorKind::kBadDimensions,
-            "engine state vote table has " + std::to_string(aux) +
-                " cells, expected " + std::to_string(cells));
-      }
-      std::vector<std::uint64_t> candidates(cells);
-      in_.array(std::span(candidates));
-      std::vector<double> votes(cells);
-      in_.array(std::span(votes));
-      for (const double v : votes) {
-        if (!std::isfinite(v) || v < 0.0) {
-          throw sketch::SerializeError(
-              sketch::SerializeErrorKind::kCorruptRegisters,
-              "engine state vote table holds an invalid vote value");
-        }
-      }
-      out.load_aux(candidates, votes);
-    }
   }
   [[noreturn]] void fail(const std::string& what) override {
     throw sketch::SerializeError(sketch::SerializeErrorKind::kBadDimensions,
@@ -246,6 +220,40 @@ class SketchStateReader final : public forecast::StateReader<Sketch> {
   std::size_t expected_;
   std::vector<double> scratch_;
 };
+
+/// An invertible sketch's candidate and vote arrays, without its registers.
+template <typename Sketch>
+void write_vote_state(ByteWriter& out, const Sketch& sketch) {
+  out.u64(sketch.candidates().size());
+  out.array(sketch.candidates());
+  out.array(sketch.votes());
+}
+
+/// Reads write_vote_state's arrays into `sketch`, whose counters are left
+/// as they are.
+template <typename Sketch>
+void read_vote_state(ByteReader& in, Sketch& sketch) {
+  const std::size_t cells = sketch.candidates().size();
+  const std::uint64_t n = in.u64();
+  if (n != cells) {
+    throw sketch::SerializeError(
+        sketch::SerializeErrorKind::kBadDimensions,
+        "engine state vote table has " + std::to_string(n) +
+            " cells, expected " + std::to_string(cells));
+  }
+  std::vector<std::uint64_t> candidates(cells);
+  in.array(std::span(candidates));
+  std::vector<double> votes(cells);
+  in.array(std::span(votes));
+  for (const double v : votes) {
+    if (!std::isfinite(v) || v < 0.0) {
+      throw sketch::SerializeError(
+          sketch::SerializeErrorKind::kCorruptRegisters,
+          "engine state vote table holds an invalid vote value");
+    }
+  }
+  sketch.load_aux(candidates, votes);
+}
 
 void write_model_config(ByteWriter& out, const forecast::ModelConfig& m) {
   out.u64(static_cast<std::uint64_t>(m.kind));
@@ -375,27 +383,27 @@ class EngineBase {
   [[nodiscard]] virtual std::size_t reports_emitted() const noexcept = 0;
 };
 
-/// The pipeline engine, generic over the sketch family. SketchT decides the
-/// key-identification strategy at compile time: a sketch exposing
-/// recover_heavy_keys() (MvSketch) runs the replay-free
-/// recovery sweep and keeps no key set at all; a plain k-ary sketch runs the
-/// paper's key replay. The runtime RecoveryMode -> SketchT mapping lives in
+/// The pipeline engine, generic over the observed sketch type. SketchT
+/// decides the key-identification strategy at compile time: a sketch
+/// exposing recover_heavy_keys() (MvSketch) runs the replay-free recovery
+/// sweep and keeps no key set at all; a plain k-ary sketch runs the paper's
+/// key replay. Either way the forecasting module runs on the k-ary counters
+/// alone (Counters): S_f, S_e, the model state and the refit history carry
+/// no votes. The runtime RecoveryMode -> SketchT mapping lives in
 /// ChangeDetectionPipeline::Impl.
 template <typename SketchT>
 class Engine final : public EngineBase {
  public:
   using Sketch = SketchT;
   using Family = typename SketchT::FamilyType;
+  using Counters = sketch::BasicKarySketch<Family>;
   using Emit = std::function<void(IntervalReport&&)>;
 
   /// Replay-free sketch-recovery engine: changed keys are read out of the
-  /// error sketch, never replayed.
+  /// error sketch's buckets through the observed sketches' votes, never
+  /// replayed.
   static constexpr bool kRecovers =
       requires(const SketchT& s) { s.recover_heavy_keys(0.0); };
-  /// Sketch carries per-bucket candidate/vote state that shard merges and
-  /// checkpoints must transport (the invertible family).
-  static constexpr bool kHasVoteState =
-      requires(const SketchT& s) { s.candidates(); };
 
   Engine(const PipelineConfig& config, Emit emit)
       : config_(config),
@@ -417,6 +425,7 @@ class Engine final : public EngineBase {
       obs_->sketch_bytes.set(static_cast<double>(stats_.sketch_bytes));
     }
 #endif
+    if constexpr (kRecovers) previous_.emplace(family_, config.k);
     rebuild_runner();
   }
 
@@ -502,7 +511,7 @@ class Engine final : public EngineBase {
     current_len_ = batch.len_s;
     last_time_ = std::max(last_time_, batch.start_s + batch.len_s);
     observed_.load_registers(batch.registers);
-    if constexpr (kHasVoteState) {
+    if constexpr (kRecovers) {
       if (batch.mv_candidates.size() != observed_.candidates().size() ||
           batch.mv_votes.size() != observed_.votes().size()) {
         throw std::invalid_argument(
@@ -614,7 +623,7 @@ class Engine final : public EngineBase {
       out.u64(key);
       out.u64(streak);
     }
-    SketchStateWriter<Sketch> model_out(out);
+    SketchStateWriter<Counters> model_out(out);
     runner_->save_state(model_out);
     out.u64(pending_.has_value() ? 1 : 0);
     if (pending_.has_value()) {
@@ -624,7 +633,10 @@ class Engine final : public EngineBase {
       model_out.write_signal(pending_->forecast);  // v2
     }
     out.u64(history_.size());
-    for (const Sketch& s : history_) model_out.write_signal(s);
+    for (const Counters& s : history_) model_out.write_signal(s);
+    // v4: the last closed interval's votes, which the next detection sweeps
+    // for keys that vanished.
+    if constexpr (kRecovers) write_vote_state(out, *previous_);
     out.u64(kEngineStateSentinel);
   }
 
@@ -686,12 +698,12 @@ class Engine final : public EngineBase {
       alarm_streaks_[key] = static_cast<std::size_t>(in.u64());
     }
     rebuild_runner();
-    SketchStateReader<Sketch> model_in(in, observed_.registers().size());
+    SketchStateReader<Counters> model_in(in, observed_.registers().size());
     runner_->restore_state(model_in);
     pending_.reset();
     if (in.u64() != 0) {
-      Pending p{Sketch(family_, config_.k), Sketch(family_, config_.k), 0.0,
-                IntervalReport{}};
+      Pending p{Counters(family_, config_.k), Counters(family_, config_.k),
+                0.0, IntervalReport{}};
       p.est_f2 = in.f64();
       p.report = read_report(in);
       model_in.read_signal(p.error);
@@ -701,9 +713,13 @@ class Engine final : public EngineBase {
     history_.clear();
     const std::uint64_t hist = in.u64();
     for (std::uint64_t i = 0; i < hist; ++i) {
-      Sketch s(family_, config_.k);
+      Counters s(family_, config_.k);
       model_in.read_signal(s);
       history_.push_back(std::move(s));
+    }
+    if constexpr (kRecovers) {
+      previous_->set_zero();
+      read_vote_state(in, *previous_);
     }
     if (in.u64() != kEngineStateSentinel) {
       throw sketch::SerializeError(
@@ -721,17 +737,28 @@ class Engine final : public EngineBase {
 
  private:
   struct Pending {
-    Sketch error;
-    Sketch forecast;  // kept alongside the error so deferred detection can
+    Counters error;
+    Counters forecast;  // kept alongside the error so deferred detection can
                       // still reconstruct per-row provenance evidence
     double est_f2;
     IntervalReport report;  // partially filled
   };
 
   void rebuild_runner() {
-    const Sketch prototype(family_, config_.k);
-    runner_ = std::make_unique<forecast::ForecastRunner<Sketch>>(active_model_,
-                                                                 prototype);
+    const Counters prototype(family_, config_.k);
+    runner_ = std::make_unique<forecast::ForecastRunner<Counters>>(
+        active_model_, prototype);
+  }
+
+  /// The k-ary counter table of an observed sketch: what the forecasting
+  /// module sees in both recovery modes.
+  [[nodiscard]] static const Counters& counters_of(
+      const Sketch& observed) noexcept {
+    if constexpr (kRecovers) {
+      return observed.counters();
+    } else {
+      return observed;
+    }
   }
 
   [[nodiscard]] double draw_interval_length() noexcept {
@@ -756,7 +783,7 @@ class Engine final : public EngineBase {
     }
 
     if (config_.refit_every > 0) {
-      history_.push_back(observed_);
+      history_.push_back(counters_of(observed_));
       if (history_.size() > config_.refit_window) history_.pop_front();
     }
 
@@ -765,16 +792,16 @@ class Engine final : public EngineBase {
       obs_->records.inc(records_in_interval_);  // batched from add()
       obs_->replay_buffer_keys.set(static_cast<double>(keys_.size()));
     }
-    std::optional<typename forecast::ForecastRunner<Sketch>::Step> step;
+    std::optional<typename forecast::ForecastRunner<Counters>::Step> step;
     {
       obs::ScopedTimer timer(obs_ != nullptr ? &obs_->stage_forecast : nullptr,
                              &report.timings.forecast_s);
       SCD_TRACE_SPAN("forecast_step", "core");
-      step = runner_->step(observed_);
+      step = runner_->step(counters_of(observed_));
     }
     stats_.forecast_seconds += report.timings.forecast_s;
 #else
-    const auto step = runner_->step(observed_);
+    const auto step = runner_->step(counters_of(observed_));
 #endif
 
     if (config_.replay == KeyReplayMode::kNextInterval) {
@@ -807,6 +834,9 @@ class Engine final : public EngineBase {
       emit_(std::move(report));
     }
 
+    // Keep this interval's votes for the next detection, reusing the older
+    // table as the new open interval.
+    if constexpr (kRecovers) std::swap(observed_, *previous_);
     observed_.set_zero();
     keys_.clear();
     records_in_interval_ = 0;
@@ -842,7 +872,7 @@ class Engine final : public EngineBase {
 
   /// ESTIMATEF2(S_e) under the estimate_f2 stage timer; the timing lands in
   /// the report that will eventually carry this detection.
-  [[nodiscard]] double timed_estimate_f2(const Sketch& error,
+  [[nodiscard]] double timed_estimate_f2(const Counters& error,
                                          StageTimings& timings) {
     SCD_TRACE_SPAN("estimate_f2", "core");
 #if SCD_OBS_ENABLED
@@ -869,7 +899,7 @@ class Engine final : public EngineBase {
     emit_(std::move(p.report));
   }
 
-  void fill_detection(const Sketch& error, const Sketch* forecast,
+  void fill_detection(const Counters& error, const Counters* forecast,
                       double est_f2, const std::vector<std::uint64_t>& keys,
                       IntervalReport& report) {
     SCD_TRACE_SPAN_ARG("detection_sweep", "core", keys.size());
@@ -904,15 +934,19 @@ class Engine final : public EngineBase {
 #endif
     std::vector<detect::KeyError> ranked;
     if constexpr (kRecovers) {
-      // Replay-free path: read the changed keys straight out of the error
-      // sketch. Under the threshold criterion the bucket sweep prunes at
-      // T_A; under top-N every voted bucket contributes its candidate and
-      // the cap below keeps the largest.
+      // Replay-free path: every error bucket at or above the cut contributes
+      // the candidates of this interval's observed sketch and of the
+      // previous one (detection runs in the close, before the swap), and
+      // each is verified on S_e. Under the threshold criterion the cut is
+      // T_A; under top-N every voted bucket contributes and the cap below
+      // keeps the largest.
       const double cut = config_.criterion == DetectionCriterion::kTopN
                              ? 0.0
                              : report.alarm_threshold;
       std::size_t swept = 0;
-      const auto recovered = error.recover_heavy_keys(cut, &swept);
+      const Sketch* const sources[] = {&observed_, &*previous_};
+      const auto recovered =
+          sketch::recover_heavy_keys<Family>(error, cut, sources, &swept);
       report.keys_checked = recovered.size();
       stats_.recovery_candidates += swept;
       stats_.keys_recovered += recovered.size();
@@ -979,7 +1013,7 @@ class Engine final : public EngineBase {
   /// but S_o = S_f + S_e elementwise, so each row's observed estimate is
   /// exactly forecast_i + error_i and the reported `observed` median is
   /// bit-equal to ESTIMATE on the observed sketch.
-  void emit_provenance(const Sketch& error, const Sketch& forecast,
+  void emit_provenance(const Counters& error, const Counters& forecast,
                        double est_f2, const IntervalReport& report) {
     const std::size_t h = config_.h;
     std::vector<double> err_buckets(h);
@@ -1021,12 +1055,12 @@ class Engine final : public EngineBase {
         &stats_.refit_seconds);
     if (obs_ != nullptr) obs_->refits.inc();
 #endif
-    const Sketch prototype(family_, config_.k);
+    const Counters prototype(family_, config_.k);
     const gridsearch::Objective objective =
         [this, &prototype](const forecast::ModelConfig& candidate) {
-          forecast::ForecastRunner<Sketch> trial(candidate, prototype);
+          forecast::ForecastRunner<Counters> trial(candidate, prototype);
           double total = 0.0;
-          for (const Sketch& obs : history_) {
+          for (const Counters& obs : history_) {
             if (const auto step = trial.step(obs); step.has_value()) {
               total += std::max(step->error.estimate_f2(), 0.0);
             }
@@ -1041,14 +1075,18 @@ class Engine final : public EngineBase {
     ++stats_.refits;
     // Swap in the re-fitted model, warmed with the retained history.
     rebuild_runner();
-    for (const Sketch& obs : history_) (void)runner_->step(obs);
+    for (const Counters& obs : history_) (void)runner_->step(obs);
   }
 
   PipelineConfig config_;
   Emit emit_;
   std::shared_ptr<const Family> family_;
   Sketch observed_;
-  std::unique_ptr<forecast::ForecastRunner<Sketch>> runner_;
+  /// kRecovers only: the last closed interval's observed sketch, swapped in
+  /// at close; its votes find keys that vanished this interval. Replay
+  /// engines leave it empty.
+  std::optional<Sketch> previous_;
+  std::unique_ptr<forecast::ForecastRunner<Counters>> runner_;
   forecast::ModelConfig active_model_;
   common::Rng sample_rng_;
   common::Rng interval_rng_;
@@ -1067,7 +1105,7 @@ class Engine final : public EngineBase {
   double smoothed_f2_ = 0.0;
   bool have_smoothed_f2_ = false;
   std::optional<Pending> pending_;
-  std::deque<Sketch> history_;
+  std::deque<Counters> history_;
   PipelineStats stats_;
   std::function<void(std::size_t)> on_interval_close_;
   std::function<void(const detect::AlarmProvenance&)> on_provenance_;

@@ -58,11 +58,12 @@ enum class ThresholdBaseline {
 ///   * kReplay — the paper's §3.3 key replay: remember the interval's keys
 ///     and run each through ESTIMATE at close (exact ranking, but a second
 ///     pass plus O(distinct keys) state per interval);
-///   * kInvertible — read keys out of the majority-vote invertible sketch
-///     (no key state; 3x memory, single-pass).
-/// In kInvertible mode the pipeline keeps no key set at all: changed keys
-/// are recovered directly from the forecast-error sketch S_e(t), so
-/// KeyReplayMode and key_sample_rate do not apply.
+///   * kInvertible — read keys out of majority-vote invertible sketches
+///     (no key state; single-pass; the current and previous interval's
+///     observed sketches at 3x k-ary memory each).
+/// In kInvertible mode the pipeline keeps no key set at all: the heavy
+/// buckets of the forecast-error sketch S_e(t) are named by the observed
+/// sketches' votes, so KeyReplayMode and key_sample_rate do not apply.
 ///
 /// The values are fixed because config_fingerprint mixes them: renumbering
 /// kInvertible would orphan every invertible checkpoint and break every

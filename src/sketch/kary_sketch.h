@@ -138,6 +138,14 @@ class BasicKarySketch {
   /// UPDATE — adds u to the key's register in every row. `key` must fit the
   /// family's key domain (kKeyBits); checked in debug builds.
   void update(std::uint64_t key, double u) noexcept {
+    update_cells(key, u, [](std::size_t) noexcept {});
+  }
+
+  /// UPDATE that also hands each touched register's flat index
+  /// (row * K + bucket) to `on_cell`, row by row, right after the add — the
+  /// hook through which BasicMvSketch votes without hashing the key twice.
+  template <typename OnCell>
+  void update_cells(std::uint64_t key, double u, OnCell&& on_cell) noexcept {
     assert_key_in_domain(key);
     const std::size_t h = depth();
     const std::uint64_t mask = k_ - 1;
@@ -147,10 +155,16 @@ class BasicKarySketch {
       // Batched path (tabulation): one packed lookup per 4 rows.
       std::array<std::uint16_t, kMaxRows> hv;
       family_->hash_all(static_cast<std::uint32_t>(key), hv.data());
-      for (std::size_t i = 0; i < h; ++i) table_[i * k_ + (hv[i] & mask)] += u;
+      for (std::size_t i = 0; i < h; ++i) {
+        const std::size_t idx = i * k_ + (hv[i] & mask);
+        table_[idx] += u;
+        on_cell(idx);
+      }
     } else {
       for (std::size_t i = 0; i < h; ++i) {
-        table_[i * k_ + (family_->hash16(i, key) & mask)] += u;
+        const std::size_t idx = i * k_ + (family_->hash16(i, key) & mask);
+        table_[idx] += u;
+        on_cell(idx);
       }
     }
     // mo: mutation invalidates the cache; mutators are single-threaded by

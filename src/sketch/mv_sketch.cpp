@@ -3,30 +3,34 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "hash/cw_hash.h"
 #include "hash/tabulation_hash.h"
+#include "sketch/kary_sketch.h"
 
 namespace scd::sketch {
 
 template <hash::HashFamily16 Family>
-std::vector<RecoveredHeavyKey> BasicMvSketch<Family>::recover_heavy_keys(
-    double threshold_abs, std::size_t* candidates_swept) const {
-  const std::size_t h = depth();
-  // One sum for the whole sweep — the per-candidate verification below runs
-  // the same ESTIMATE arithmetic as estimate() against this shared anchor.
-  const double per_bucket = sum() / static_cast<double>(k_);
-  const double denom = 1.0 - 1.0 / static_cast<double>(k_);
-
+std::vector<RecoveredHeavyKey> recover_heavy_keys(
+    const BasicKarySketch<Family>& error, double threshold_abs,
+    std::span<const BasicMvSketch<Family>* const> sources,
+    std::size_t* candidates_swept) {
+  for (const BasicMvSketch<Family>* source : sources) {
+    if (!error.compatible(source->counters())) {
+      throw std::invalid_argument(
+          "recover_heavy_keys: source sketch does not share the error "
+          "sketch's family and width");
+    }
+  }
+  const std::span<const double> counters = error.registers();
   std::vector<std::uint64_t> cands;
-  for (std::size_t i = 0; i < h; ++i) {
-    const double* const row_counters = &table_[i * k_];
-    const double* const row_votes = &votes_[i * k_];
-    const std::uint64_t* const row_cands = &candidates_[i * k_];
-    for (std::size_t j = 0; j < k_; ++j) {
-      if (row_votes[j] > 0.0 && std::abs(row_counters[j]) >= threshold_abs) {
-        cands.push_back(row_cands[j]);
+  for (std::size_t idx = 0; idx < counters.size(); ++idx) {
+    if (std::abs(counters[idx]) < threshold_abs) continue;
+    for (const BasicMvSketch<Family>* source : sources) {
+      if (source->votes()[idx] > 0.0) {
+        cands.push_back(source->candidates()[idx]);
       }
     }
   }
@@ -37,7 +41,7 @@ std::vector<RecoveredHeavyKey> BasicMvSketch<Family>::recover_heavy_keys(
   std::vector<RecoveredHeavyKey> out;
   out.reserve(cands.size());
   for (const std::uint64_t key : cands) {
-    const double est = estimate_with(key, per_bucket, denom);
+    const double est = error.estimate(key);
     if (std::abs(est) >= threshold_abs) {
       out.push_back(RecoveredHeavyKey{key, est});
     }
@@ -54,5 +58,11 @@ std::vector<RecoveredHeavyKey> BasicMvSketch<Family>::recover_heavy_keys(
 
 template class BasicMvSketch<hash::TabulationHashFamily>;
 template class BasicMvSketch<hash::CwHashFamily>;
+template std::vector<RecoveredHeavyKey> recover_heavy_keys(
+    const KarySketch& error, double threshold_abs,
+    std::span<const MvSketch* const> sources, std::size_t* candidates_swept);
+template std::vector<RecoveredHeavyKey> recover_heavy_keys(
+    const KarySketch64& error, double threshold_abs,
+    std::span<const MvSketch64* const> sources, std::size_t* candidates_swept);
 
 }  // namespace scd::sketch

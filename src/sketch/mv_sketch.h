@@ -3,24 +3,35 @@
 // Compact Invertible Sketch for Network-Wide Heavy Flow Detection",
 // arXiv 1910.10441).
 //
-// Each (row, bucket) cell carries the usual k-ary counter PLUS a candidate
-// key and a vote count maintained by weighted Boyer-Moore majority voting:
+// A BasicMvSketch is a BasicKarySketch counter table (counters()) plus a
+// per-cell candidate key and vote count maintained by weighted Boyer-Moore
+// majority voting:
 //
 //   UPDATE(S, a, u):  T[i][h_i(a)] += u, then vote with weight |u| —
 //                     same candidate: vote += |u|; different candidate:
 //                     vote -= |u|, adopting `a` when the vote crosses zero.
 //
-// The counter table is exactly the k-ary table (same ESTIMATE /
-// ESTIMATEF2 / COMBINE arithmetic, same hash family contract), so the
-// forecasting models run on this sketch unchanged and the error sketch
-// S_e(t) = S_o(t) - S_f(t) keeps per-bucket candidates. Any key holding a
-// strict majority of a bucket's total absolute update mass is that bucket's
-// final candidate regardless of arrival or merge order — which is what
-// makes recover_heavy_keys() a replay-free read-out: sweep the buckets
-// whose |counter| clears the threshold, collect their candidates, and
-// verify each against the median ESTIMATE.
+// Every read of the counters (ESTIMATE, ESTIMATEF2, per-row evidence) goes
+// through counters(), so it is the k-ary arithmetic by construction. Any key
+// holding a strict majority of a bucket's total absolute update mass is that
+// bucket's final candidate regardless of arrival or merge order.
 //
-// Linear-space operations extend to the vote state deterministically:
+// Only observed sketches carry votes. The forecasting models run on the
+// counters alone: S_f(t) and S_e(t) = S_o(t) - S_f(t) are plain k-ary
+// sketches, and recover_heavy_keys(error, T, sources) sweeps the buckets
+// whose |S_e counter| clears T, collects the candidates the observed
+// sketches in `sources` hold there (the pipeline passes the current and the
+// previous interval's), and verifies each against the median ESTIMATE on
+// S_e. The previous interval's votes are what find a key that vanished: it
+// holds no votes in the current interval but a large negative error.
+//
+// Memory: one sketch is 24 B per cell (counter, candidate, vote), 3x the
+// k-ary table. The invertible pipeline keeps two of them (the open interval
+// and the one before it); forecast state, history and S_e cost the k-ary
+// 8 B per cell per signal, as in replay mode.
+//
+// Linear-space operations extend to the vote state deterministically, which
+// is what the sharded front end's COMBINE of W shard sketches needs:
 // scale(c) multiplies votes by |c| (candidates unchanged), and
 // add_scaled(other, c) merges each bucket's (candidate, vote) pair with the
 // weighted majority rule using weight |c| * other.vote. Votes are
@@ -34,8 +45,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -47,8 +56,6 @@
 #include "hash/hash_family.h"
 #include "hash/tabulation_hash.h"
 #include "sketch/kary_sketch.h"
-#include "sketch/median.h"
-#include "simd/kernels.h"
 
 namespace scd::sketch {
 
@@ -64,6 +71,7 @@ class BasicMvSketch {
  public:
   using FamilyPtr = std::shared_ptr<const Family>;
   using FamilyType = Family;
+  using Counters = BasicKarySketch<Family>;
 
   /// Widest key (in bits) the hash family evaluates without truncation.
   static constexpr unsigned kKeyBits = Family::kKeyBits;
@@ -71,52 +79,27 @@ class BasicMvSketch {
   /// K must be a power of two in [2, 2^16]; the family supplies H = rows().
   /// Throws std::invalid_argument on a null family or out-of-range shape.
   BasicMvSketch(FamilyPtr family, std::size_t k)
-      : family_(std::move(family)), k_(k) {
-    if (family_ == nullptr) {
-      throw std::invalid_argument("BasicMvSketch: null hash family");
-    }
-    if (!hash::valid_bucket_count(k_) || k_ < 2) {
-      throw std::invalid_argument(
-          "BasicMvSketch: k must be a power of two in [2, 65536]");
-    }
-    if (family_->rows() < 1 || family_->rows() > kMaxRows) {
-      throw std::invalid_argument("BasicMvSketch: rows must be in [1, 32]");
-    }
-    const std::size_t cells = family_->rows() * k_;
-    table_.assign(cells, 0.0);
-    candidates_.assign(cells, 0);
-    votes_.assign(cells, 0.0);
+      : counters_(std::move(family), k),
+        candidates_(counters_.registers().size(), 0),
+        votes_(counters_.registers().size(), 0.0) {}
+
+  [[nodiscard]] std::size_t depth() const noexcept { return counters_.depth(); }
+  [[nodiscard]] std::size_t width() const noexcept { return counters_.width(); }
+  [[nodiscard]] const FamilyPtr& family() const noexcept {
+    return counters_.family();
   }
 
-  [[nodiscard]] std::size_t depth() const noexcept { return family_->rows(); }
-  [[nodiscard]] std::size_t width() const noexcept { return k_; }
-  [[nodiscard]] const FamilyPtr& family() const noexcept { return family_; }
+  /// The k-ary counter table: ESTIMATE, per-row evidence, and the signal the
+  /// forecasting models run on.
+  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
   /// UPDATE — adds u to the key's register in every row and votes on the
   /// bucket's candidate with weight |u|. `key` must fit the family's key
   /// domain (kKeyBits); checked in debug builds.
   void update(std::uint64_t key, double u) noexcept {
-    assert_key_in_domain(key);
-    const std::size_t h = depth();
-    const std::uint64_t mask = k_ - 1;
     const double w = std::abs(u);
-    if constexpr (requires(const Family f, std::uint32_t k32, std::uint16_t* o) {
-                    f.hash_all(k32, o);
-                  }) {
-      std::array<std::uint16_t, kMaxRows> hv;
-      family_->hash_all(static_cast<std::uint32_t>(key), hv.data());
-      for (std::size_t i = 0; i < h; ++i) {
-        const std::size_t idx = i * k_ + (hv[i] & mask);
-        table_[idx] += u;
-        vote(idx, key, w);
-      }
-    } else {
-      for (std::size_t i = 0; i < h; ++i) {
-        const std::size_t idx = i * k_ + (family_->hash16(i, key) & mask);
-        table_[idx] += u;
-        vote(idx, key, w);
-      }
-    }
+    counters_.update_cells(key, u,
+                           [&](std::size_t idx) noexcept { vote(idx, key, w); });
   }
 
   /// Batched UPDATE, bit-identical to calling update() record by record.
@@ -128,75 +111,26 @@ class BasicMvSketch {
     for (const Record& r : records) update(r.key, r.update);
   }
 
-  /// Total update mass sum(S) = sum_j T[0][j]; identical across rows for any
-  /// sketch built by UPDATE/COMBINE. Recomputed per call (no cache — the
-  /// recovery sweep computes it once and reuses it internally).
-  [[nodiscard]] double sum() const noexcept {
-    return simd::hsum(table_.data(), k_);
-  }
-
-  /// ESTIMATE — identical arithmetic to BasicKarySketch::estimate.
-  [[nodiscard]] double estimate(std::uint64_t key) const noexcept {
-    const double per_bucket = sum() / static_cast<double>(k_);
-    const double denom = 1.0 - 1.0 / static_cast<double>(k_);
-    return estimate_with(key, per_bucket, denom);
-  }
-
-  /// Per-row evidence behind estimate(key), for alarm provenance; both spans
-  /// must have length depth(). Matches BasicKarySketch::estimate_rows.
-  void estimate_rows(std::uint64_t key, std::span<double> raw_buckets,
-                     std::span<double> row_estimates) const {
-    assert_key_in_domain(key);
-    const std::size_t h = depth();
-    if (raw_buckets.size() != h || row_estimates.size() != h) {
-      throw std::invalid_argument("estimate_rows: spans must have length h");
-    }
-    const std::uint64_t mask = k_ - 1;
-    const double per_bucket = sum() / static_cast<double>(k_);
-    const double denom = 1.0 - 1.0 / static_cast<double>(k_);
-    for (std::size_t i = 0; i < h; ++i) {
-      const double bucket = table_[i * k_ + (family_->hash16(i, key) & mask)];
-      raw_buckets[i] = bucket;
-      row_estimates[i] = (bucket - per_bucket) / denom;
-    }
-  }
-
-  /// ESTIMATEF2 — identical arithmetic to BasicKarySketch::estimate_f2.
+  /// ESTIMATEF2 of the counter table (counters().estimate_f2()); callers
+  /// that forecast MvSketch signals directly, such as perfbench's MV
+  /// forecast probe, read S_e's F2 through it.
   [[nodiscard]] double estimate_f2() const noexcept {
-    const std::size_t h = depth();
-    const auto kd = static_cast<double>(k_);
-    const double s = sum();
-    std::array<double, kMaxRows> est;
-    for (std::size_t i = 0; i < h; ++i) {
-      const double sq = simd::sum_squares(&table_[i * k_], k_);
-      est[i] = (kd * sq - s * s) / (kd - 1.0);
-    }
-    return median_inplace(std::span<double>(est.data(), h));
+    return counters_.estimate_f2();
   }
 
-  [[nodiscard]] double estimate_l2() const noexcept {
-    return std::sqrt(std::max(estimate_f2(), 0.0));
-  }
-
-  /// Single-pass heavy-key read-out: sweeps every (row, bucket) whose
-  /// |counter| >= threshold_abs, collects the bucket's candidate (buckets
-  /// that never received an update carry no candidate), deduplicates, and
-  /// verifies each candidate's median ESTIMATE against the same threshold.
-  /// Results are sorted by |value| descending (ties by key ascending), ready
-  /// for detect::top_n / detect::above_threshold. With threshold_abs == 0
-  /// every voted bucket contributes its candidate — the top-N mode.
-  /// `candidates_swept`, when non-null, receives the pre-verification
-  /// candidate count (the scd_recovery_candidates_total increment).
+  /// The one-source case of the free recover_heavy_keys below: this sketch's
+  /// counters are both the swept table and the verifier, its votes the
+  /// candidates.
   [[nodiscard]] std::vector<RecoveredHeavyKey> recover_heavy_keys(
       double threshold_abs, std::size_t* candidates_swept = nullptr) const;
 
   // ---- Linear-space operations (COMBINE) ------------------------------
-  // BasicMvSketch is a LinearSignal: the counters combine exactly like the
-  // k-ary table, and the vote state follows with the weighted-majority
-  // merge rule so the combined sketch remains invertible.
+  // The counters combine exactly like the k-ary table, and the vote state
+  // follows with the weighted-majority merge rule so the combined sketch
+  // remains invertible.
 
   void set_zero() noexcept {
-    std::fill(table_.begin(), table_.end(), 0.0);
+    counters_.set_zero();
     std::fill(candidates_.begin(), candidates_.end(), 0);
     std::fill(votes_.begin(), votes_.end(), 0.0);
   }
@@ -205,7 +139,7 @@ class BasicMvSketch {
   /// mass), candidates are unchanged. scale(0) clears every vote, which
   /// resets each bucket to the "no candidate" state.
   void scale(double c) noexcept {
-    simd::scale(table_.data(), table_.size(), c);
+    counters_.scale(c);
     const double w = std::abs(c);
     for (double& v : votes_) v *= w;
   }
@@ -215,20 +149,11 @@ class BasicMvSketch {
   /// Throws std::invalid_argument unless the two sketches share the same
   /// family and width.
   void add_scaled(const BasicMvSketch& other, double c) {
-    if (!compatible(other)) {
-      throw std::invalid_argument(
-          "BasicMvSketch::add_scaled: incompatible sketches (family or "
-          "width mismatch)");
-    }
-    simd::axpy(table_.data(), other.table_.data(), table_.size(), c);
+    counters_.add_scaled(other.counters_, c);
     const double w = std::abs(c);
     for (std::size_t idx = 0; idx < votes_.size(); ++idx) {
       vote(idx, other.candidates_[idx], w * other.votes_[idx]);
     }
-  }
-
-  [[nodiscard]] bool compatible(const BasicMvSketch& other) const noexcept {
-    return family_ == other.family_ && k_ == other.k_;
   }
 
   /// COMBINE(c_1, S_1, ..., c_l, S_l). Throws std::invalid_argument when
@@ -243,7 +168,7 @@ class BasicMvSketch {
           "BasicMvSketch::combine: need one coefficient per sketch and at "
           "least one sketch");
     }
-    BasicMvSketch out(sketches.front()->family_, sketches.front()->k_);
+    BasicMvSketch out(sketches.front()->family(), sketches.front()->width());
     for (std::size_t l = 0; l < sketches.size(); ++l) {
       out.add_scaled(*sketches[l], coeffs[l]);
     }
@@ -254,12 +179,7 @@ class BasicMvSketch {
   /// Throws std::invalid_argument on a wrong-sized span. The vote state is
   /// untouched — pair with load_aux() when restoring a full snapshot.
   void load_registers(std::span<const double> values) {
-    if (values.size() != table_.size()) {
-      throw std::invalid_argument(
-          "BasicMvSketch::load_registers: span size does not match the "
-          "register table");
-    }
-    std::copy(values.begin(), values.end(), table_.begin());
+    counters_.load_registers(values);
   }
 
   /// Replaces the candidate/vote state wholesale. Both spans must have
@@ -278,11 +198,8 @@ class BasicMvSketch {
   }
 
   /// Raw state access for tests and serialization.
-  [[nodiscard]] std::span<const double> row(std::size_t i) const noexcept {
-    return {&table_[i * k_], k_};
-  }
   [[nodiscard]] std::span<const double> registers() const noexcept {
-    return table_;
+    return counters_.registers();
   }
   [[nodiscard]] std::span<const std::uint64_t> candidates() const noexcept {
     return candidates_;
@@ -294,7 +211,7 @@ class BasicMvSketch {
   /// Memory footprint of counters + candidates + votes in bytes (excludes
   /// the shared hash family) — 3x the plain k-ary table.
   [[nodiscard]] std::size_t table_bytes() const noexcept {
-    return table_.size() * sizeof(double) +
+    return counters_.table_bytes() +
            candidates_.size() * sizeof(std::uint64_t) +
            votes_.size() * sizeof(double);
   }
@@ -318,45 +235,35 @@ class BasicMvSketch {
     }
   }
 
-  [[nodiscard]] double estimate_with(std::uint64_t key, double per_bucket,
-                                     double denom) const noexcept {
-    assert_key_in_domain(key);
-    const std::size_t h = depth();
-    const std::uint64_t mask = k_ - 1;
-    std::array<double, kMaxRows> est;
-    if constexpr (requires(const Family f, std::uint32_t k32, std::uint16_t* o) {
-                    f.hash_all(k32, o);
-                  }) {
-      std::array<std::uint16_t, kMaxRows> hv;
-      family_->hash_all(static_cast<std::uint32_t>(key), hv.data());
-      for (std::size_t i = 0; i < h; ++i) {
-        est[i] = (table_[i * k_ + (hv[i] & mask)] - per_bucket) / denom;
-      }
-    } else {
-      for (std::size_t i = 0; i < h; ++i) {
-        est[i] =
-            (table_[i * k_ + (family_->hash16(i, key) & mask)] - per_bucket) /
-            denom;
-      }
-    }
-    return median_inplace(std::span<double>(est.data(), h));
-  }
-
-  /// Debug-mode guard for the key-domain constraint (see BasicKarySketch).
-  static void assert_key_in_domain(
-      [[maybe_unused]] std::uint64_t key) noexcept {
-    if constexpr (kKeyBits < 64) {
-      assert((key >> kKeyBits) == 0 &&
-             "key exceeds the hash family's domain; use MvSketch64");
-    }
-  }
-
-  FamilyPtr family_;
-  std::size_t k_;
-  std::vector<double> table_;                 // row-major H x K counters
-  std::vector<std::uint64_t> candidates_;     // per-bucket majority candidate
-  std::vector<double> votes_;                 // per-bucket vote count (>= 0)
+  Counters counters_;
+  std::vector<std::uint64_t> candidates_;  // per-bucket majority candidate
+  std::vector<double> votes_;              // per-bucket vote count (>= 0)
 };
+
+/// Heavy-changer read-out of an error sketch S_e: sweeps every (row,
+/// bucket) whose |S_e counter| >= threshold_abs, collects the candidate
+/// each sketch in `sources` holds in that bucket (a bucket with no votes
+/// contributes nothing), deduplicates, and verifies each candidate's median
+/// ESTIMATE on `error` against the same threshold. Results are sorted by
+/// |value| descending (ties by key ascending), ready for detect::top_n /
+/// detect::above_threshold. With threshold_abs == 0 every voted bucket
+/// contributes its candidates — the top-N mode. `candidates_swept`, when
+/// non-null, receives the pre-verification candidate count (the
+/// scd_recovery_candidates_total increment). Throws std::invalid_argument
+/// when a source does not share `error`'s family and width.
+template <hash::HashFamily16 Family>
+[[nodiscard]] std::vector<RecoveredHeavyKey> recover_heavy_keys(
+    const BasicKarySketch<Family>& error, double threshold_abs,
+    std::span<const BasicMvSketch<Family>* const> sources,
+    std::size_t* candidates_swept = nullptr);
+
+template <hash::HashFamily16 Family>
+std::vector<RecoveredHeavyKey> BasicMvSketch<Family>::recover_heavy_keys(
+    double threshold_abs, std::size_t* candidates_swept) const {
+  const BasicMvSketch* const self[] = {this};
+  return sketch::recover_heavy_keys<Family>(counters_, threshold_abs, self,
+                                            candidates_swept);
+}
 
 /// Invertible sketch over 32-bit keys (tabulation hashing — the paper's
 /// destination-IP configuration, now replay-free).
@@ -365,9 +272,15 @@ using MvSketch = BasicMvSketch<hash::TabulationHashFamily>;
 /// Invertible sketch over arbitrary 64-bit keys (Carter-Wegman family).
 using MvSketch64 = BasicMvSketch<hash::CwHashFamily>;
 
-// The recovery sweep and the two family instantiations live in
-// mv_sketch.cpp; every other member is defined inline above.
+// The free recovery sweep and the two family instantiations live in
+// mv_sketch.cpp; everything else is defined inline above.
 extern template class BasicMvSketch<hash::TabulationHashFamily>;
 extern template class BasicMvSketch<hash::CwHashFamily>;
+extern template std::vector<RecoveredHeavyKey> recover_heavy_keys(
+    const KarySketch& error, double threshold_abs,
+    std::span<const MvSketch* const> sources, std::size_t* candidates_swept);
+extern template std::vector<RecoveredHeavyKey> recover_heavy_keys(
+    const KarySketch64& error, double threshold_abs,
+    std::span<const MvSketch64* const> sources, std::size_t* candidates_swept);
 
 }  // namespace scd::sketch

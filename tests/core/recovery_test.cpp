@@ -1,17 +1,20 @@
 // RecoveryMode: sketch-only changed-key recovery through the full
 // ChangeDetectionPipeline (docs/KEY_RECOVERY.md) — validation of the mode
-// combinations, replay-equivalence of the invertible engine's alarms, the
-// no-replay-pass guarantee, checkpoint round-trips of the vote state, and
-// the config-fingerprint binding.
+// combinations, replay-equivalence of the invertible engine's alarms and
+// error F2, the vanished-key guarantee, the no-replay-pass guarantee,
+// checkpoint round-trips of the vote state, and the config-fingerprint
+// binding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "common/random.h"
 #include "core/pipeline.h"
+#include "sketch/serialize.h"
 #include "traffic/key_extract.h"
 
 namespace scd::core {
@@ -92,12 +95,14 @@ TEST(RecoveryPipeline, InvertibleDetectsInjectedSpike) {
 }
 
 TEST(RecoveryPipeline, InvertibleMatchesReplayAlarms) {
-  // Same stream, same sketch shape/seed: the invertible engine's counters
-  // equal the replay engine's, so both must flag the same spike keys. The
-  // spike rides on background key 25 so current-interval replay can also
-  // see the post-spike disappearance alarms (a key absent from the interval
-  // is invisible to replay but not to sketch recovery — keeping the spike
-  // key in every interval makes the two modes' alarm sets comparable).
+  // Same stream, same sketch shape/seed: the invertible engine forecasts
+  // the same k-ary counters as the replay engine, so both must flag the
+  // same spike keys. The spike rides on background key 25 so
+  // current-interval replay can also see the post-spike drop alarms. A key
+  // absent from the interval is invisible to replay, while sketch recovery
+  // sees it in its first absent interval only (through the previous
+  // interval's votes); keeping the spike key in every interval makes the
+  // two modes' alarm sets comparable.
   ChangeDetectionPipeline replay(recovery_config(RecoveryMode::kReplay));
   ChangeDetectionPipeline invertible(
       recovery_config(RecoveryMode::kInvertible));
@@ -113,6 +118,48 @@ TEST(RecoveryPipeline, InvertibleMatchesReplayAlarms) {
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << "interval " << t;
+  }
+}
+
+TEST(RecoveryPipeline, VanishedKeyIsAlarmedOnceThroughPreviousVotes) {
+  // Key 999 is heavy in intervals 4..7 and absent from interval 8 on. Its
+  // negative error clears T_A in every remaining interval, but candidates
+  // come only from the current and the previous interval's observed votes:
+  // the key is alarmed in interval 8 (interval 7's votes name it) and never
+  // after.
+  ChangeDetectionPipeline pipeline(recovery_config(RecoveryMode::kInvertible));
+  feed_stream(pipeline, 14, 999, 20000.0, 4, 7);
+  std::vector<std::size_t> alarmed;
+  for (const auto& report : pipeline.reports()) {
+    for (const auto& alarm : report.alarms) {
+      if (alarm.key == 999) {
+        alarmed.push_back(report.index);
+        if (report.index == 8) {
+          EXPECT_LT(alarm.error, 0.0);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(alarmed, (std::vector<std::size_t>{4, 5, 6, 7, 8}));
+}
+
+TEST(RecoveryPipeline, ErrorF2IsBitEqualAcrossRecoveryModes) {
+  // Detection reads only S_e's counters, and those must not depend on the
+  // recovery mode: ESTIMATEF2(S_e) agrees to the bit in every interval.
+  ChangeDetectionPipeline replay(recovery_config(RecoveryMode::kReplay));
+  ChangeDetectionPipeline invertible(
+      recovery_config(RecoveryMode::kInvertible));
+  feed_stream(replay, 14, 999, 20000.0, 4, 7);
+  feed_stream(invertible, 14, 999, 20000.0, 4, 7);
+  ASSERT_EQ(replay.reports().size(), 14u);
+  ASSERT_EQ(invertible.reports().size(), 14u);
+  for (std::size_t t = 0; t < 14; ++t) {
+    const IntervalReport& a = replay.reports()[t];
+    const IntervalReport& b = invertible.reports()[t];
+    EXPECT_EQ(a.detection_ran, b.detection_ran) << "interval " << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.estimated_error_f2),
+              std::bit_cast<std::uint64_t>(b.estimated_error_f2))
+        << "interval " << t;
   }
 }
 
@@ -206,9 +253,80 @@ TEST(RecoveryPipeline, CheckpointRoundTripPreservesVoteState) {
     EXPECT_EQ(ta.estimated_error_f2, tb.estimated_error_f2);
   }
   EXPECT_TRUE(saw_spike);
-  // The recovery counters survive the round trip (engine-state v3).
+  // The recovery counters survive the round trip.
   EXPECT_EQ(a.stats().keys_replayed, 0u);
   EXPECT_EQ(b.stats().keys_replayed, 0u);
+}
+
+TEST(RecoveryPipeline, RestoreAtSpikeCloseKeepsPreviousVotes) {
+  // Snapshot at the close of interval 7, the last interval key 999 sends
+  // in. Interval 8 finds the vanished key only through interval 7's votes,
+  // so the restored pipeline must carry them to raise the same alarm.
+  struct Add {
+    std::uint64_t key;
+    double value;
+    double time_s;
+  };
+  std::vector<Add> stream;
+  scd::common::Rng rng(3);
+  for (std::size_t t = 0; t < 12; ++t) {
+    const double start = static_cast<double>(t) * 10.0;
+    for (std::uint64_t key = 1; key <= 50; ++key) {
+      stream.push_back({key, 100.0 + rng.uniform(-5, 5), start + 1.0});
+    }
+    if (t >= 4 && t <= 7) stream.push_back({999, 20000.0, start + 2.0});
+  }
+  const auto config = recovery_config(RecoveryMode::kInvertible);
+  ChangeDetectionPipeline a(config);
+  std::vector<std::uint8_t> snapshot;
+  a.set_interval_close_callback([&a, &snapshot](std::size_t intervals) {
+    if (intervals == 8) snapshot = a.save_state();
+  });
+  for (const Add& r : stream) a.add(r.key, r.value, r.time_s);
+  a.flush();
+  ASSERT_FALSE(snapshot.empty());
+
+  ChangeDetectionPipeline b(config);
+  b.restore_state(snapshot);
+  const double resume_s = b.position().next_interval_start_s;
+  for (const Add& r : stream) {
+    if (r.time_s >= resume_s) b.add(r.key, r.value, r.time_s);
+  }
+  b.flush();
+  ASSERT_EQ(a.reports().size(), 12u);
+  ASSERT_EQ(b.reports().size(), 4u);
+  const IntervalReport& ta = a.reports()[8];
+  const IntervalReport& tb = b.reports()[0];
+  ASSERT_EQ(tb.index, 8u);
+  ASSERT_EQ(ta.alarms.size(), 1u);
+  EXPECT_EQ(ta.alarms[0].key, 999u);
+  EXPECT_LT(ta.alarms[0].error, 0.0);
+  ASSERT_EQ(tb.alarms.size(), 1u);
+  EXPECT_EQ(tb.alarms[0].key, 999u);
+  EXPECT_EQ(tb.alarms[0].error, ta.alarms[0].error);
+  for (std::size_t t = 8; t < 12; ++t) {
+    EXPECT_EQ(a.reports()[t].keys_checked, b.reports()[t - 8].keys_checked)
+        << "interval " << t;
+  }
+}
+
+TEST(RecoveryPipeline, RestoreRejectsV3InvertibleSnapshot) {
+  // Engine-state v3 carried vote tables inside every signal; v4 keeps them
+  // only for the previous interval. A stream stamped v3 is refused by its
+  // version word before any field is read.
+  ChangeDetectionPipeline a(recovery_config(RecoveryMode::kInvertible));
+  feed_stream(a, 6, 999, 20000.0, 4, 4);
+  std::vector<std::uint8_t> snapshot = a.save_state();
+  ASSERT_GE(snapshot.size(), 8u);
+  ASSERT_EQ(snapshot[0], 4u);
+  snapshot[0] = 3;
+  ChangeDetectionPipeline b(recovery_config(RecoveryMode::kInvertible));
+  try {
+    b.restore_state(snapshot);
+    FAIL() << "a v3 snapshot was accepted";
+  } catch (const sketch::SerializeError& e) {
+    EXPECT_EQ(e.kind(), sketch::SerializeErrorKind::kBadVersion);
+  }
 }
 
 TEST(RecoveryPipeline, RestoreRejectsCrossModeSnapshots) {

@@ -156,7 +156,7 @@ TEST(ModelSpaceMatrix, MvSketch) {
           obs.update(7, v);
           return obs;
         },
-        [](const sketch::MvSketch& f) { return f.estimate(7); });
+        [](const sketch::MvSketch& f) { return f.counters().estimate(7); });
   }
 }
 

@@ -187,12 +187,12 @@ TEST(GoldenBytes, SerialCheckpointFile) {
   restored.restore_state(state);
   EXPECT_EQ(restored.save_state(), state);
   EXPECT_EQ(state.size(), 2016u);
-  EXPECT_EQ(crc_of(state), 2450089787u);
+  EXPECT_EQ(crc_of(state), 1359682534u);
   expect_checkpoint_file(
       checkpoint::PayloadKind::kSerial, config, state, "golden_serial",
-      {2064, 221524466u,
+      {2064, 3459665199u,
        "53434450010000000100000000000000e6d94e4ddbc0645b0600000000000000"
-       "e0070000000000003b67099200a484c3"});
+       "e007000000000000e61b0b51f8a50a7a"});
 }
 
 TEST(GoldenBytes, ParallelCheckpointFile) {
@@ -205,12 +205,12 @@ TEST(GoldenBytes, ParallelCheckpointFile) {
   restored.restore_state(state);
   EXPECT_EQ(restored.save_state(), state);
   EXPECT_EQ(state.size(), 2080u);
-  EXPECT_EQ(crc_of(state), 2068789274u);
+  EXPECT_EQ(crc_of(state), 3092071623u);
   expect_checkpoint_file(
       checkpoint::PayloadKind::kParallel, config, state, "golden_parallel",
-      {2128, 425338331u,
+      {2128, 3663223046u,
        "53434450010000000200000000000000e6d94e4ddbc0645b0600000000000000"
-       "20080000000000001a384f7ba1e0a364"});
+       "2008000000000000c7444db859e12ddd"});
 }
 
 TEST(GoldenBytes, InvertibleCheckpointFile) {
@@ -221,12 +221,12 @@ TEST(GoldenBytes, InvertibleCheckpointFile) {
   restored.restore_state(state);
   EXPECT_EQ(restored.save_state(), state);
   EXPECT_EQ(state.size(), 5096u);
-  EXPECT_EQ(crc_of(state), 2615043613u);
+  EXPECT_EQ(crc_of(state), 415180303u);
   expect_checkpoint_file(
       checkpoint::PayloadKind::kSerial, config, state, "golden_invertible",
-      {5144, 1777039061u,
+      {5144, 3934926535u,
        "5343445001000000010000000000000064fe0116c2664c090600000000000000"
-       "e8130000000000001d66de9bc758394e"});
+       "e8130000000000000f26bf186fc2e4cc"});
 }
 
 // ---------------------------------------------------------------------------

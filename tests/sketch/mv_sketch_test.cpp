@@ -46,7 +46,7 @@ TEST(MvSketch, CounterTableIsBitIdenticalToKarySketch) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
   EXPECT_EQ(kary.estimate_f2(), mv.estimate_f2());
   for (std::uint64_t key = 0; key < 3000; key += 61) {
-    EXPECT_EQ(kary.estimate(key), mv.estimate(key));
+    EXPECT_EQ(kary.estimate(key), mv.counters().estimate(key));
   }
 }
 
@@ -156,25 +156,70 @@ TEST(MvSketch, CombineRecoversKeysFromBothParts) {
   EXPECT_EQ(recovered[1].key, 2002u);
 }
 
-TEST(MvSketch, ErrorSketchRecoversChangedKey) {
-  // The change-detection use: S_e = S_o - S_f keeps the changed key's
-  // candidate because the unchanged traffic cancels in the counters while
-  // the vote merge keeps the dominant key.
+/// Two observed intervals over the same background; `changed` gets
+/// `volume` extra in `after` when positive, in `before` when negative.
+struct TwoIntervals {
+  MvSketch before;
+  MvSketch after;
+  KarySketch error;  // after - before, counters only
+};
+
+TwoIntervals two_intervals(std::uint64_t changed, double volume) {
   const auto family = make_tabulation_family(14, kH);
-  MvSketch before(family, kK), after(family, kK);
+  TwoIntervals t{MvSketch(family, kK), MvSketch(family, kK),
+                 KarySketch(family, kK)};
   common::Rng rng(10);
   for (int i = 0; i < 3000; ++i) {
     const std::uint64_t key = rng.next_below(1u << 24);
     const double u = rng.uniform(1, 100);
-    before.update(key, u);
-    after.update(key, u);  // unchanged background
+    t.before.update(key, u);
+    t.after.update(key, u);  // unchanged background
   }
-  after.update(31337, 250000.0);  // the change
-  MvSketch error = after;
-  error.add_scaled(before, -1.0);
-  const auto recovered = error.recover_heavy_keys(100000.0);
+  (volume > 0 ? t.after : t.before).update(changed, std::abs(volume));
+  t.error = t.after.counters();
+  t.error.add_scaled(t.before.counters(), -1.0);
+  return t;
+}
+
+TEST(MvSketch, ErrorSketchRecoversChangedKey) {
+  // The change-detection use: S_e = S_o - S_f is a plain k-ary sketch in
+  // which the unchanged traffic cancels; the observed sketch's votes name
+  // the key behind the bucket that stands out.
+  const TwoIntervals t = two_intervals(31337, 250000.0);
+  const MvSketch* const sources[] = {&t.after};
+  const auto recovered =
+      recover_heavy_keys<hash::TabulationHashFamily>(t.error, 100000.0,
+                                                     sources);
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(recovered.front().key, 31337u);
+  EXPECT_EQ(recovered.front().value, t.error.estimate(31337));
+}
+
+TEST(MvSketch, PreviousVotesRecoverVanishedKey) {
+  // A key that stopped sending holds no votes in the current interval; only
+  // the previous interval's sketch names it.
+  const TwoIntervals t = two_intervals(31337, -250000.0);
+  const MvSketch* const current_only[] = {&t.after};
+  std::size_t swept = 0;
+  EXPECT_TRUE(recover_heavy_keys<hash::TabulationHashFamily>(
+                  t.error, 100000.0, current_only, &swept)
+                  .empty());
+  const MvSketch* const both[] = {&t.after, &t.before};
+  const auto recovered = recover_heavy_keys<hash::TabulationHashFamily>(
+      t.error, 100000.0, both, &swept);
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered.front().key, 31337u);
+  EXPECT_LT(recovered.front().value, -100000.0);
+  EXPECT_GE(swept, 1u);
+}
+
+TEST(MvSketch, RecoveryRejectsForeignSources) {
+  const TwoIntervals t = two_intervals(31337, 250000.0);
+  const MvSketch other(make_tabulation_family(99, kH), kK);
+  const MvSketch* const sources[] = {&t.after, &other};
+  EXPECT_THROW((void)recover_heavy_keys<hash::TabulationHashFamily>(
+                   t.error, 100000.0, sources),
+               std::invalid_argument);
 }
 
 TEST(MvSketch, ScaleZeroClearsVoteState) {
