@@ -294,8 +294,8 @@ int main() {
   // Same workload serialized as an on-disk .scdt trace, read back two ways:
   // TraceReader's per-record ifstream pull into ParallelPipeline W=1 (one
   // copy into the chunk staging, one through the BoundedQueue) versus
-  // MappedTrace + feed_trace (decode in place from the mapping, 4K slices
-  // straight into update_batch).
+  // MappedTrace + feed_trace (decode in place from the mapping, add_record
+  // into the serial pipeline on the same thread).
   double queue_path_s = 0.0;
   double mmap_path_s = 0.0;
   {
@@ -324,7 +324,7 @@ int main() {
     mmap_path_s = best_seconds(quick ? 1 : 3, [&] {
       core::ChangeDetectionPipeline pipeline(config);
       const eval::MappedTrace trace(trace_path);
-      (void)eval::feed_trace(trace, pipeline);
+      eval::feed_trace(trace, pipeline);
     });
     std::filesystem::remove(trace_path);
   }

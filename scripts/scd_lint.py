@@ -65,6 +65,14 @@ THIS codebase's contracts, not C++ in general:
                      ByteReader). One bounds-checked codec means one place
                      to get truncation, endianness and speed right.
 
+  interval-cutter    src/ code must not hand-roll the stream clock: counting
+                     a late record (`++...out_of_order...`, `+= 1`, or an
+                     `out_of_order...inc(` on a metric) or a gap-close loop
+                     (`while (t >= start + len) close...(`) is the signature
+                     of a private interval cutter, and the one cutter lives
+                     in core/interval_cutter.h. Every front end binning
+                     records through it is what keeps their intervals equal.
+
 Waivers: append `// scd-lint: allow(<rule>)` to the offending line (or the
 line directly above it); `// scd-lint: allow-file(<rule>)` within the first
 30 lines of a file waives the rule for the whole file.
@@ -140,13 +148,27 @@ INCLUDE_CANON = [
 
 ALL_RULES = ("throw-not-assert", "kkeybits-binding", "metric-docs",
              "include-hygiene", "simd-isolation", "mutex-wrapper",
-             "mo-rationale", "lock-order-doc", "byte-codec")
+             "mo-rationale", "lock-order-doc", "byte-codec",
+             "interval-cutter")
 
 # ---- byte-codec ----
 # A shift by a multiple of a loop index: `v >> (8 * i)`, `b << (i * 8)`.
 BYTE_SHIFT = re.compile(
     r"(?:<<|>>)\s*\(?\s*(?:8\s*\*\s*[A-Za-z_]\w*|[A-Za-z_]\w*\s*\*\s*8)\b")
 BYTE_CODEC_HOME = "src/common/bytes.h"
+
+# ---- interval-cutter ----
+# Counting a late record, or closing intervals up to a record's time.
+CUTTER_SIGNATURES = [
+    (re.compile(r"\+\+\s*[\w.>\-]*out_of_order\w*"
+                r"|\bout_of_order\w*\s*(?:\+\+|\+=\s*1\b)"
+                r"|\bout_of_order\w*\s*(?:\.|->)\s*inc\s*\("),
+     "hand-rolled late-record clamp"),
+    (re.compile(r"\bwhile\s*\([^;{}]*>=[^;{}]*\+[^;{}]*\)\s*\{?\s*"
+                r"[\w.>\-]*close\w*\s*\("),
+     "hand-rolled gap-close loop"),
+]
+INTERVAL_CUTTER_HOME = "src/core/interval_cutter.h"
 
 # ---- mutex-wrapper ----
 # The raw synchronization vocabulary that bypasses the annotated wrappers.
@@ -565,6 +587,33 @@ def check_byte_codec(root: Path, src_files: list[Path]) -> list[Violation]:
 
 
 # --------------------------------------------------------------------------
+# interval-cutter
+# --------------------------------------------------------------------------
+
+def check_interval_cutter(root: Path, src_files: list[Path]) -> list[Violation]:
+    violations = []
+    for path in src_files:
+        rel = path.relative_to(root).as_posix()
+        if rel == INTERVAL_CUTTER_HOME:
+            continue
+        raw = path.read_text()
+        lines = raw.splitlines()
+        if file_waived(lines, "interval-cutter"):
+            continue
+        text = strip_comments_and_strings(raw)
+        for pattern, what in CUTTER_SIGNATURES:
+            for m in pattern.finditer(text):
+                lineno = line_of(text, m.start())
+                if waived(lines, lineno, "interval-cutter"):
+                    continue
+                violations.append(Violation(
+                    rel, lineno, "interval-cutter",
+                    f"{what}; bin records through core/interval_cutter.h "
+                    "(IntervalCutter::place / next)"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # mo-rationale
 # --------------------------------------------------------------------------
 
@@ -716,6 +765,7 @@ def main(argv: list[str]) -> int:
     violations += check_mo_rationale(root, src_files)
     violations += check_lock_order_doc(root, src_files)
     violations += check_byte_codec(root, src_files)
+    violations += check_interval_cutter(root, src_files)
 
     for v in violations:
         print(v)

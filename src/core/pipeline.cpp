@@ -15,6 +15,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "core/interval_cutter.h"
 #include "detect/detection.h"
 #include "detect/provenance.h"
 #include "forecast/runner.h"
@@ -383,6 +384,16 @@ class EngineBase {
   [[nodiscard]] virtual std::size_t reports_emitted() const noexcept = 0;
 };
 
+[[nodiscard]] obs::PipelineInstruments* instruments_for(
+    const PipelineConfig& config) {
+#if SCD_OBS_ENABLED
+  if (config.metrics) return &obs::PipelineInstruments::global();
+#else
+  (void)config;
+#endif
+  return nullptr;
+}
+
 /// The pipeline engine, generic over the observed sketch type. SketchT
 /// decides the key-identification strategy at compile time: a sketch
 /// exposing recover_heavy_keys() (MvSketch) runs the replay-free recovery
@@ -408,16 +419,12 @@ class Engine final : public EngineBase {
   Engine(const PipelineConfig& config, Emit emit)
       : config_(config),
         emit_(std::move(emit)),
+        obs_(instruments_for(config)),
         family_(std::make_shared<const Family>(config.seed, config.h)),
         observed_(family_, config.k),
         active_model_(config.model),
         sample_rng_(config.seed ^ 0x5a5a5a5a5a5a5a5aULL),
-        interval_rng_(config.seed ^ 0x1234abcd5678ef90ULL),
-        current_len_(config.interval_s) {
-    if (config_.randomize_intervals) current_len_ = draw_interval_length();
-#if SCD_OBS_ENABLED
-    if (config_.metrics) obs_ = &obs::PipelineInstruments::global();
-#endif
+        cutter_(config, obs_ != nullptr ? &obs_->out_of_order : nullptr) {
     // The single place sketch memory is accounted (the table never resizes).
     stats_.sketch_bytes = observed_.table_bytes();
 #if SCD_OBS_ENABLED
@@ -434,26 +441,7 @@ class Engine final : public EngineBase {
       throw std::invalid_argument(
           "ChangeDetectionPipeline: update must be finite");
     }
-    if (!started_) {
-      started_ = true;
-      current_start_ = time_s;
-      last_time_ = time_s;
-    }
-    if (time_s < last_time_) {
-      // Late record. Keep the feed alive: count it and bin it into the open
-      // interval (clamped to the interval's start when it predates even
-      // that) — the documented "nondecreasing order" contract is enforced by
-      // correction, not by aborting the stream or silently mis-binning.
-      ++stats_.out_of_order_records;
-#if SCD_OBS_ENABLED
-      if (obs_ != nullptr) obs_->out_of_order.inc();
-#endif
-      if (time_s < current_start_) time_s = current_start_;
-    } else {
-      last_time_ = time_s;
-    }
-    while (time_s >= current_start_ + current_len_) close_interval();
-    interval_open_ = true;
+    cutter_.place(time_s, [this] { close_interval(); });
     // The records counter is batched into close_interval(): one shared
     // fetch_add per interval instead of one per record keeps this path free
     // of cross-core traffic (a per-record inc alone costs ~5% throughput).
@@ -473,7 +461,6 @@ class Engine final : public EngineBase {
 #else
     observed_.update(key, update);
 #endif
-    ++records_in_interval_;
     ++stats_.records;
     // Sketch-recovery engines never keep keys — that absence is the mode's
     // whole point (no per-interval key state, no second pass).
@@ -496,20 +483,18 @@ class Engine final : public EngineBase {
       throw std::invalid_argument(
           "ChangeDetectionPipeline::ingest_interval: len_s must be > 0");
     }
-    if (interval_open_) {
+    const IntervalCutter::Position& clock = cutter_.position();
+    if (clock.records != 0) {
       throw std::invalid_argument(
           "ChangeDetectionPipeline::ingest_interval: an interval opened by "
           "add() is still in progress");
     }
-    if (started_ && batch.start_s < current_start_) {
+    if (clock.started && batch.start_s < clock.start_s) {
       throw std::invalid_argument(
           "ChangeDetectionPipeline::ingest_interval: batches must be "
           "time-ordered");
     }
-    started_ = true;
-    current_start_ = batch.start_s;
-    current_len_ = batch.len_s;
-    last_time_ = std::max(last_time_, batch.start_s + batch.len_s);
+    cutter_.open(batch.start_s, batch.len_s, batch.records);
     observed_.load_registers(batch.registers);
     if constexpr (kRecovers) {
       if (batch.mv_candidates.size() != observed_.candidates().size() ||
@@ -523,14 +508,12 @@ class Engine final : public EngineBase {
     if constexpr (!kRecovers) {
       keys_.insert(batch.keys.begin(), batch.keys.end());
     }
-    records_in_interval_ = batch.records;
     stats_.records += batch.records;
     close_interval();
   }
 
   void flush() override {
-    if (!started_) return;
-    if (interval_open_) close_interval();
+    if (cutter_.position().records != 0) close_interval();
     if (pending_.has_value()) {
       // kNextInterval: the last error sketch never sees future keys; emit an
       // empty-detection report so the interval is still accounted for.
@@ -544,7 +527,9 @@ class Engine final : public EngineBase {
   }
 
   [[nodiscard]] PipelineStats stats() const noexcept override {
-    return stats_;  // sketch_bytes is fixed at construction
+    PipelineStats stats = stats_;  // sketch_bytes is fixed at construction
+    stats.out_of_order_records = cutter_.position().out_of_order;
+    return stats;
   }
 
   void set_interval_close_callback(
@@ -560,7 +545,9 @@ class Engine final : public EngineBase {
   }
 
   [[nodiscard]] StreamPosition position() const noexcept override {
-    return {started_, interval_index_, current_start_, last_time_};
+    const IntervalCutter::Position& clock = cutter_.position();
+    return {clock.started, static_cast<std::size_t>(clock.index),
+            clock.start_s, clock.high_water_s};
   }
 
   [[nodiscard]] std::size_t reports_emitted() const noexcept override {
@@ -568,7 +555,8 @@ class Engine final : public EngineBase {
   }
 
   void save_state(ByteWriter& out) const override {
-    if (interval_open_ || records_in_interval_ != 0 || !keys_.empty()) {
+    const IntervalCutter::Position& clock = cutter_.position();
+    if (clock.records != 0 || !keys_.empty()) {
       throw std::logic_error(
           "ChangeDetectionPipeline::save_state: an interval is in progress; "
           "snapshot only at an interval boundary (see "
@@ -584,16 +572,16 @@ class Engine final : public EngineBase {
     out.u64(static_cast<std::uint64_t>(config_.key_kind));
     out.u64(static_cast<std::uint64_t>(config_.update_kind));
 
-    out.u64(started_ ? 1 : 0);
-    out.f64(current_start_);
-    out.f64(current_len_);
-    out.f64(last_time_);
-    out.u64(interval_index_);
+    out.u64(clock.started ? 1 : 0);
+    out.f64(clock.start_s);
+    out.f64(clock.len_s);
+    out.f64(clock.high_water_s);
+    out.u64(clock.index);
     write_model_config(out, active_model_);
     out.f64(smoothed_f2_);
     out.u64(have_smoothed_f2_ ? 1 : 0);
     write_rng(out, sample_rng_);
-    write_rng(out, interval_rng_);
+    write_rng(out, cutter_.length_rng());
     out.u64(stats_.records);
     out.u64(stats_.intervals_closed);
     out.u64(stats_.alarms);
@@ -602,7 +590,7 @@ class Engine final : public EngineBase {
     out.u64(stats_.recovery_candidates);  // v3
     out.u64(stats_.keys_recovered);       // v3
     out.u64(stats_.hysteresis_suppressed);
-    out.u64(stats_.out_of_order_records);
+    out.u64(clock.out_of_order);
     out.f64(stats_.update_seconds);
     out.u64(stats_.update_samples);
     out.f64(stats_.close_seconds);
@@ -663,16 +651,19 @@ class Engine final : public EngineBase {
           "engine state (seed, key kind, update kind) does not match this "
           "pipeline's configuration");
     }
-    started_ = in.u64() != 0;
-    current_start_ = in.f64();
-    current_len_ = in.f64();
-    last_time_ = in.f64();
-    interval_index_ = static_cast<std::size_t>(in.u64());
+    // Boundary state: a snapshot is only taken between intervals, so the
+    // open interval restores empty.
+    IntervalCutter::Position clock;
+    clock.started = in.u64() != 0;
+    clock.start_s = in.f64();
+    clock.len_s = in.f64();
+    clock.high_water_s = in.f64();
+    clock.index = in.u64();
     active_model_ = read_model_config(in);
     smoothed_f2_ = in.f64();
     have_smoothed_f2_ = in.u64() != 0;
     read_rng(in, sample_rng_);
-    read_rng(in, interval_rng_);
+    read_rng(in, cutter_.length_rng());
     stats_ = PipelineStats{};
     stats_.records = in.u64();
     stats_.intervals_closed = static_cast<std::size_t>(in.u64());
@@ -682,7 +673,8 @@ class Engine final : public EngineBase {
     stats_.recovery_candidates = in.u64();  // v3
     stats_.keys_recovered = in.u64();       // v3
     stats_.hysteresis_suppressed = in.u64();
-    stats_.out_of_order_records = in.u64();
+    clock.out_of_order = in.u64();
+    cutter_.restore(clock);
     stats_.update_seconds = in.f64();
     stats_.update_samples = in.u64();
     stats_.close_seconds = in.f64();
@@ -727,12 +719,8 @@ class Engine final : public EngineBase {
           "engine state sentinel mismatch: reader and writer disagree on "
           "the field layout");
     }
-    // Boundary state: a snapshot is only taken between intervals, so the
-    // open-interval accumulators restore to empty.
     observed_.set_zero();
     keys_.clear();
-    records_in_interval_ = 0;
-    interval_open_ = false;
   }
 
  private:
@@ -761,25 +749,20 @@ class Engine final : public EngineBase {
     }
   }
 
-  [[nodiscard]] double draw_interval_length() noexcept {
-    const double len = interval_rng_.exponential(1.0 / config_.interval_s);
-    return std::clamp(len, 0.25 * config_.interval_s,
-                      4.0 * config_.interval_s);
-  }
-
   void close_interval() {
-    SCD_TRACE_SPAN_ARG("interval_close", "core", records_in_interval_);
+    const IntervalCutter::Position& clock = cutter_.position();
+    SCD_TRACE_SPAN_ARG("interval_close", "core", clock.records);
     const common::Stopwatch close_watch;
     IntervalReport report;
-    report.index = interval_index_;
-    report.start_s = current_start_;
-    report.end_s = current_start_ + current_len_;
-    report.records = records_in_interval_;
+    report.index = static_cast<std::size_t>(clock.index);
+    report.start_s = clock.start_s;
+    report.end_s = clock.end_s();
+    report.records = clock.records;
 
     if (config_.randomize_intervals) {
       // Normalize to per-nominal-interval volume so intervals of different
       // lengths are comparable (§6; sketch linearity makes this a scale).
-      observed_.scale(config_.interval_s / current_len_);
+      observed_.scale(config_.interval_s / clock.len_s);
     }
 
     if (config_.refit_every > 0) {
@@ -789,7 +772,7 @@ class Engine final : public EngineBase {
 
 #if SCD_OBS_ENABLED
     if (obs_ != nullptr) {
-      obs_->records.inc(records_in_interval_);  // batched from add()
+      obs_->records.inc(clock.records);  // batched from add()
       obs_->replay_buffer_keys.set(static_cast<double>(keys_.size()));
     }
     std::optional<typename forecast::ForecastRunner<Counters>::Step> step;
@@ -839,12 +822,8 @@ class Engine final : public EngineBase {
     if constexpr (kRecovers) std::swap(observed_, *previous_);
     observed_.set_zero();
     keys_.clear();
-    records_in_interval_ = 0;
-    interval_open_ = false;
+    cutter_.next();
     ++stats_.intervals_closed;
-    current_start_ += current_len_;
-    if (config_.randomize_intervals) current_len_ = draw_interval_length();
-    ++interval_index_;
 
     const double close_s = close_watch.seconds();
     stats_.close_seconds += close_s;
@@ -1045,8 +1024,9 @@ class Engine final : public EngineBase {
   }
 
   void maybe_refit() {
-    if (config_.refit_every == 0 || interval_index_ == 0) return;
-    if (interval_index_ % config_.refit_every != 0) return;
+    const std::uint64_t closed = cutter_.position().index;
+    if (config_.refit_every == 0 || closed == 0) return;
+    if (closed % config_.refit_every != 0) return;
     if (history_.size() < 4) return;  // not enough signal to fit
     SCD_TRACE_SPAN("refit", "core");
 #if SCD_OBS_ENABLED
@@ -1080,6 +1060,9 @@ class Engine final : public EngineBase {
 
   PipelineConfig config_;
   Emit emit_;
+  /// Shared process-wide instruments; null when config.metrics is false or
+  /// the library was built with SCD_OBS_ENABLED=0.
+  obs::PipelineInstruments* obs_;
   std::shared_ptr<const Family> family_;
   Sketch observed_;
   /// kRecovers only: the last closed interval's observed sketch, swapped in
@@ -1089,17 +1072,10 @@ class Engine final : public EngineBase {
   std::unique_ptr<forecast::ForecastRunner<Counters>> runner_;
   forecast::ModelConfig active_model_;
   common::Rng sample_rng_;
-  common::Rng interval_rng_;
-  double current_len_;
-  bool started_ = false;
-  /// True between a record landing (add) and the interval's close; flush
-  /// closes only open intervals so ingest_interval (which closes eagerly)
-  /// does not leave a phantom empty interval behind.
-  bool interval_open_ = false;
-  double current_start_ = 0.0;
-  double last_time_ = 0.0;  // high-water mark for out-of-order detection
-  std::size_t interval_index_ = 0;
-  std::uint64_t records_in_interval_ = 0;
+  /// The stream clock. An interval is open while it holds records; flush
+  /// closes only open intervals, so ingest_interval (which closes eagerly)
+  /// leaves no phantom empty interval behind.
+  IntervalCutter cutter_;
   std::unordered_set<std::uint64_t> keys_;
   std::unordered_map<std::uint64_t, std::size_t> alarm_streaks_;
   double smoothed_f2_ = 0.0;
@@ -1110,9 +1086,6 @@ class Engine final : public EngineBase {
   std::function<void(std::size_t)> on_interval_close_;
   std::function<void(const detect::AlarmProvenance&)> on_provenance_;
   std::uint64_t fingerprint_ = 0;  // set with the provenance callback
-  /// Shared process-wide instruments; null when config.metrics is false or
-  /// the library was built with SCD_OBS_ENABLED=0.
-  obs::PipelineInstruments* obs_ = nullptr;
 };
 
 }  // namespace

@@ -14,8 +14,9 @@ IngestInstruments IngestInstruments::create(obs::MetricsRegistry& registry,
       registry.counter("scd_ingest_backpressure_total",
                        "Chunk submissions that blocked on a full shard queue"),
       registry.histogram("scd_ingest_merge_seconds",
-                         "Latency of one interval-close barrier: drain, "
-                         "COMBINE-merge of shard sketches, key concatenation",
+                         "Latency of one epoch merge on the merger thread: "
+                         "COMBINE of the epoch's W shard handoffs, key "
+                         "concatenation, sketch recycling (no queue drain)",
                          obs::Histogram::default_latency_buckets()),
       registry.histogram(
           "scd_ingest_batch_size",

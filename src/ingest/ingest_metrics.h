@@ -6,7 +6,9 @@
 // Families:
 //   scd_ingest_queue_records          gauge      records queued across shards
 //   scd_ingest_backpressure_total     counter    pushes that had to block
-//   scd_ingest_merge_seconds          histogram  COMBINE barrier-merge latency
+//   scd_ingest_merge_seconds          histogram  one epoch merge (merger
+//                                                thread: COMBINE + key
+//                                                concat + recycling)
 //   scd_ingest_shard_apply_seconds    histogram  one chunk applied, {shard=i}
 //   scd_ingest_batch_size             histogram  records per batched UPDATE
 //   scd_ingest_batch_records_total    counter    records through update_batch

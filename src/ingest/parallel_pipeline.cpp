@@ -13,12 +13,14 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/thread_annotations.h"
+#include "core/interval_cutter.h"
 #include "core/pipeline.h"
 #include "hash/cw_hash.h"
 #include "hash/tabulation_hash.h"
 #include "ingest/ingest_metrics.h"
 #include "ingest/shard_set.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_metrics.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
 #include "sketch/serialize.h"
@@ -32,6 +34,19 @@ namespace {
 /// Front-end state stream layout version; bump on any field change. The
 /// serial engine's payload is versioned separately inside its own blob.
 constexpr std::uint64_t kFrontendStateVersion = 1;
+
+/// The serial engine's late-record counter: late records never reach the
+/// engine here (the front end clamps them before sharding), so the front
+/// end's cutter feeds the same scd_pipeline_out_of_order_total.
+[[nodiscard]] obs::Counter* out_of_order_metric(
+    const core::PipelineConfig& config) {
+#if SCD_OBS_ENABLED
+  if (config.metrics) return &obs::PipelineInstruments::global().out_of_order;
+#else
+  (void)config;
+#endif
+  return nullptr;
+}
 
 }  // namespace
 
@@ -52,8 +67,10 @@ void ParallelConfig::validate(const core::PipelineConfig& pipeline) const {
   }
   if (pipeline.randomize_intervals) {
     throw std::invalid_argument(
-        "ParallelConfig: randomize_intervals is incompatible with sharded "
-        "ingestion (interval lengths are drawn inside the serial engine)");
+        "ParallelConfig: randomize_intervals is not supported by sharded "
+        "ingestion (the front-end state stream carries no drawn interval "
+        "length or length-generator state, so a restore could not resume "
+        "the cut)");
   }
   if (pipeline.key_sample_rate < 1.0) {
     throw std::invalid_argument(
@@ -67,7 +84,8 @@ class ParallelPipeline::Impl {
   Impl(core::PipelineConfig config, ParallelConfig parallel)
       : config_(std::move(config)),
         parallel_(parallel),
-        serial_(config_) {  // validates config_ and owns forecast/detect
+        serial_(config_),  // validates config_ and owns forecast/detect
+        cutter_(config_, out_of_order_metric(config_)) {
     parallel_.validate(config_);
 #if SCD_OBS_ENABLED
     if (config_.metrics) {
@@ -120,46 +138,19 @@ class ParallelPipeline::Impl {
       throw std::invalid_argument(
           "ParallelPipeline: update must be finite");
     }
-    if (!started_) {
-      started_ = true;
-      current_start_ = time_s;
-      last_time_ = time_s;
-    }
-    if (time_s < last_time_) {
-      // Same contract as the serial engine: count and clamp into the open
-      // interval rather than rejecting or mis-binning.
-      ++stats_.out_of_order_records;
-      if (time_s < current_start_) time_s = current_start_;
-    } else {
-      last_time_ = time_s;
-    }
-    while (time_s >= current_start_ + config_.interval_s) close_interval();
+    cutter_.place(time_s, [this] { close_interval(); });
     Chunk& chunk = pending_[shard_of(key)];
     chunk.push_back({key, update});
     if (chunk.size() >= parallel_.batch_size) {
       flush_chunk(shard_of(key));
     }
-    ++stats_.records;
-    ++records_since_barrier_;
+    ++records_;
   }
 
-  void start_at(double time_s) {
-    if (started_) {
-      throw std::logic_error(
-          "ParallelPipeline::start_at: the stream has already started (call "
-          "before the first record, or restore a snapshot instead)");
-    }
-    if (!std::isfinite(time_s)) {
-      throw std::invalid_argument(
-          "ParallelPipeline::start_at: anchor time must be finite");
-    }
-    started_ = true;
-    current_start_ = time_s;
-    last_time_ = time_s;
-  }
+  void start_at(double time_s) { cutter_.start_at(time_s); }
 
   void flush() {
-    if (!started_) return;
+    if (!cutter_.position().started) return;
     close_interval();
     // Wait for the merger to consume every closed epoch: after drain() the
     // serial stages have ingested all intervals and the merger is idle, so
@@ -172,12 +163,15 @@ class ParallelPipeline::Impl {
 
   [[nodiscard]] core::PipelineStats stats() const noexcept {
     core::PipelineStats s = serial_.stats();
-    s.out_of_order_records += stats_.out_of_order_records;
+    s.out_of_order_records += cutter_.position().out_of_order;
     return s;
   }
 
   [[nodiscard]] ParallelStats parallel_stats() const noexcept {
-    ParallelStats s = stats_;
+    ParallelStats s;
+    s.records = records_;
+    s.out_of_order_records = cutter_.position().out_of_order;
+    s.barriers = static_cast<std::size_t>(cutter_.position().index);
     s.backpressure_waits = shards_->backpressure_waits();
     s.shutdown_dropped_records = shards_->dropped_records();
     return s;
@@ -205,17 +199,18 @@ class ParallelPipeline::Impl {
       common::ByteWriter out(bytes);
       out.u64(kFrontendStateVersion);
       out.u64(1);  // a closed interval implies a started stream
-      out.f64(close.start_s + config_.interval_s);
-      out.f64(close.last_time);
+      out.f64(close.clock.end_s());
+      out.f64(close.clock.high_water_s);
       out.u64(close.records);
-      out.u64(close.out_of_order);
-      out.u64(close.interval_index + 1);
+      out.u64(close.clock.out_of_order);
+      out.u64(close.clock.index + 1);
       const std::vector<std::uint8_t> serial = serial_.save_state();
       out.u64(serial.size());
       out.bytes(serial);
       return bytes;
     }
-    if (records_since_barrier_ != 0) {
+    const core::IntervalCutter::Position& clock = cutter_.position();
+    if (clock.records != 0) {
       throw std::logic_error(
           "ParallelPipeline::save_state: records accepted since the last "
           "interval close; snapshot only from the interval-close callback");
@@ -232,12 +227,12 @@ class ParallelPipeline::Impl {
     std::vector<std::uint8_t> bytes;
     common::ByteWriter out(bytes);
     out.u64(kFrontendStateVersion);
-    out.u64(started_ ? 1 : 0);
-    out.f64(current_start_);
-    out.f64(last_time_);
-    out.u64(stats_.records);
-    out.u64(stats_.out_of_order_records);
-    out.u64(stats_.barriers);
+    out.u64(clock.started ? 1 : 0);
+    out.f64(clock.start_s);
+    out.f64(clock.high_water_s);
+    out.u64(records_);
+    out.u64(clock.out_of_order);
+    out.u64(clock.index);
     // Shard sketches are all drained at a barrier and backpressure_waits is
     // a transient liveness counter, so the serial engine blob is the only
     // nested payload.
@@ -250,6 +245,8 @@ class ParallelPipeline::Impl {
   void restore_state(const std::vector<std::uint8_t>& bytes) {
     common::ByteReader in(bytes, "parallel front-end state");
     std::uint64_t serial_size = 0;
+    core::IntervalCutter::Position clock;
+    clock.len_s = config_.interval_s;
     try {
       const std::uint64_t version = in.u64();
       if (version != kFrontendStateVersion) {
@@ -259,13 +256,12 @@ class ParallelPipeline::Impl {
                 " is not the supported version " +
                 std::to_string(kFrontendStateVersion));
       }
-      started_ = in.u64() != 0;
-      current_start_ = in.f64();
-      last_time_ = in.f64();
-      stats_ = ParallelStats{};
-      stats_.records = in.u64();
-      stats_.out_of_order_records = in.u64();
-      stats_.barriers = static_cast<std::size_t>(in.u64());
+      clock.started = in.u64() != 0;
+      clock.start_s = in.f64();
+      clock.high_water_s = in.f64();
+      records_ = in.u64();
+      clock.out_of_order = in.u64();
+      clock.index = in.u64();
       serial_size = in.u64();
     } catch (const common::TruncatedError& e) {
       throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
@@ -284,7 +280,7 @@ class ParallelPipeline::Impl {
     }
     const auto serial = in.bytes(in.remaining());
     serial_.restore_state({serial.begin(), serial.end()});
-    records_since_barrier_ = 0;
+    cutter_.restore(clock);
     for (Chunk& chunk : pending_) chunk.clear();
     common::MutexLock lock(close_mutex_);
     pending_closes_.clear();
@@ -296,13 +292,15 @@ class ParallelPipeline::Impl {
       // Interval-close-callback context (merger thread): report the closed
       // interval's boundary, not the producer's live clock.
       p.started = true;
-      p.next_interval_start_s = active_close_->start_s + config_.interval_s;
-      p.high_water_s = std::max(p.high_water_s, active_close_->last_time);
+      p.next_interval_start_s = active_close_->clock.end_s();
+      p.high_water_s =
+          std::max(p.high_water_s, active_close_->clock.high_water_s);
       return p;
     }
-    p.started = started_;
-    p.next_interval_start_s = current_start_;
-    p.high_water_s = std::max(p.high_water_s, last_time_);
+    const core::IntervalCutter::Position& clock = cutter_.position();
+    p.started = clock.started;
+    p.next_interval_start_s = clock.start_s;
+    p.high_water_s = std::max(p.high_water_s, clock.high_water_s);
     return p;
   }
 
@@ -328,15 +326,13 @@ class ParallelPipeline::Impl {
 
   /// Front-end position captured when an interval is closed, consumed by
   /// the merger when that interval's merge lands. Snapshot-at-close
-  /// semantics: `records` and `last_time` are the producer's counters at
-  /// the moment of the close, so a checkpoint cut from the interval-close
-  /// callback serializes exactly what a synchronous close would have.
+  /// semantics: the cutter's position and the record count are the
+  /// producer's at the moment of the close, so a checkpoint cut from the
+  /// interval-close callback serializes exactly what a synchronous close
+  /// would have.
   struct PendingClose {
-    double start_s = 0.0;
-    std::uint64_t interval_index = 0;
-    double last_time = 0.0;
-    std::uint64_t records = 0;
-    std::uint64_t out_of_order = 0;
+    core::IntervalCutter::Position clock;  // the interval being closed
+    std::uint64_t records = 0;             // records accepted before it
   };
 
   void close_interval() {
@@ -345,22 +341,14 @@ class ParallelPipeline::Impl {
     // producer-side backpressure (max_pending_intervals reached).
     SCD_TRACE_SPAN("interval_close_barrier", "ingest");
     for (std::size_t i = 0; i < pending_.size(); ++i) flush_chunk(i);
-    PendingClose close;
-    close.start_s = current_start_;
-    // 0-based index of the interval being closed; stats_.barriers survives
-    // save_state/restore_state, so a restored node keeps numbering where the
-    // snapshot left off.
-    close.interval_index = stats_.barriers;
-    close.last_time = last_time_;
-    close.records = stats_.records;
-    close.out_of_order = stats_.out_of_order_records;
+    // The cutter's index survives save_state/restore_state, so a restored
+    // node keeps numbering where the snapshot left off.
+    const PendingClose close{cutter_.position(), records_};
     {
       common::MutexLock lock(close_mutex_);
       pending_closes_.push_back(close);
     }
-    ++stats_.barriers;
-    current_start_ += config_.interval_s;
-    records_since_barrier_ = 0;
+    cutter_.next();
     // Stamp the epoch AFTER the PendingClose is queued — the merger may
     // consume the epoch immediately and must find its close on the ledger.
     // May block on max_pending_intervals; rethrows a pending merge failure.
@@ -379,8 +367,8 @@ class ParallelPipeline::Impl {
       common::MutexLock lock(close_mutex_);
       close = pending_closes_.front();
     }
-    batch.start_s = close.start_s;
-    batch.len_s = config_.interval_s;
+    batch.start_s = close.clock.start_s;
+    batch.len_s = close.clock.len_s;
     // Visible to save_state()/position() re-entered from the callbacks
     // below; cleared before the ledger pop, so a producer that sees an
     // empty ledger can never observe it mid-write.
@@ -388,27 +376,24 @@ class ParallelPipeline::Impl {
     // Export tap BEFORE the serial ingest: the shipper must see the batch
     // while it is still intact, and ship-then-ingest-then-checkpoint is the
     // ordering the rejoin protocol relies on (docs/DISTRIBUTED.md).
-    if (on_interval_batch_) on_interval_batch_(close.interval_index, batch);
+    if (on_interval_batch_) on_interval_batch_(close.clock.index, batch);
     serial_.ingest_interval(std::move(batch));
     // Fires with this interval fully ingested: save_state() from the
     // callback captures serial-equivalent state for the closed interval.
     if (on_interval_close_) {
-      on_interval_close_(static_cast<std::size_t>(close.interval_index) + 1);
+      on_interval_close_(static_cast<std::size_t>(close.clock.index) + 1);
     }
     active_close_.reset();
     common::MutexLock lock(close_mutex_);
     pending_closes_.pop_front();
   }
 
-  std::vector<Chunk> pending_;  // per-shard producer-side batches
-  bool started_ = false;
-  double current_start_ = 0.0;
-  double last_time_ = 0.0;
-  std::uint64_t records_since_barrier_ = 0;
-  ParallelStats stats_;
+  core::IntervalCutter cutter_;  // producer-side stream clock
+  std::vector<Chunk> pending_;   // per-shard producer-side batches
+  std::uint64_t records_ = 0;    // records accepted by add()
   // Closed-but-unmerged interval ledger: producer pushes at close, the
   // merger pops after the interval is fully consumed (callbacks included).
-  // An empty ledger + records_since_barrier_ == 0 means quiescent.
+  // An empty ledger + no records in the open interval means quiescent.
   mutable common::Mutex close_mutex_;
   std::deque<PendingClose> pending_closes_ SCD_GUARDED_BY(close_mutex_);
   // Set only by the merger thread around the interval callbacks; read by

@@ -57,8 +57,10 @@ struct ParallelConfig {
   std::size_t max_pending_intervals = 2;
 
   /// Throws std::invalid_argument when out of range or when the pipeline
-  /// config is incompatible with deterministic parallel ingestion
-  /// (randomize_intervals, key_sample_rate < 1).
+  /// config asks for what the sharded front end does not support:
+  /// randomize_intervals (its state stream has no interval length to
+  /// resume from) and key_sample_rate < 1 (shard key buffers would depend
+  /// on arrival order).
   void validate(const core::PipelineConfig& pipeline) const;
 };
 

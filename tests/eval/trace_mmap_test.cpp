@@ -6,10 +6,11 @@
 // traffic::TraceError from both MappedTrace and TraceReader, and a
 // zero-record file (header only) must map cleanly.
 //
-// Feed half: feed_trace() batches 4K-record slices through update_batch and
-// ingest_interval, so its reports must be bit-identical to the per-record
-// add_record() feed on the same trace — including interval gaps, slice
-// boundaries that straddle interval boundaries, and out-of-order clamping.
+// Feed half: feed_trace() is add_record() over the mapping, so its reports
+// must be bit-identical to the per-record feed of the same trace read with
+// TraceReader — including a quiet gap and a record patched out of order in
+// the file itself. tests/core/interval_cutter_test.cpp covers the feed in
+// every configuration the serial pipeline accepts.
 #include "eval/trace_mmap.h"
 
 #include <gtest/gtest.h>
@@ -139,12 +140,6 @@ TEST(MappedTrace, RoundTripMatchesTraceReader) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(trace.record(i), expected[i]) << "record " << i;
   }
-  // Bulk decode straddling an arbitrary offset agrees with per-record.
-  std::vector<traffic::FlowRecord> slice(7);
-  trace.decode(5, slice);
-  for (std::size_t i = 0; i < slice.size(); ++i) {
-    EXPECT_EQ(slice[i], expected[5 + i]);
-  }
 }
 
 TEST(MappedTrace, ZeroRecordFileIsValid) {
@@ -155,9 +150,9 @@ TEST(MappedTrace, ZeroRecordFileIsValid) {
   EXPECT_EQ(trace.size_bytes(), 16u);
 
   core::ChangeDetectionPipeline pipeline(corpus_config());
-  const MmapFeedStats stats = feed_trace(trace, pipeline);
-  EXPECT_EQ(stats.records, 0u);
-  EXPECT_EQ(stats.intervals_closed, 0u);
+  feed_trace(trace, pipeline);
+  EXPECT_EQ(pipeline.stats().records, 0u);
+  EXPECT_EQ(pipeline.stats().intervals_closed, 0u);
   EXPECT_TRUE(pipeline.reports().empty());
 }
 
@@ -218,16 +213,6 @@ TEST(MappedTrace, TrailingBytesAreTyped) {
                    "trailing garbage");
 }
 
-TEST(MappedTrace, FeedRejectsZeroSliceRecords) {
-  const std::string path = fresh_path("mmap_opts.scdt");
-  traffic::write_trace(path, {});
-  const MappedTrace trace(path);
-  core::ChangeDetectionPipeline pipeline(corpus_config());
-  MmapFeedOptions options;
-  options.slice_records = 0;
-  EXPECT_THROW(feed_trace(trace, pipeline, options), std::invalid_argument);
-}
-
 TEST(MappedTrace, FeedMatchesPerRecordFeedBitExactly) {
   const std::string path = corpus_trace();
 
@@ -239,31 +224,22 @@ TEST(MappedTrace, FeedMatchesPerRecordFeedBitExactly) {
   const AlarmSet expected = alarm_set(serial.reports());
   ASSERT_FALSE(expected.empty());  // the spike must be flagged
 
-  // A slice far smaller than an interval forces both flavors of split:
-  // several slices per interval AND interval boundaries inside a slice.
-  for (const std::size_t slice : {std::size_t{64}, std::size_t{4096}}) {
-    const MappedTrace trace(path);
-    core::ChangeDetectionPipeline pipeline(corpus_config());
-    MmapFeedOptions options;
-    options.slice_records = slice;
-    const MmapFeedStats stats = feed_trace(trace, pipeline, options);
+  const MappedTrace trace(path);
+  core::ChangeDetectionPipeline pipeline(corpus_config());
+  feed_trace(trace, pipeline);
 
-    EXPECT_EQ(stats.records, trace.record_count()) << "slice=" << slice;
-    EXPECT_EQ(stats.out_of_order_records, 0u);
-    EXPECT_EQ(stats.intervals_closed, serial.reports().size());
-    ASSERT_EQ(pipeline.reports().size(), serial.reports().size());
-    EXPECT_EQ(alarm_set(pipeline.reports()), expected) << "slice=" << slice;
-    for (std::size_t i = 0; i < serial.reports().size(); ++i) {
-      const auto& s = serial.reports()[i];
-      const auto& p = pipeline.reports()[i];
-      EXPECT_EQ(p.records, s.records) << "slice=" << slice << " i=" << i;
-      EXPECT_EQ(p.keys_checked, s.keys_checked);
-      EXPECT_DOUBLE_EQ(p.estimated_error_f2, s.estimated_error_f2);
-      EXPECT_DOUBLE_EQ(p.alarm_threshold, s.alarm_threshold);
-    }
-    EXPECT_EQ(pipeline.stats().records, serial.stats().records);
-    EXPECT_EQ(pipeline.stats().intervals_closed,
-              serial.stats().intervals_closed);
+  EXPECT_EQ(pipeline.stats().records, trace.record_count());
+  EXPECT_EQ(pipeline.stats().out_of_order_records, 0u);
+  EXPECT_EQ(pipeline.stats().intervals_closed, serial.reports().size());
+  ASSERT_EQ(pipeline.reports().size(), serial.reports().size());
+  EXPECT_EQ(alarm_set(pipeline.reports()), expected);
+  for (std::size_t i = 0; i < serial.reports().size(); ++i) {
+    const auto& s = serial.reports()[i];
+    const auto& p = pipeline.reports()[i];
+    EXPECT_EQ(p.records, s.records) << "i=" << i;
+    EXPECT_EQ(p.keys_checked, s.keys_checked);
+    EXPECT_DOUBLE_EQ(p.estimated_error_f2, s.estimated_error_f2);
+    EXPECT_DOUBLE_EQ(p.alarm_threshold, s.alarm_threshold);
   }
 }
 
@@ -285,8 +261,8 @@ TEST(MappedTrace, FeedClampsAndCountsOutOfOrderRecords) {
 
   const MappedTrace trace(path);
   core::ChangeDetectionPipeline pipeline(corpus_config());
-  const MmapFeedStats stats = feed_trace(trace, pipeline);
-  EXPECT_EQ(stats.out_of_order_records, 1u);
+  feed_trace(trace, pipeline);
+  EXPECT_EQ(pipeline.stats().out_of_order_records, 1u);
   ASSERT_EQ(pipeline.reports().size(), serial.reports().size());
   EXPECT_EQ(alarm_set(pipeline.reports()), alarm_set(serial.reports()));
   for (std::size_t i = 0; i < serial.reports().size(); ++i) {

@@ -227,7 +227,7 @@ TEST(ParallelPipeline, ConfigValidation) {
   EXPECT_THROW(ParallelPipeline(base_config(), parallel),
                std::invalid_argument);
 
-  // Pipeline options that would break run-to-run determinism are rejected.
+  // Pipeline options the sharded front end does not support are rejected.
   auto config = base_config();
   config.randomize_intervals = true;
   EXPECT_THROW(ParallelPipeline(config, ParallelConfig{}),

@@ -1,6 +1,6 @@
 // Fixture: would trip include-hygiene, kkeybits-binding, mutex-wrapper,
-// mo-rationale, lock-order-doc and byte-codec, but every finding carries a
-// waiver — the tree must lint clean.
+// mo-rationale, lock-order-doc, byte-codec and interval-cutter, but every
+// finding carries a waiver — the tree must lint clean.
 // scd-lint: allow-file(kkeybits-binding)
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -35,6 +35,10 @@ unsigned long sample(std::atomic<unsigned long>& hits) {
 unsigned char low_byte(unsigned long v, int i) {
   // scd-lint: allow(byte-codec)
   return static_cast<unsigned char>(v >> (8 * i));
+}
+
+void tally_replayed_late(unsigned long& out_of_order_replayed) {
+  ++out_of_order_replayed;  // scd-lint: allow(interval-cutter)
 }
 
 }  // namespace scd

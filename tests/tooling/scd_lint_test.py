@@ -96,6 +96,10 @@ class FixtureTest(unittest.TestCase):
         self.assert_single_violation(
             "byte-codec", "byte-codec", "src/net/packet.cpp")
 
+    def test_interval_cutter_fires_on_hand_rolled_clamp(self):
+        self.assert_single_violation(
+            "interval-cutter", "interval-cutter", "src/ingest/feeder.cpp")
+
     def test_waivers_silence_every_rule(self):
         code, lines = run_lint(FIXTURES / "clean")
         self.assertEqual(code, 0, f"clean fixture not clean: {lines}")
@@ -110,7 +114,8 @@ class FixtureTest(unittest.TestCase):
             buf.getvalue().split(),
             ["throw-not-assert", "kkeybits-binding", "metric-docs",
              "include-hygiene", "simd-isolation", "mutex-wrapper",
-             "mo-rationale", "lock-order-doc", "byte-codec"])
+             "mo-rationale", "lock-order-doc", "byte-codec",
+             "interval-cutter"])
 
     def test_missing_root_is_a_usage_error(self):
         code, _ = run_lint(REPO_ROOT / "tests" / "tooling" / "no-such-dir")
