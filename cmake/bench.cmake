@@ -53,25 +53,3 @@ scd_add_bench(bench_ext_scan_detection)
 scd_add_bench(bench_obs_overhead)
 scd_add_bench(bench_parallel_ingest)
 
-# The compiled-out overhead baseline: rebuild the core pipeline translation
-# units with SCD_OBS_ENABLED=0 so instrumentation vanishes from the binary,
-# then link the bench against that library INSTEAD of scd_core (linking both
-# would collide on the pipeline symbols, so no scd_bench_support either).
-add_library(scd_core_noobs STATIC
-  ${CMAKE_SOURCE_DIR}/src/core/multi_resolution.cpp
-  ${CMAKE_SOURCE_DIR}/src/core/pipeline.cpp
-)
-target_compile_definitions(scd_core_noobs PRIVATE SCD_OBS_ENABLED=0)
-target_link_libraries(scd_core_noobs PUBLIC
-  scd_detect scd_forecast scd_gridsearch scd_sketch scd_traffic scd_obs
-  scd_common)
-
-add_executable(bench_obs_overhead_compiledout
-  ${CMAKE_SOURCE_DIR}/bench/bench_obs_overhead_compiledout.cpp)
-# The bench TU itself also compiles with obs off so its static_assert can
-# prove the span macros followed SCD_OBS_ENABLED out of the build.
-target_compile_definitions(bench_obs_overhead_compiledout
-  PRIVATE SCD_OBS_ENABLED=0)
-target_link_libraries(bench_obs_overhead_compiledout PRIVATE scd_core_noobs)
-set_target_properties(bench_obs_overhead_compiledout PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -73,6 +73,15 @@ THIS codebase's contracts, not C++ in general:
                      in core/interval_cutter.h. Every front end binning
                      records through it is what keeps their intervals equal.
 
+  stage-timer        src/ code times a stage with obs::ScopedTimer, whose
+                     one clock reading feeds the stage's slot, histogram and
+                     span: common::Stopwatch outside src/common/ and
+                     src/obs/ is the signature of a second measurement of
+                     the same stage. The deleted compile-time observability
+                     switches (SCD_OBS_ENABLED, SCD_TRACE_ENABLED,
+                     SCD_OBS_ONLY) may not reappear anywhere under src/; the
+                     one off switch is at runtime.
+
 Waivers: append `// scd-lint: allow(<rule>)` to the offending line (or the
 line directly above it); `// scd-lint: allow-file(<rule>)` within the first
 30 lines of a file waives the rule for the whole file.
@@ -149,7 +158,7 @@ INCLUDE_CANON = [
 ALL_RULES = ("throw-not-assert", "kkeybits-binding", "metric-docs",
              "include-hygiene", "simd-isolation", "mutex-wrapper",
              "mo-rationale", "lock-order-doc", "byte-codec",
-             "interval-cutter")
+             "interval-cutter", "stage-timer")
 
 # ---- byte-codec ----
 # A shift by a multiple of a loop index: `v >> (8 * i)`, `b << (i * 8)`.
@@ -169,6 +178,12 @@ CUTTER_SIGNATURES = [
      "hand-rolled gap-close loop"),
 ]
 INTERVAL_CUTTER_HOME = "src/core/interval_cutter.h"
+
+# ---- stage-timer ----
+OBS_BUILD_SWITCH = re.compile(
+    r"\bSCD_(?:OBS_ENABLED|TRACE_ENABLED|OBS_ONLY)\b")
+STOPWATCH_USE = re.compile(r"\bcommon\s*::\s*Stopwatch\b")
+STOPWATCH_HOMES = ("src/common/", "src/obs/")
 
 # ---- mutex-wrapper ----
 # The raw synchronization vocabulary that bypasses the annotated wrappers.
@@ -614,6 +629,38 @@ def check_interval_cutter(root: Path, src_files: list[Path]) -> list[Violation]:
 
 
 # --------------------------------------------------------------------------
+# stage-timer
+# --------------------------------------------------------------------------
+
+def check_stage_timer(root: Path, src_files: list[Path]) -> list[Violation]:
+    violations = []
+    for path in src_files:
+        rel = path.relative_to(root).as_posix()
+        raw = path.read_text()
+        lines = raw.splitlines()
+        if file_waived(lines, "stage-timer"):
+            continue
+        # The switch is flagged in comments too: a comment promising a
+        # compile-time off switch describes a build that no longer exists.
+        findings = [(m, raw, "compile-time observability switch; the one "
+                     "off switch is PipelineConfig::metrics (and its "
+                     "siblings) at runtime")
+                    for m in OBS_BUILD_SWITCH.finditer(raw)]
+        if not rel.startswith(STOPWATCH_HOMES):
+            text = strip_comments_and_strings(raw)
+            findings += [(m, text, "second clock on a stage; time it with "
+                          "obs::ScopedTimer (obs/scoped_timer.h), whose one "
+                          "reading feeds the slot, histogram and span")
+                         for m in STOPWATCH_USE.finditer(text)]
+        for m, text, message in findings:
+            lineno = line_of(text, m.start())
+            if waived(lines, lineno, "stage-timer"):
+                continue
+            violations.append(Violation(rel, lineno, "stage-timer", message))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # mo-rationale
 # --------------------------------------------------------------------------
 
@@ -766,6 +813,7 @@ def main(argv: list[str]) -> int:
     violations += check_lock_order_doc(root, src_files)
     violations += check_byte_codec(root, src_files)
     violations += check_interval_cutter(root, src_files)
+    violations += check_stage_timer(root, src_files)
 
     for v in violations:
         print(v)

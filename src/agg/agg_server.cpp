@@ -32,12 +32,10 @@ class AggServer::Impl {
     // through the core would touch guarded state without the lock — the
     // annotation-surfaced bug this cache fixes.
     fingerprint_ = state_.core.config_fingerprint();
-#if SCD_OBS_ENABLED
     if (state_.core.config().pipeline.metrics) {
       agg_metrics_ = &AggInstruments::global();
       net_metrics_ = &net::NetInstruments::global();
     }
-#endif
   }
 
   ~Impl() { stop(); }

@@ -62,9 +62,7 @@ class Aggregator::Impl {
     // the first contribution does not pay for it.
     (void)registry_.tabulation(config_.pipeline.seed, config_.pipeline.h);
     fingerprint_ = core::config_fingerprint(config_.pipeline);
-#if SCD_OBS_ENABLED
     if (config_.pipeline.metrics) instruments_ = &AggInstruments::global();
-#endif
   }
 
   SubmitResult submit(std::uint64_t node_id, std::uint64_t interval_index,

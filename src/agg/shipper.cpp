@@ -138,18 +138,14 @@ net::Frame Shipper::send_and_await(net::MessageType type,
   header.config_fingerprint = fingerprint_;
   const std::vector<std::uint8_t> bytes = net::encode_frame(header, payload);
   sock_.send_all(bytes);
-#if SCD_OBS_ENABLED
   if (pipeline_.metrics) {
     net::NetInstruments::global().frames_sent.inc();
     net::NetInstruments::global().bytes_sent.inc(bytes.size());
   }
-#endif
   std::uint8_t buf[4096];
   for (;;) {
     if (std::optional<net::Frame> frame = reader_.next()) {
-#if SCD_OBS_ENABLED
       if (pipeline_.metrics) net::NetInstruments::global().frames_received.inc();
-#endif
       return *std::move(frame);
     }
     const std::size_t n = sock_.recv_some(buf, sizeof(buf));
@@ -158,9 +154,7 @@ net::Frame Shipper::send_and_await(net::MessageType type,
                            "aggregator closed the connection while a reply "
                            "was pending");
     }
-#if SCD_OBS_ENABLED
     if (pipeline_.metrics) net::NetInstruments::global().bytes_received.inc(n);
-#endif
     reader_.feed({buf, n});
   }
 }

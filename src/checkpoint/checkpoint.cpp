@@ -13,12 +13,11 @@
 #include "common/atomic_file.h"
 #include "common/frame.h"
 #include "common/logging.h"
-#include "common/timer.h"
 #include "core/pipeline.h"
 #include "ingest/parallel_pipeline.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/scoped_timer.h"
 #include "sketch/serialize.h"
 
 namespace scd::checkpoint {
@@ -305,12 +304,12 @@ bool CheckpointWriter::due(std::size_t intervals_closed) const noexcept {
 std::filesystem::path CheckpointWriter::write(
     PayloadKind kind, std::uint64_t interval_index,
     const std::vector<std::uint8_t>& state) {
-  SCD_TRACE_SPAN_ARG("checkpoint_write", "checkpoint", interval_index);
-  const common::Stopwatch watch;
-#if SCD_OBS_ENABLED
+  // Only a durable write is observed; a failed one still ends its span.
+  double write_s = 0.0;
+  obs::ScopedTimer timer(nullptr, &write_s, "checkpoint_write", "checkpoint",
+                         interval_index);
   CheckpointInstruments* obs =
       options_.metrics ? &CheckpointInstruments::global() : nullptr;
-#endif
   const std::filesystem::path final_path =
       options_.directory / checkpoint_filename(interval_index);
   const std::filesystem::path temp_path =
@@ -323,9 +322,7 @@ std::filesystem::path CheckpointWriter::write(
   } catch (const std::exception& e) {
     // Leave no temp file behind; the previous checkpoints are untouched.
     ops_->remove_file(temp_path);
-#if SCD_OBS_ENABLED
     if (obs != nullptr) obs->write_failures.inc();
-#endif
     // A failing checkpoint is exactly when the recent past matters: capture
     // it before rethrowing (the dump itself runs on the recorder's thread).
     obs::FlightRecorder::notify_checkpoint_error("checkpoint write",
@@ -333,20 +330,16 @@ std::filesystem::path CheckpointWriter::write(
     throw;
   } catch (...) {
     ops_->remove_file(temp_path);
-#if SCD_OBS_ENABLED
     if (obs != nullptr) obs->write_failures.inc();
-#endif
     throw;
   }
   prune();
-#if SCD_OBS_ENABLED
   if (obs != nullptr) {
     obs->snapshots.inc();
     obs->snapshot_bytes.inc(framed.size());
     obs->last_snapshot_bytes.set(static_cast<double>(framed.size()));
-    obs->snapshot_seconds.observe(watch.seconds());
+    obs->snapshot_seconds.observe(timer.stop());
   }
-#endif
   return final_path;
 }
 
@@ -430,12 +423,8 @@ RecoverResult recover_scan(const std::filesystem::path& directory,
                            std::uint64_t expected_fingerprint, bool metrics,
                            TryRestore&& try_restore) {
   RecoverResult result;
-#if SCD_OBS_ENABLED
   CheckpointInstruments* obs =
       metrics ? &CheckpointInstruments::global() : nullptr;
-#else
-  (void)metrics;
-#endif
   for (const std::filesystem::path& path : list_checkpoints(directory)) {
     try {
       const CheckpointFrame parsed = decode_checkpoint_frame(read_file(path));
@@ -460,9 +449,7 @@ RecoverResult recover_scan(const std::filesystem::path& directory,
       result.restored = true;
       result.path = path;
       result.interval_index = parsed.interval_index;
-#if SCD_OBS_ENABLED
       if (obs != nullptr) obs->restores.inc();
-#endif
       return result;
     } catch (const CheckpointError& e) {
       if (e.checkpoint_kind() == CheckpointErrorKind::kConfigMismatch) throw;
@@ -474,9 +461,7 @@ RecoverResult recover_scan(const std::filesystem::path& directory,
       SCD_WARN() << "recover: skipping " << path.string() << ": " << e.what();
     }
     ++result.skipped;
-#if SCD_OBS_ENABLED
     if (obs != nullptr) obs->restore_skipped.inc();
-#endif
   }
   return result;
 }

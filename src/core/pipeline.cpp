@@ -14,7 +14,6 @@
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/timer.h"
 #include "core/interval_cutter.h"
 #include "detect/detection.h"
 #include "detect/provenance.h"
@@ -144,8 +143,8 @@ std::uint64_t config_fingerprint(const PipelineConfig& config) noexcept {
 
 namespace {
 
-// One in every 2^kUpdateSampleShift add() calls is stopwatch-timed into the
-// sketch_update stage histogram. Timing every record would cost two clock
+// One in every 64 add() calls is timed into the sketch_update stage
+// histogram. Timing every record would cost two clock
 // reads (~40 ns) against a ~30 ns UPDATE; sampling amortizes that to well
 // under 1 ns per record while the histogram still converges quickly.
 constexpr std::uint64_t kUpdateSampleMask = 63;
@@ -386,12 +385,7 @@ class EngineBase {
 
 [[nodiscard]] obs::PipelineInstruments* instruments_for(
     const PipelineConfig& config) {
-#if SCD_OBS_ENABLED
-  if (config.metrics) return &obs::PipelineInstruments::global();
-#else
-  (void)config;
-#endif
-  return nullptr;
+  return config.metrics ? &obs::PipelineInstruments::global() : nullptr;
 }
 
 /// The pipeline engine, generic over the observed sketch type. SketchT
@@ -427,11 +421,9 @@ class Engine final : public EngineBase {
         cutter_(config, obs_ != nullptr ? &obs_->out_of_order : nullptr) {
     // The single place sketch memory is accounted (the table never resizes).
     stats_.sketch_bytes = observed_.table_bytes();
-#if SCD_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->sketch_bytes.set(static_cast<double>(stats_.sketch_bytes));
     }
-#endif
     if constexpr (kRecovers) previous_.emplace(family_, config.k);
     rebuild_runner();
   }
@@ -442,26 +434,20 @@ class Engine final : public EngineBase {
           "ChangeDetectionPipeline: update must be finite");
     }
     cutter_.place(time_s, [this] { close_interval(); });
-    // The records counter is batched into close_interval(): one shared
-    // fetch_add per interval instead of one per record keeps this path free
-    // of cross-core traffic (a per-record inc alone costs ~5% throughput).
-#if SCD_OBS_ENABLED
-    if (obs_ != nullptr) {
-      if ((stats_.records & kUpdateSampleMask) == 0) {
-        obs::ScopedTimer timer(&obs_->stage_sketch_update,
-                               &stats_.update_seconds);
-        observed_.update(key, update);
-        ++stats_.update_samples;
-      } else {
-        observed_.update(key, update);
-      }
+    // Records are counted by the cutter and published once per interval:
+    // one shared fetch_add per close instead of one per record keeps this
+    // path free of cross-core traffic (a per-record inc alone costs ~5%
+    // throughput). Records fed before this one: the closed intervals' plus
+    // the open one's, less this record.
+    const std::uint64_t fed = stats_.records + cutter_.position().records - 1;
+    if (obs_ != nullptr && (fed & kUpdateSampleMask) == 0) {
+      obs::ScopedTimer timer(&obs_->stage_sketch_update,
+                             &stats_.update_seconds);
+      observed_.update(key, update);
+      ++stats_.update_samples;
     } else {
       observed_.update(key, update);
     }
-#else
-    observed_.update(key, update);
-#endif
-    ++stats_.records;
     // Sketch-recovery engines never keep keys — that absence is the mode's
     // whole point (no per-interval key state, no second pass).
     if constexpr (!kRecovers) {
@@ -508,7 +494,6 @@ class Engine final : public EngineBase {
     if constexpr (!kRecovers) {
       keys_.insert(batch.keys.begin(), batch.keys.end());
     }
-    stats_.records += batch.records;
     close_interval();
   }
 
@@ -517,7 +502,9 @@ class Engine final : public EngineBase {
     if (pending_.has_value()) {
       // kNextInterval: the last error sketch never sees future keys; emit an
       // empty-detection report so the interval is still accounted for.
-      emit_pending({});
+      IntervalReport report = take_pending({});
+      publish();
+      emit_(std::move(report));
     }
   }
 
@@ -528,6 +515,7 @@ class Engine final : public EngineBase {
 
   [[nodiscard]] PipelineStats stats() const noexcept override {
     PipelineStats stats = stats_;  // sketch_bytes is fixed at construction
+    stats.records += cutter_.position().records;  // the open interval's
     stats.out_of_order_records = cutter_.position().out_of_order;
     return stats;
   }
@@ -665,6 +653,7 @@ class Engine final : public EngineBase {
     read_rng(in, sample_rng_);
     read_rng(in, cutter_.length_rng());
     stats_ = PipelineStats{};
+    tally_ = obs::IntervalTally{};
     stats_.records = in.u64();
     stats_.intervals_closed = static_cast<std::size_t>(in.u64());
     stats_.alarms = static_cast<std::size_t>(in.u64());
@@ -751,88 +740,76 @@ class Engine final : public EngineBase {
 
   void close_interval() {
     const IntervalCutter::Position& clock = cutter_.position();
-    SCD_TRACE_SPAN_ARG("interval_close", "core", clock.records);
-    const common::Stopwatch close_watch;
     IntervalReport report;
     report.index = static_cast<std::size_t>(clock.index);
     report.start_s = clock.start_s;
     report.end_s = clock.end_s();
     report.records = clock.records;
+    // kNextInterval: the previous interval's report, swept with this
+    // interval's keys; this interval's report is parked until the next close.
+    std::optional<IntervalReport> previous;
+    bool parked = false;
 
-    if (config_.randomize_intervals) {
-      // Normalize to per-nominal-interval volume so intervals of different
-      // lengths are comparable (§6; sketch linearity makes this a scale).
-      observed_.scale(config_.interval_s / clock.len_s);
-    }
-
-    if (config_.refit_every > 0) {
-      history_.push_back(counters_of(observed_));
-      if (history_.size() > config_.refit_window) history_.pop_front();
-    }
-
-#if SCD_OBS_ENABLED
-    if (obs_ != nullptr) {
-      obs_->records.inc(clock.records);  // batched from add()
-      obs_->replay_buffer_keys.set(static_cast<double>(keys_.size()));
-    }
-    std::optional<typename forecast::ForecastRunner<Counters>::Step> step;
+    double close_s = 0.0;
     {
-      obs::ScopedTimer timer(obs_ != nullptr ? &obs_->stage_forecast : nullptr,
-                             &report.timings.forecast_s);
-      SCD_TRACE_SPAN("forecast_step", "core");
-      step = runner_->step(counters_of(observed_));
-    }
-    stats_.forecast_seconds += report.timings.forecast_s;
-#else
-    const auto step = runner_->step(counters_of(observed_));
-#endif
-
-    if (config_.replay == KeyReplayMode::kNextInterval) {
-      // This interval's keys detect the *previous* interval's changes.
-      if (pending_.has_value()) {
-        emit_pending(std::vector<std::uint64_t>(keys_.begin(), keys_.end()));
+      obs::ScopedTimer close_timer(nullptr, &close_s, "interval_close", "core",
+                                   clock.records);
+      if (config_.randomize_intervals) {
+        // Normalize to per-nominal-interval volume so intervals of different
+        // lengths are comparable (§6; sketch linearity makes this a scale).
+        observed_.scale(config_.interval_s / clock.len_s);
       }
-      if (step.has_value()) {
-        Pending p{std::move(step->error), std::move(step->forecast), 0.0,
-                  std::move(report)};
-        p.est_f2 = timed_estimate_f2(p.error, p.report.timings);
-        p.report.detection_ran = true;
-        p.report.timings.close_s = close_watch.seconds();
-        mark_detection_ran();
-        pending_.emplace(std::move(p));
-      } else {
-        report.timings.close_s = close_watch.seconds();
-        emit_(std::move(report));
+
+      if (config_.refit_every > 0) {
+        history_.push_back(counters_of(observed_));
+        if (history_.size() > config_.refit_window) history_.pop_front();
       }
-    } else {
-      if (step.has_value()) {
-        report.detection_ran = true;
-        mark_detection_ran();
-        const double est_f2 = timed_estimate_f2(step->error, report.timings);
-        fill_detection(step->error, &step->forecast, est_f2,
-                       std::vector<std::uint64_t>(keys_.begin(), keys_.end()),
-                       report);
+
+      tally_.records += clock.records;
+      ++tally_.intervals_closed;
+      tally_.replay_buffer_keys = static_cast<double>(keys_.size());
+      std::optional<typename forecast::ForecastRunner<Counters>::Step> step;
+      {
+        obs::ScopedTimer timer(nullptr, &report.timings.forecast_s,
+                               "forecast_step", "core");
+        step = runner_->step(counters_of(observed_));
       }
-      report.timings.close_s = close_watch.seconds();
-      emit_(std::move(report));
+
+      if (config_.replay == KeyReplayMode::kNextInterval) {
+        // This interval's keys detect the *previous* interval's changes.
+        if (pending_.has_value()) {
+          previous = take_pending(
+              std::vector<std::uint64_t>(keys_.begin(), keys_.end()));
+        }
+        if (step.has_value()) {
+          Pending p{std::move(step->error), std::move(step->forecast), 0.0,
+                    std::move(report)};
+          p.est_f2 = timed_estimate_f2(p.error, p.report);
+          pending_.emplace(std::move(p));
+          parked = true;
+        }
+      } else if (step.has_value()) {
+        const double est_f2 = timed_estimate_f2(step->error, report);
+        sweep(step->error, &step->forecast, est_f2,
+              std::vector<std::uint64_t>(keys_.begin(), keys_.end()), report);
+      }
+
+      // Keep this interval's votes for the next detection, reusing the older
+      // table as the new open interval.
+      if constexpr (kRecovers) std::swap(observed_, *previous_);
+      observed_.set_zero();
+      keys_.clear();
+      cutter_.next();
     }
 
-    // Keep this interval's votes for the next detection, reusing the older
-    // table as the new open interval.
-    if constexpr (kRecovers) std::swap(observed_, *previous_);
-    observed_.set_zero();
-    keys_.clear();
-    cutter_.next();
-    ++stats_.intervals_closed;
-
-    const double close_s = close_watch.seconds();
-    stats_.close_seconds += close_s;
-#if SCD_OBS_ENABLED
-    if (obs_ != nullptr) {
-      obs_->intervals_closed.inc();
-      obs_->stage_interval_close.observe(close_s);
-    }
-#endif
+    StageTimings& timings = parked ? pending_->report.timings : report.timings;
+    timings.close_s = close_s;
+    tally_.timings.close_s = close_s;
+    tally_.timings.forecast_s = timings.forecast_s;
+    tally_.timings.estimate_f2_s = timings.estimate_f2_s;
+    publish();
+    if (previous.has_value()) emit_(std::move(*previous));
+    if (!parked) emit_(std::move(report));
 
     maybe_refit();
 
@@ -843,48 +820,51 @@ class Engine final : public EngineBase {
     if (on_interval_close_) on_interval_close_(stats_.intervals_closed);
   }
 
-  void mark_detection_ran() noexcept {
-#if SCD_OBS_ENABLED
-    if (obs_ != nullptr) obs_->detections.inc();
-#endif
+  /// Hands everything tallied since the last publish to the stats and, when
+  /// metrics are on, to the shared instruments.
+  void publish() {
+    obs::publish(obs_, stats_, tally_);
+    tally_ = obs::IntervalTally{};
   }
 
   /// ESTIMATEF2(S_e) under the estimate_f2 stage timer; the timing lands in
   /// the report that will eventually carry this detection.
   [[nodiscard]] double timed_estimate_f2(const Counters& error,
-                                         StageTimings& timings) {
-    SCD_TRACE_SPAN("estimate_f2", "core");
-#if SCD_OBS_ENABLED
-    double elapsed = 0.0;
-    double est_f2 = 0.0;
-    {
-      obs::ScopedTimer timer(
-          obs_ != nullptr ? &obs_->stage_estimate_f2 : nullptr, &elapsed);
-      est_f2 = error.estimate_f2();
-    }
-    timings.estimate_f2_s += elapsed;
-    stats_.estimate_f2_seconds += elapsed;
-    return est_f2;
-#else
-    (void)timings;
+                                         IntervalReport& report) {
+    obs::ScopedTimer timer(nullptr, &report.timings.estimate_f2_s,
+                           "estimate_f2", "core");
+    report.detection_ran = true;
+    ++tally_.detections;
     return error.estimate_f2();
-#endif
   }
 
-  void emit_pending(const std::vector<std::uint64_t>& keys) {
+  /// Runs the deferred detection of the parked report with `keys`.
+  [[nodiscard]] IntervalReport take_pending(
+      const std::vector<std::uint64_t>& keys) {
     Pending p = std::move(*pending_);
     pending_.reset();
-    fill_detection(p.error, &p.forecast, p.est_f2, keys, p.report);
-    emit_(std::move(p.report));
+    sweep(p.error, &p.forecast, p.est_f2, keys, p.report);
+    return std::move(p.report);
+  }
+
+  /// The detection sweep under the key_replay stage timer.
+  void sweep(const Counters& error, const Counters* forecast, double est_f2,
+             const std::vector<std::uint64_t>& keys, IntervalReport& report) {
+    {
+      obs::ScopedTimer timer(nullptr, &report.timings.key_replay_s,
+                             "detection_sweep", "core", keys.size());
+      fill_detection(error, forecast, est_f2, keys, report);
+    }
+    ++tally_.sweeps;
+    tally_.timings.key_replay_s = report.timings.key_replay_s;
   }
 
   void fill_detection(const Counters& error, const Counters* forecast,
                       double est_f2, const std::vector<std::uint64_t>& keys,
                       IntervalReport& report) {
-    SCD_TRACE_SPAN_ARG("detection_sweep", "core", keys.size());
     report.keys_checked = keys.size();
     report.estimated_error_f2 = est_f2;
-    if constexpr (!kRecovers) stats_.keys_replayed += keys.size();
+    if constexpr (!kRecovers) tally_.keys_replayed += keys.size();
     // Threshold anchor: this interval's F2, or the smoothed history (which
     // a large in-progress change cannot inflate).
     double anchor_f2 = std::max(est_f2, 0.0);
@@ -898,19 +878,9 @@ class Engine final : public EngineBase {
     }
     const double l2 = std::sqrt(anchor_f2);
     report.alarm_threshold = config_.threshold * l2;
-#if SCD_OBS_ENABLED
-    if (obs_ != nullptr) {
-      if constexpr (!kRecovers) obs_->keys_replayed.inc(keys.size());
-      obs_->last_error_l2.set(std::sqrt(std::max(est_f2, 0.0)));
-      obs_->last_alarm_threshold.set(report.alarm_threshold);
-    }
-#endif
+    tally_.last_error_l2 = std::sqrt(std::max(est_f2, 0.0));
+    tally_.last_alarm_threshold = report.alarm_threshold;
     if (l2 <= 0.0) return;  // degenerate error signal: nothing to flag
-#if SCD_OBS_ENABLED
-    obs::ScopedTimer replay_timer(
-        obs_ != nullptr ? &obs_->stage_key_replay : nullptr,
-        &report.timings.key_replay_s);
-#endif
     std::vector<detect::KeyError> ranked;
     if constexpr (kRecovers) {
       // Replay-free path: every error bucket at or above the cut contributes
@@ -927,19 +897,13 @@ class Engine final : public EngineBase {
       const auto recovered =
           sketch::recover_heavy_keys<Family>(error, cut, sources, &swept);
       report.keys_checked = recovered.size();
-      stats_.recovery_candidates += swept;
-      stats_.keys_recovered += recovered.size();
+      tally_.recovery_candidates += swept;
+      tally_.keys_recovered += recovered.size();
+      tally_.recovered = true;
       ranked.reserve(recovered.size());
       for (const sketch::RecoveredHeavyKey& r : recovered) {
         ranked.push_back(detect::KeyError{r.key, r.value});
       }
-#if SCD_OBS_ENABLED
-      if (obs_ != nullptr) {
-        obs_->recovery_candidates.inc(swept);
-        obs_->recovery_keys.inc(recovered.size());
-        obs_->recovery_last_keys.set(static_cast<double>(recovered.size()));
-      }
-#endif
     } else {
       ranked = detect::rank_by_abs_error(
           keys, [&error](std::uint64_t key) { return error.estimate(key); });
@@ -960,10 +924,7 @@ class Engine final : public EngineBase {
         if (streak >= config_.min_consecutive) persistent.push_back(e);
       }
       const std::size_t suppressed = flagged.size() - persistent.size();
-      stats_.hysteresis_suppressed += suppressed;
-#if SCD_OBS_ENABLED
-      if (obs_ != nullptr) obs_->hysteresis_suppressed.inc(suppressed);
-#endif
+      tally_.hysteresis_suppressed += suppressed;
       alarm_streaks_ = std::move(streaks);  // keys not flagged reset to 0
       flagged = persistent;
     }
@@ -972,19 +933,13 @@ class Engine final : public EngineBase {
                                     config_.max_alarms_per_interval));
     report.alarms = detect::make_alarms(capped, report.index,
                                         report.alarm_threshold);
-    stats_.alarms += report.alarms.size();
+    std::size_t& alarms = config_.criterion == DetectionCriterion::kTopN
+                              ? tally_.alarms_topn
+                              : tally_.alarms_threshold;
+    alarms += report.alarms.size();
     if (on_provenance_ && forecast != nullptr) {
       emit_provenance(error, *forecast, est_f2, report);
     }
-#if SCD_OBS_ENABLED
-    replay_timer.stop();
-    stats_.key_replay_seconds += report.timings.key_replay_s;
-    if (obs_ != nullptr) {
-      (config_.criterion == DetectionCriterion::kTopN ? obs_->alarms_topn
-                                                      : obs_->alarms_threshold)
-          .inc(report.alarms.size());
-    }
-#endif
   }
 
   /// One provenance record per alarm: per-row evidence re-read from the
@@ -1028,13 +983,12 @@ class Engine final : public EngineBase {
     if (config_.refit_every == 0 || closed == 0) return;
     if (closed % config_.refit_every != 0) return;
     if (history_.size() < 4) return;  // not enough signal to fit
-    SCD_TRACE_SPAN("refit", "core");
-#if SCD_OBS_ENABLED
-    obs::ScopedTimer refit_timer(
-        obs_ != nullptr ? &obs_->stage_refit : nullptr,
-        &stats_.refit_seconds);
-    if (obs_ != nullptr) obs_->refits.inc();
-#endif
+    refit();
+    publish();
+  }
+
+  void refit() {
+    obs::ScopedTimer timer(nullptr, &tally_.refit_s, "refit", "core");
     const Counters prototype(family_, config_.k);
     const gridsearch::Objective objective =
         [this, &prototype](const forecast::ModelConfig& candidate) {
@@ -1052,7 +1006,7 @@ class Engine final : public EngineBase {
     const auto result =
         gridsearch::grid_search(active_model_.kind, objective, options);
     active_model_ = result.best;
-    ++stats_.refits;
+    ++tally_.refits;
     // Swap in the re-fitted model, warmed with the retained history.
     rebuild_runner();
     for (const Counters& obs : history_) (void)runner_->step(obs);
@@ -1060,8 +1014,7 @@ class Engine final : public EngineBase {
 
   PipelineConfig config_;
   Emit emit_;
-  /// Shared process-wide instruments; null when config.metrics is false or
-  /// the library was built with SCD_OBS_ENABLED=0.
+  /// Shared process-wide instruments; null when config.metrics is false.
   obs::PipelineInstruments* obs_;
   std::shared_ptr<const Family> family_;
   Sketch observed_;
@@ -1082,7 +1035,10 @@ class Engine final : public EngineBase {
   bool have_smoothed_f2_ = false;
   std::optional<Pending> pending_;
   std::deque<Counters> history_;
+  /// Totals of everything published. records excludes the open interval,
+  /// which the cutter counts until its close.
   PipelineStats stats_;
+  obs::IntervalTally tally_;  // what happened since the last publish()
   std::function<void(std::size_t)> on_interval_close_;
   std::function<void(const detect::AlarmProvenance&)> on_provenance_;
   std::uint64_t fingerprint_ = 0;  // set with the provenance callback

@@ -27,6 +27,7 @@
 #include "detect/alarm.h"
 #include "detect/provenance.h"
 #include "forecast/model_config.h"
+#include "obs/pipeline_metrics.h"
 #include "traffic/flow_record.h"
 #include "traffic/key_extract.h"
 
@@ -108,9 +109,9 @@ struct PipelineConfig {
   std::size_t refit_window = 24;         // history intervals for re-fitting
   /// Feed the process-wide observability instruments (src/obs): per-stage
   /// latency histograms, counters, and gauges. The per-record cost is one
-  /// sampled (1/64) stopwatch read — counters are batched and flushed to
-  /// the shared registry at interval close, so the registry's records
-  /// counter advances at interval granularity. Set to false for
+  /// sampled (1/64) stage timer — counters are published to the shared
+  /// registry once per interval close, so the registry's records counter
+  /// advances at interval granularity. Set to false for
   /// micro-benchmarks that must not touch shared state.
   bool metrics = true;
 
@@ -126,49 +127,10 @@ struct PipelineConfig {
 [[nodiscard]] std::uint64_t config_fingerprint(
     const PipelineConfig& config) noexcept;
 
-/// Wall-clock breakdown of one interval close, in seconds. forecast_s,
-/// estimate_f2_s and key_replay_s are sub-spans of close_s; in kNextInterval
-/// replay mode the detection spans are measured when the deferred detection
-/// actually runs (one interval later).
-struct StageTimings {
-  double close_s = 0.0;        // whole close_interval (excl. deferred parts)
-  double forecast_s = 0.0;     // forecasting-module step (S_f, S_e)
-  double estimate_f2_s = 0.0;  // ESTIMATEF2(S_e) + threshold computation
-  double key_replay_s = 0.0;   // per-key ESTIMATE + ranking + hysteresis
-};
-
-/// Lifetime counters for capacity planning and monitoring.
-struct PipelineStats {
-  std::uint64_t records = 0;        // items fed
-  std::size_t intervals_closed = 0;
-  std::size_t alarms = 0;
-  std::size_t refits = 0;           // online re-fits performed
-  std::size_t sketch_bytes = 0;     // register memory of one sketch (H*K*8)
-  std::uint64_t keys_replayed = 0;  // candidate keys run through ESTIMATE
-  /// Sketch-recovery modes only: candidate keys swept out of the error
-  /// sketch's buckets (pre-verification) and keys that survived the median
-  /// verification. keys_replayed stays 0 in these modes — that zero is the
-  /// "no replay pass" evidence the online monitor prints.
-  std::uint64_t recovery_candidates = 0;
-  std::uint64_t keys_recovered = 0;
-  std::uint64_t hysteresis_suppressed = 0;  // withheld by min_consecutive
-  /// Records whose timestamp regressed below the stream's high-water mark.
-  /// Such records are clamped into the open interval (never mis-binned into
-  /// a past one) and counted here rather than rejected — one late NetFlow
-  /// export must not abort a live feed.
-  std::uint64_t out_of_order_records = 0;
-
-  // Cumulative stage budget (seconds). update_seconds covers only the
-  // sampled (1 in 64) add() calls that were timed; scale by
-  // records / update_samples for a whole-stream estimate.
-  double update_seconds = 0.0;
-  std::uint64_t update_samples = 0;
-  double close_seconds = 0.0;
-  double forecast_seconds = 0.0;
-  double estimate_f2_seconds = 0.0;
-  double key_replay_seconds = 0.0;
-  double refit_seconds = 0.0;
-};
+/// The per-interval stage record and the lifetime totals live beside the
+/// instruments they are published to (obs/pipeline_metrics.h).
+using StageTimings = obs::StageTimings;
+using PipelineStats = obs::PipelineStats;
 
 /// One pre-aggregated interval produced by an external ingestion front-end
 /// (src/ingest): the COMBINE-merged register table of the observed sketch,

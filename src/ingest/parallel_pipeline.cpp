@@ -40,12 +40,8 @@ constexpr std::uint64_t kFrontendStateVersion = 1;
 /// end's cutter feeds the same scd_pipeline_out_of_order_total.
 [[nodiscard]] obs::Counter* out_of_order_metric(
     const core::PipelineConfig& config) {
-#if SCD_OBS_ENABLED
-  if (config.metrics) return &obs::PipelineInstruments::global().out_of_order;
-#else
-  (void)config;
-#endif
-  return nullptr;
+  return config.metrics ? &obs::PipelineInstruments::global().out_of_order
+                        : nullptr;
 }
 
 }  // namespace
@@ -87,12 +83,10 @@ class ParallelPipeline::Impl {
         serial_(config_),  // validates config_ and owns forecast/detect
         cutter_(config_, out_of_order_metric(config_)) {
     parallel_.validate(config_);
-#if SCD_OBS_ENABLED
     if (config_.metrics) {
       instruments_ = std::make_unique<IngestInstruments>(IngestInstruments::
           create(obs::MetricsRegistry::global(), parallel_.workers));
     }
-#endif
     const std::size_t queue_chunks = std::max<std::size_t>(
         1, parallel_.queue_capacity / parallel_.batch_size);
     // Shard-set dispatch mirrors the serial engine's (recovery mode, key

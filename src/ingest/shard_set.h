@@ -53,10 +53,10 @@
 #include "common/mutex.h"
 #include "common/numa.h"
 #include "common/thread_annotations.h"
-#include "common/timer.h"
 #include "core/pipeline.h"
 #include "ingest/bounded_queue.h"
 #include "ingest/ingest_metrics.h"
+#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "sketch/kary_sketch.h"
 
@@ -335,8 +335,9 @@ class ShardSet final : public ShardSetBase {
   /// with no lock held — the handoffs were moved out under epoch_mutex_.
   [[nodiscard]] core::IntervalBatch merge_epoch(
       std::vector<EpochHandoff> handoffs) SCD_EXCLUDES(epoch_mutex_) {
-    SCD_TRACE_SPAN("barrier_combine", "ingest");
-    const common::Stopwatch merge_watch;
+    obs::ScopedTimer timer(
+        instruments_ != nullptr ? &instruments_->merge_seconds : nullptr,
+        nullptr, "barrier_combine", "ingest");
     // COMBINE(1, S_0, ..., 1, S_{W-1}) in shard order — fixed order keeps
     // the merged registers bit-identical run to run.
     std::vector<const Sketch*> parts;
@@ -359,9 +360,6 @@ class ShardSet final : public ShardSetBase {
                         handoff.keys.end());
     }
     recycle_sketches(std::move(handoffs));
-    if (instruments_ != nullptr) {
-      instruments_->merge_seconds.observe(merge_watch.seconds());
-    }
     return batch;
   }
 
@@ -470,8 +468,8 @@ class ShardSet final : public ShardSetBase {
         records = 0;
         continue;
       }
-      const common::Stopwatch apply_watch;
-      SCD_TRACE_SPAN_ARG("shard_update_batch", "ingest", msg->records.size());
+      obs::ScopedTimer timer(apply_hist, nullptr, "shard_update_batch",
+                             "ingest", msg->records.size());
       // Batched UPDATE (docs/PERFORMANCE.md): hash-batch + per-row sweep,
       // bit-identical to per-record update() on this shard's subsequence.
       sketch.update_batch(msg->records);
@@ -479,8 +477,8 @@ class ShardSet final : public ShardSetBase {
         for (const Record& r : msg->records) keys.insert(r.key);
       }
       records += msg->records.size();
+      timer.stop();
       if (apply_hist != nullptr) {
-        apply_hist->observe(apply_watch.seconds());
         instruments_->batch_size.observe(
             static_cast<double>(msg->records.size()));
         instruments_->batch_records.inc(msg->records.size());

@@ -18,9 +18,8 @@
 //     identity twice returns the same instance; the same name with different
 //     labels joins the same family (one HELP/TYPE block, many samples).
 //
-// Compile-time kill switch: building with -DSCD_OBS_ENABLED=0 turns the
-// SCD_OBS_* convenience macros into no-ops so instrumented code compiles
-// away entirely (see bench_obs_overhead for the measured difference).
+// The one off switch is at runtime (PipelineConfig::metrics and its
+// siblings): an instrument that is not wired costs a null-pointer test.
 #pragma once
 
 #include <atomic>
@@ -32,16 +31,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-
-#ifndef SCD_OBS_ENABLED
-#define SCD_OBS_ENABLED 1
-#endif
-
-#if SCD_OBS_ENABLED
-#define SCD_OBS_ONLY(...) __VA_ARGS__
-#else
-#define SCD_OBS_ONLY(...)
-#endif
 
 namespace scd::obs {
 

@@ -66,6 +66,51 @@ PipelineInstruments PipelineInstruments::create(MetricsRegistry& registry) {
   };
 }
 
+void publish(PipelineInstruments* instruments, PipelineStats& stats,
+             const IntervalTally& tally) noexcept {
+  const StageTimings& t = tally.timings;
+  stats.records += tally.records;
+  stats.intervals_closed += tally.intervals_closed;
+  stats.alarms += tally.alarms_threshold + tally.alarms_topn;
+  stats.refits += tally.refits;
+  stats.keys_replayed += tally.keys_replayed;
+  stats.recovery_candidates += tally.recovery_candidates;
+  stats.keys_recovered += tally.keys_recovered;
+  stats.hysteresis_suppressed += tally.hysteresis_suppressed;
+  stats.close_seconds += t.close_s;
+  stats.forecast_seconds += t.forecast_s;
+  stats.estimate_f2_seconds += t.estimate_f2_s;
+  stats.key_replay_seconds += t.key_replay_s;
+  stats.refit_seconds += tally.refit_s;
+  if (instruments == nullptr) return;
+  PipelineInstruments& m = *instruments;
+  m.records.inc(tally.records);
+  m.intervals_closed.inc(tally.intervals_closed);
+  m.detections.inc(tally.detections);
+  m.alarms_threshold.inc(tally.alarms_threshold);
+  m.alarms_topn.inc(tally.alarms_topn);
+  m.keys_replayed.inc(tally.keys_replayed);
+  m.recovery_candidates.inc(tally.recovery_candidates);
+  m.recovery_keys.inc(tally.keys_recovered);
+  m.hysteresis_suppressed.inc(tally.hysteresis_suppressed);
+  m.refits.inc(tally.refits);
+  if (tally.intervals_closed != 0) {
+    m.replay_buffer_keys.set(tally.replay_buffer_keys);
+    m.stage_interval_close.observe(t.close_s);
+    m.stage_forecast.observe(t.forecast_s);
+  }
+  if (tally.detections != 0) m.stage_estimate_f2.observe(t.estimate_f2_s);
+  if (tally.sweeps != 0) {
+    m.last_error_l2.set(tally.last_error_l2);
+    m.last_alarm_threshold.set(tally.last_alarm_threshold);
+    m.stage_key_replay.observe(t.key_replay_s);
+  }
+  if (tally.recovered) {
+    m.recovery_last_keys.set(static_cast<double>(tally.keys_recovered));
+  }
+  if (tally.refits != 0) m.stage_refit.observe(tally.refit_s);
+}
+
 PipelineInstruments& PipelineInstruments::global() {
   static PipelineInstruments instruments = create(MetricsRegistry::global());
   return instruments;

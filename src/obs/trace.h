@@ -19,9 +19,9 @@
 //     makes drop accounting deterministic for a quiesced ring.
 //   * Disabled tracing costs one relaxed atomic load per span site (the
 //     controller's enabled flag); timestamps are only taken when enabled.
-//   * Compile-time kill switch: SCD_TRACE_ENABLED follows SCD_OBS_ENABLED by
-//     default, so a -DSCD_OBS_ENABLED=0 build (scd_core_noobs) compiles the
-//     span macros away entirely.
+//   * A timed stage emits its span through obs::ScopedTimer, which hands the
+//     span the same clock reading it records (obs/scoped_timer.h); TraceSpan
+//     and the macros below serve scopes that are traced but not timed.
 //
 // SpanContext is the wire-serializable trace identity (24 bytes, explicit
 // little-endian): the planned distributed aggregation tier (ROADMAP open
@@ -43,10 +43,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
-
-#ifndef SCD_TRACE_ENABLED
-#define SCD_TRACE_ENABLED SCD_OBS_ENABLED
-#endif
 
 namespace scd::obs {
 
@@ -255,7 +251,6 @@ void trace_instant(const char* name, const char* category,
 
 }  // namespace scd::obs
 
-#if SCD_TRACE_ENABLED
 #define SCD_TRACE_CONCAT_IMPL(a, b) a##b
 #define SCD_TRACE_CONCAT(a, b) SCD_TRACE_CONCAT_IMPL(a, b)
 /// Traces the enclosing scope as a complete span on the global controller.
@@ -267,14 +262,3 @@ void trace_instant(const char* name, const char* category,
       (name), (category), static_cast<std::uint64_t>(arg))
 #define SCD_TRACE_INSTANT(name, category, arg) \
   ::scd::obs::trace_instant((name), (category), static_cast<std::uint64_t>(arg))
-#else
-#define SCD_TRACE_SPAN(name, category) \
-  do {                                 \
-  } while (false)
-#define SCD_TRACE_SPAN_ARG(name, category, arg) \
-  do {                                          \
-  } while (false)
-#define SCD_TRACE_INSTANT(name, category, arg) \
-  do {                                         \
-  } while (false)
-#endif

@@ -310,19 +310,22 @@ void expect_same_run(const FeedRun& expected, const FeedRun& actual,
   }
 }
 
+// gtest names each case after this struct's raw bytes; `name` comes last so
+// the leading bytes are fixed fields, not a pointer that moves with every
+// load of the test binary.
 struct Mode {
-  const char* name;
   RecoveryMode recovery;
   bool randomize_intervals;
   double key_sample_rate;
   bool sharded;  // ParallelConfig accepts the configuration
+  const char* name;
 };
 
 constexpr Mode kModes[] = {
-    {"replay", RecoveryMode::kReplay, false, 1.0, true},
-    {"invertible", RecoveryMode::kInvertible, false, 1.0, true},
-    {"randomize_intervals", RecoveryMode::kReplay, true, 1.0, false},
-    {"key_sample_rate=0.5", RecoveryMode::kReplay, false, 0.5, false},
+    {RecoveryMode::kReplay, false, 1.0, true, "replay"},
+    {RecoveryMode::kInvertible, false, 1.0, true, "invertible"},
+    {RecoveryMode::kReplay, true, 1.0, false, "randomize_intervals"},
+    {RecoveryMode::kReplay, false, 0.5, false, "key_sample_rate=0.5"},
 };
 
 class FrontEndAgreement : public ::testing::TestWithParam<Mode> {};

@@ -1,6 +1,6 @@
 // Fixture: would trip include-hygiene, kkeybits-binding, mutex-wrapper,
-// mo-rationale, lock-order-doc, byte-codec and interval-cutter, but every
-// finding carries a waiver — the tree must lint clean.
+// mo-rationale, lock-order-doc, byte-codec, interval-cutter and stage-timer,
+// but every finding carries a waiver — the tree must lint clean.
 // scd-lint: allow-file(kkeybits-binding)
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -39,6 +39,12 @@ unsigned char low_byte(unsigned long v, int i) {
 
 void tally_replayed_late(unsigned long& out_of_order_replayed) {
   ++out_of_order_replayed;  // scd-lint: allow(interval-cutter)
+}
+
+double vendor_latency() {
+  // A vendor hook wants its own wall-clock figure, outside every stage.
+  const common::Stopwatch watch;  // scd-lint: allow(stage-timer)
+  return watch.seconds();
 }
 
 }  // namespace scd

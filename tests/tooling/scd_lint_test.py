@@ -100,6 +100,10 @@ class FixtureTest(unittest.TestCase):
         self.assert_single_violation(
             "interval-cutter", "interval-cutter", "src/ingest/feeder.cpp")
 
+    def test_stage_timer_fires_on_second_clock(self):
+        self.assert_single_violation(
+            "stage-timer", "stage-timer", "src/ingest/merger.cpp")
+
     def test_waivers_silence_every_rule(self):
         code, lines = run_lint(FIXTURES / "clean")
         self.assertEqual(code, 0, f"clean fixture not clean: {lines}")
@@ -115,7 +119,7 @@ class FixtureTest(unittest.TestCase):
             ["throw-not-assert", "kkeybits-binding", "metric-docs",
              "include-hygiene", "simd-isolation", "mutex-wrapper",
              "mo-rationale", "lock-order-doc", "byte-codec",
-             "interval-cutter"])
+             "interval-cutter", "stage-timer"])
 
     def test_missing_root_is_a_usage_error(self):
         code, _ = run_lint(REPO_ROOT / "tests" / "tooling" / "no-such-dir")
