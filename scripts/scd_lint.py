@@ -210,17 +210,14 @@ ANNOTATION_CONTRACT = {
          "closed_ must be declared SCD_GUARDED_BY(mutex_)"),
     ],
     "src/ingest/shard_set.h": [
-        ("epochs_closed_",
-         r"\bepochs_closed_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
-         "epochs_closed_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
-        ("epochs_merged_",
-         r"\bepochs_merged_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
-         "epochs_merged_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
+        ("closes_",
+         r"\bcloses_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
+         "closes_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
         ("merge_error_",
          r"\bmerge_error_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
          "merge_error_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
-        ("pool_", r"\bpool_\s+SCD_GUARDED_BY\(pool_mutex_\)",
-         "pool_ must be declared SCD_GUARDED_BY(pool_mutex_)"),
+        ("pool_", r"\bpool_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
+         "pool_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
         ("publish_handoff_locked",
          r"\bpublish_handoff_locked\s*\([^;{]*?"
          r"SCD_REQUIRES\(epoch_mutex_\)",
@@ -229,11 +226,6 @@ ANNOTATION_CONTRACT = {
          r"\btake_epoch_locked\s*\([^;{]*?"
          r"SCD_REQUIRES\(epoch_mutex_\)",
          "take_epoch_locked must declare SCD_REQUIRES(epoch_mutex_)"),
-    ],
-    "src/ingest/parallel_pipeline.cpp": [
-        ("pending_closes_",
-         r"\bpending_closes_\s+SCD_GUARDED_BY\(close_mutex_\)",
-         "pending_closes_ must be declared SCD_GUARDED_BY(close_mutex_)"),
     ],
 }
 

@@ -15,6 +15,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/interval_cutter.h"
+#include "core/sketch_binding.h"
 #include "detect/detection.h"
 #include "detect/provenance.h"
 #include "forecast/runner.h"
@@ -1054,25 +1055,11 @@ class ChangeDetectionPipeline::Impl {
       if (callback_) callback_(report);
       reports_.push_back(std::move(report));
     };
-    // RecoveryMode x key width -> engine sketch type.
-    const bool key32 = traffic::key_fits_32bit(config_.key_kind);
-    switch (config_.recovery) {
-      case RecoveryMode::kReplay:
-        if (key32) {
-          engine_ = std::make_unique<Engine<sketch::KarySketch>>(config_, emit);
-        } else {
-          engine_ =
-              std::make_unique<Engine<sketch::KarySketch64>>(config_, emit);
-        }
-        break;
-      case RecoveryMode::kInvertible:
-        if (key32) {
-          engine_ = std::make_unique<Engine<sketch::MvSketch>>(config_, emit);
-        } else {
-          engine_ = std::make_unique<Engine<sketch::MvSketch64>>(config_, emit);
-        }
-        break;
-    }
+    with_sketch_type(config_.recovery, config_.key_kind,
+                     [&]<typename SketchT>() {
+                       engine_ =
+                           std::make_unique<Engine<SketchT>>(config_, emit);
+                     });
   }
 
   PipelineConfig config_;

@@ -1,20 +1,49 @@
-// Compile-time binding of traffic key kinds to sketch types.
+// Binding of traffic key kinds and recovery modes to sketch types.
 //
 // The tabulation fast path hashes 32-bit keys only; a 64-bit key kind
 // (kSrcDstPair) fed through KarySketch would be truncated and two distinct
-// keys would silently collide. The pipeline dispatches at runtime via
-// traffic::key_fits_32bit; this header gives compile-time callers (tools
-// that instantiate sketches directly for a fixed key kind) the same
-// guarantee as a type-level mapping plus a static_assert-able predicate.
+// keys would silently collide. with_sketch_type is the one runtime dispatch
+// every front end uses (the serial engine and the sharded workers must
+// accumulate the same sketch type); the aliases below give compile-time
+// callers (tools that instantiate sketches directly for a fixed key kind)
+// the same guarantee as a type-level mapping plus a static_assert-able
+// predicate.
 #pragma once
 
 #include <type_traits>
 
+#include "core/pipeline.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
 #include "traffic/key_extract.h"
 
 namespace scd::core {
+
+/// Calls `make.template operator()<SketchT>()` with the sketch type that
+/// `recovery` x the key width of `key_kind` selects: KarySketch(64) for
+/// replay, MvSketch(64) for invertible recovery, the 64-bit variant when
+/// the key kind does not fit 32 bits.
+template <typename Make>
+void with_sketch_type(RecoveryMode recovery, traffic::KeyKind key_kind,
+                      Make&& make) {
+  const bool key32 = traffic::key_fits_32bit(key_kind);
+  switch (recovery) {
+    case RecoveryMode::kReplay:
+      if (key32) {
+        make.template operator()<sketch::KarySketch>();
+      } else {
+        make.template operator()<sketch::KarySketch64>();
+      }
+      break;
+    case RecoveryMode::kInvertible:
+      if (key32) {
+        make.template operator()<sketch::MvSketch>();
+      } else {
+        make.template operator()<sketch::MvSketch64>();
+      }
+      break;
+  }
+}
 
 /// The sketch type that covers `Kind`'s key domain without truncation.
 template <traffic::KeyKind Kind>

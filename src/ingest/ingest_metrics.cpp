@@ -11,6 +11,9 @@ IngestInstruments IngestInstruments::create(obs::MetricsRegistry& registry,
   IngestInstruments out{
       registry.gauge("scd_ingest_queue_records",
                      "Records currently buffered in shard queues (all shards)"),
+      registry.gauge("scd_ingest_pending_epochs",
+                     "Intervals closed but not yet merged and delivered by "
+                     "the sharded front end's merger thread"),
       registry.counter("scd_ingest_backpressure_total",
                        "Chunk submissions that blocked on a full shard queue"),
       registry.histogram("scd_ingest_merge_seconds",

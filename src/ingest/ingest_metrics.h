@@ -5,6 +5,9 @@
 // reference afterwards so the worker hot paths never lock or allocate.
 // Families:
 //   scd_ingest_queue_records          gauge      records queued across shards
+//   scd_ingest_pending_epochs         gauge      intervals closed but not yet
+//                                                merged and delivered (the
+//                                                epoch ledger's depth)
 //   scd_ingest_backpressure_total     counter    pushes that had to block
 //   scd_ingest_merge_seconds          histogram  one epoch merge (merger
 //                                                thread: COMBINE + key
@@ -25,6 +28,10 @@ namespace scd::ingest {
 
 struct IngestInstruments {
   obs::Gauge& queue_records;
+  /// Merger lag: closed intervals not yet merged and delivered, set at each
+  /// close and after each delivery. Bounded by max_pending_intervals; 0
+  /// after flush() or drain().
+  obs::Gauge& pending_epochs;
   obs::Counter& backpressure_waits;
   obs::Histogram& merge_seconds;
   /// Chunk sizes flowing through the batched-UPDATE path, in records —

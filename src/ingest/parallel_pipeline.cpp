@@ -3,26 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/bytes.h"
-#include "common/mutex.h"
 #include "common/random.h"
-#include "common/thread_annotations.h"
 #include "core/interval_cutter.h"
 #include "core/pipeline.h"
-#include "hash/cw_hash.h"
-#include "hash/tabulation_hash.h"
+#include "core/sketch_binding.h"
 #include "ingest/ingest_metrics.h"
 #include "ingest/shard_set.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
-#include "sketch/kary_sketch.h"
-#include "sketch/mv_sketch.h"
 #include "sketch/serialize.h"
 #include "traffic/flow_record.h"
 #include "traffic/key_extract.h"
@@ -89,40 +82,22 @@ class ParallelPipeline::Impl {
     }
     const std::size_t queue_chunks = std::max<std::size_t>(
         1, parallel_.queue_capacity / parallel_.batch_size);
-    // Shard-set dispatch mirrors the serial engine's (recovery mode, key
-    // width) switch so the workers accumulate the same sketch type the
-    // detection engine consumes.
-    const bool key32 = traffic::key_fits_32bit(config_.key_kind);
-    const auto make_shards = [&]<typename SketchT>() {
-      shards_ = std::make_unique<ShardSet<SketchT>>(
-          config_.seed, config_.h, config_.k, parallel_.workers, queue_chunks,
-          instruments_.get());
-    };
-    switch (config_.recovery) {
-      case core::RecoveryMode::kReplay:
-        if (key32) {
-          make_shards.operator()<sketch::KarySketch>();
-        } else {
-          make_shards.operator()<sketch::KarySketch64>();
-        }
-        break;
-      case core::RecoveryMode::kInvertible:
-        if (key32) {
-          make_shards.operator()<sketch::MvSketch>();
-        } else {
-          make_shards.operator()<sketch::MvSketch64>();
-        }
-        break;
-    }
+    // The workers accumulate the sketch type the serial engine consumes;
+    // the merger delivers every closed interval, in order, to handle_merged
+    // (docs/PERFORMANCE.md).
+    core::with_sketch_type(
+        config_.recovery, config_.key_kind, [&]<typename SketchT>() {
+          shards_ = std::make_unique<ShardSet<SketchT>>(
+              config_.seed, config_.h, config_.k, parallel_.workers,
+              queue_chunks, instruments_.get(),
+              parallel_.max_pending_intervals,
+              [this](const ShardSetBase::Close& close,
+                     core::IntervalBatch&& batch) {
+                handle_merged(close, std::move(batch));
+              });
+        });
     pending_.resize(parallel_.workers);
     for (Chunk& chunk : pending_) chunk.reserve(parallel_.batch_size);
-    // Arm the asynchronous epoch merge (docs/PERFORMANCE.md): the merger
-    // thread delivers every closed interval, in order, to handle_merged.
-    shards_->begin_async(
-        [this](std::uint64_t epoch, core::IntervalBatch&& batch) {
-          handle_merged(epoch, std::move(batch));
-        },
-        parallel_.max_pending_intervals);
   }
 
   ~Impl() { shards_->stop(); }
@@ -182,54 +157,24 @@ class ParallelPipeline::Impl {
   }
 
   [[nodiscard]] std::vector<std::uint8_t> save_state() const {
-    if (active_close_.has_value()) {
-      // Interval-close-callback context (merger thread): serialize the
-      // closed interval's captured position, NOT the producer's live
-      // fields, which may already belong to later epochs. The bytes are
-      // identical to what a synchronous close would have produced at this
-      // boundary, so restore/replay semantics are unchanged.
-      const PendingClose& close = *active_close_;
-      std::vector<std::uint8_t> bytes;
-      common::ByteWriter out(bytes);
-      out.u64(kFrontendStateVersion);
-      out.u64(1);  // a closed interval implies a started stream
-      out.f64(close.clock.end_s());
-      out.f64(close.clock.high_water_s);
-      out.u64(close.records);
-      out.u64(close.clock.out_of_order);
-      out.u64(close.clock.index + 1);
-      const std::vector<std::uint8_t> serial = serial_.save_state();
-      out.u64(serial.size());
-      out.bytes(serial);
-      return bytes;
+    if (!shards_->on_merger_thread()) {
+      require_boundary("ParallelPipeline::save_state");
     }
-    const core::IntervalCutter::Position& clock = cutter_.position();
-    if (clock.records != 0) {
-      throw std::logic_error(
-          "ParallelPipeline::save_state: records accepted since the last "
-          "interval close; snapshot only from the interval-close callback");
-    }
-    {
-      common::MutexLock lock(close_mutex_);
-      if (!pending_closes_.empty()) {
-        throw std::logic_error(
-            "ParallelPipeline::save_state: closed intervals are still being "
-            "merged; snapshot from the interval-close callback or after "
-            "flush()");
-      }
-    }
+    const core::IntervalCutter::Position clock = boundary();
     std::vector<std::uint8_t> bytes;
     common::ByteWriter out(bytes);
     out.u64(kFrontendStateVersion);
     out.u64(clock.started ? 1 : 0);
     out.f64(clock.start_s);
     out.f64(clock.high_water_s);
-    out.u64(records_);
+    // Records accepted before the boundary: every one of them has been
+    // ingested by the serial stages (shards drop records only at shutdown).
+    out.u64(serial_.stats().records);
     out.u64(clock.out_of_order);
     out.u64(clock.index);
-    // Shard sketches are all drained at a barrier and backpressure_waits is
-    // a transient liveness counter, so the serial engine blob is the only
-    // nested payload.
+    // Shard sketches are all drained at a boundary and backpressure_waits
+    // is a transient liveness counter, so the serial engine blob is the
+    // only nested payload.
     const std::vector<std::uint8_t> serial = serial_.save_state();
     out.u64(serial.size());
     out.bytes(serial);
@@ -237,7 +182,9 @@ class ParallelPipeline::Impl {
   }
 
   void restore_state(const std::vector<std::uint8_t>& bytes) {
+    require_boundary("ParallelPipeline::restore_state");
     common::ByteReader in(bytes, "parallel front-end state");
+    std::uint64_t records = 0;
     std::uint64_t serial_size = 0;
     core::IntervalCutter::Position clock;
     clock.len_s = config_.interval_s;
@@ -253,7 +200,7 @@ class ParallelPipeline::Impl {
       clock.started = in.u64() != 0;
       clock.start_s = in.f64();
       clock.high_water_s = in.f64();
-      records_ = in.u64();
+      records = in.u64();
       clock.out_of_order = in.u64();
       clock.index = in.u64();
       serial_size = in.u64();
@@ -275,23 +222,12 @@ class ParallelPipeline::Impl {
     const auto serial = in.bytes(in.remaining());
     serial_.restore_state({serial.begin(), serial.end()});
     cutter_.restore(clock);
-    for (Chunk& chunk : pending_) chunk.clear();
-    common::MutexLock lock(close_mutex_);
-    pending_closes_.clear();
+    records_ = records;
   }
 
   [[nodiscard]] core::StreamPosition position() const noexcept {
     core::StreamPosition p = serial_.position();
-    if (active_close_.has_value()) {
-      // Interval-close-callback context (merger thread): report the closed
-      // interval's boundary, not the producer's live clock.
-      p.started = true;
-      p.next_interval_start_s = active_close_->clock.end_s();
-      p.high_water_s =
-          std::max(p.high_water_s, active_close_->clock.high_water_s);
-      return p;
-    }
-    const core::IntervalCutter::Position& clock = cutter_.position();
+    const core::IntervalCutter::Position clock = boundary();
     p.started = clock.started;
     p.next_interval_start_s = clock.start_s;
     p.high_water_s = std::max(p.high_water_s, clock.high_water_s);
@@ -318,82 +254,79 @@ class ParallelPipeline::Impl {
     pending_[shard].reserve(parallel_.batch_size);
   }
 
-  /// Front-end position captured when an interval is closed, consumed by
-  /// the merger when that interval's merge lands. Snapshot-at-close
-  /// semantics: the cutter's position and the record count are the
-  /// producer's at the moment of the close, so a checkpoint cut from the
-  /// interval-close callback serializes exactly what a synchronous close
-  /// would have.
-  struct PendingClose {
-    core::IntervalCutter::Position clock;  // the interval being closed
-    std::uint64_t records = 0;             // records accepted before it
-  };
-
   void close_interval() {
-    // The span now covers only the epoch stamp, not the merge: a wide
+    // The span covers only the epoch stamp, not the merge: a wide
     // "interval_close_barrier" next to a short "barrier_combine" reads as
     // producer-side backpressure (max_pending_intervals reached).
     SCD_TRACE_SPAN("interval_close_barrier", "ingest");
     for (std::size_t i = 0; i < pending_.size(); ++i) flush_chunk(i);
-    // The cutter's index survives save_state/restore_state, so a restored
-    // node keeps numbering where the snapshot left off.
-    const PendingClose close{cutter_.position(), records_};
-    {
-      common::MutexLock lock(close_mutex_);
-      pending_closes_.push_back(close);
-    }
+    // The close rides the epoch: the merger hands this position back with
+    // the merged batch. May block on max_pending_intervals; rethrows a
+    // pending merge failure. The cutter's index survives
+    // save_state/restore_state, so a restored node keeps numbering where
+    // the snapshot left off.
+    shards_->close_epoch(cutter_.position());
     cutter_.next();
-    // Stamp the epoch AFTER the PendingClose is queued — the merger may
-    // consume the epoch immediately and must find its close on the ledger.
-    // May block on max_pending_intervals; rethrows a pending merge failure.
-    shards_->close_epoch();
   }
 
-  /// Merger-thread consumer of one merged epoch. Epochs arrive in close
-  /// order, so the front of the pending-close ledger is always this
-  /// epoch's. Runs the aggregation-tier ordering contract sequentially:
-  /// ship (interval-batch tap) → serial ingest → checkpoint
-  /// (interval-close callback) — docs/DISTRIBUTED.md.
-  void handle_merged(std::uint64_t epoch, core::IntervalBatch&& batch) {
-    (void)epoch;  // == interval ordinal since construction; ledger is FIFO
-    PendingClose close;
-    {
-      common::MutexLock lock(close_mutex_);
-      close = pending_closes_.front();
-    }
-    batch.start_s = close.clock.start_s;
-    batch.len_s = close.clock.len_s;
-    // Visible to save_state()/position() re-entered from the callbacks
-    // below; cleared before the ledger pop, so a producer that sees an
-    // empty ledger can never observe it mid-write.
-    active_close_ = close;
+  /// Merger-thread consumer of one merged epoch and the close it rode on.
+  /// Runs the aggregation-tier ordering contract sequentially: ship
+  /// (interval-batch tap) → serial ingest → checkpoint (interval-close
+  /// callback) — docs/DISTRIBUTED.md.
+  void handle_merged(const ShardSetBase::Close& close,
+                     core::IntervalBatch&& batch) {
+    batch.start_s = close.start_s;
+    batch.len_s = close.len_s;
+    // Read by save_state()/position() re-entered from the callbacks below.
+    delivering_ = close;
     // Export tap BEFORE the serial ingest: the shipper must see the batch
     // while it is still intact, and ship-then-ingest-then-checkpoint is the
     // ordering the rejoin protocol relies on (docs/DISTRIBUTED.md).
-    if (on_interval_batch_) on_interval_batch_(close.clock.index, batch);
+    if (on_interval_batch_) on_interval_batch_(close.index, batch);
     serial_.ingest_interval(std::move(batch));
     // Fires with this interval fully ingested: save_state() from the
     // callback captures serial-equivalent state for the closed interval.
     if (on_interval_close_) {
-      on_interval_close_(static_cast<std::size_t>(close.clock.index) + 1);
+      on_interval_close_(static_cast<std::size_t>(close.index) + 1);
     }
-    active_close_.reset();
-    common::MutexLock lock(close_mutex_);
-    pending_closes_.pop_front();
+  }
+
+  /// The interval boundary save_state() and position() describe. Inside an
+  /// interval callback (merger thread) it is the end of the interval being
+  /// delivered — exactly what a synchronous close would have left, even
+  /// though the producer may already be filling later epochs. Anywhere else
+  /// it is the producer's cutter.
+  [[nodiscard]] core::IntervalCutter::Position boundary() const noexcept {
+    if (!shards_->on_merger_thread()) return cutter_.position();
+    core::IntervalCutter::Position next = delivering_;
+    next.start_s = next.end_s();
+    ++next.index;
+    next.records = 0;
+    return next;
+  }
+
+  /// save_state's boundary rule off the merger thread: no closed interval
+  /// still merging and no record accepted since the last close.
+  void require_boundary(const char* caller) const {
+    if (shards_->pending_epochs() != 0) {
+      throw std::logic_error(
+          std::string(caller) +
+          ": closed intervals are still being merged; call it from the "
+          "interval-close callback or after flush()");
+    }
+    if (cutter_.position().records != 0) {
+      throw std::logic_error(
+          std::string(caller) +
+          ": records accepted since the last interval close; call it from "
+          "the interval-close callback or after flush()");
+    }
   }
 
   core::IntervalCutter cutter_;  // producer-side stream clock
   std::vector<Chunk> pending_;   // per-shard producer-side batches
   std::uint64_t records_ = 0;    // records accepted by add()
-  // Closed-but-unmerged interval ledger: producer pushes at close, the
-  // merger pops after the interval is fully consumed (callbacks included).
-  // An empty ledger + no records in the open interval means quiescent.
-  mutable common::Mutex close_mutex_;
-  std::deque<PendingClose> pending_closes_ SCD_GUARDED_BY(close_mutex_);
-  // Set only by the merger thread around the interval callbacks; read by
-  // save_state()/position() re-entered from those callbacks (same thread).
-  // Producer-side readers are excluded by the empty-ledger check above.
-  std::optional<PendingClose> active_close_;
+  // Merger thread only: the close whose callbacks are running.
+  core::IntervalCutter::Position delivering_;
   std::function<void(std::size_t)> on_interval_close_;
   std::function<void(std::uint64_t, const core::IntervalBatch&)>
       on_interval_batch_;

@@ -163,7 +163,11 @@ class ParallelPipeline {
   /// ChangeDetectionPipeline::restore_state: the pipeline must be freshly
   /// constructed with the same PipelineConfig, callbacks are installed
   /// after; throws sketch::SerializeError on malformed input or config
-  /// mismatch.
+  /// mismatch. Applies save_state()'s boundary rule before it touches any
+  /// state: throws std::logic_error when records have been accepted since
+  /// the last close or closed intervals are still being merged (restoring
+  /// under a running merger would pair its in-flight intervals with the
+  /// restored clock), and when called from an interval callback.
   void restore_state(const std::vector<std::uint8_t>& bytes);
 
   /// Current stream position; after restore_state, tells the feeder where

@@ -10,32 +10,30 @@
 //     at the epoch boundary reproduces the serial pipeline's key set exactly.
 //
 // Interval close is epoch-based and asynchronous (docs/PERFORMANCE.md): the
-// producer stamps one epoch-tagged token per queue after the interval's
-// records and returns immediately; each worker, on seeing the token,
-// publishes its finished sketch and key buffer for that epoch and starts
-// the next epoch on a fresh sketch drawn from a shared pool (the merger
-// recycles consumed sketches back, so steady state is double-buffered with
-// no allocation). A dedicated merger thread waits until all W shards have
-// published epoch e, COMBINE-merges the handoffs in shard order, and hands
-// the merged IntervalBatch to the owner's callback — epochs are merged and
-// delivered strictly in order, off the ingest hot path. Workers therefore
-// never stall at an interval boundary; the only producer-side wait is the
-// max_outstanding backpressure cap. Sketch linearity makes the merge exact
-// — the merged table equals the serial pipeline's table up to
-// floating-point addition order within each register, and the fixed shard
-// order keeps it bit-identical run to run.
+// producer records the close on the epoch ledger, stamps one barrier token
+// per queue after the interval's records and returns immediately; each
+// worker, on seeing the token, publishes its finished sketch and key buffer
+// and starts the next epoch on a zeroed sketch drawn from the recycle pool
+// (the merger returns consumed sketches, so steady state is double-buffered
+// with no allocation). A dedicated merger thread waits until all W shards
+// have published the oldest epoch, COMBINE-merges the handoffs in shard
+// order, and hands the merged IntervalBatch back to the owner together with
+// the close it recorded — epochs are merged and delivered strictly in
+// order, off the ingest hot path. Workers therefore never stall at an
+// interval boundary; the only producer-side wait is the max_outstanding
+// backpressure cap. Sketch linearity makes the merge exact — the merged
+// table equals the serial pipeline's table up to floating-point addition
+// order within each register, and the fixed shard order keeps it
+// bit-identical run to run. There is one merge path: tests and the
+// pipeline both close with close_epoch() and wait with drain().
 //
-// The synchronous barrier_merge() remains for single-epoch callers (tests,
-// tools): it closes one epoch and performs the merge inline on the calling
-// thread. The two modes share the publish/collect protocol.
-//
-// Locking contract (docs/CONCURRENCY.md): epoch_mutex_ guards the per-shard
-// publish deques and the epoch counters; publish/collect go through the
-// SCD_REQUIRES(epoch_mutex_) helpers so a clang -Wthread-safety build
-// rejects an unlocked handoff access. pool_mutex_ guards the recycled
-// sketch pool and is ordered after epoch_mutex_ (never the reverse). The
-// stats counters are relaxed atomics: written by the producer thread,
-// readable from any thread.
+// Locking contract (docs/CONCURRENCY.md): epoch_mutex_ is the set's one
+// lock (the per-shard queues keep their own). It guards the epoch ledger
+// (closes_), the per-shard publish deques and the recycle pool; publish and
+// collect go through the SCD_REQUIRES(epoch_mutex_) helpers so a clang
+// -Wthread-safety build rejects an unlocked handoff access. The stats
+// counters are relaxed atomics: written by the producer thread, readable
+// from any thread.
 #pragma once
 
 #include <atomic>
@@ -53,6 +51,7 @@
 #include "common/mutex.h"
 #include "common/numa.h"
 #include "common/thread_annotations.h"
+#include "core/interval_cutter.h"
 #include "core/pipeline.h"
 #include "ingest/bounded_queue.h"
 #include "ingest/ingest_metrics.h"
@@ -71,48 +70,44 @@ using Chunk = std::vector<Record>;
 
 struct ShardMessage {
   Chunk records;
+  /// Closes the shard's current epoch. FIFO order puts it after every chunk
+  /// of the interval, so the worker has applied them all when it publishes.
   bool barrier = false;
-  /// Epoch being closed; meaningful only on barrier tokens. The producer
-  /// stamps tokens with consecutive epochs, so each worker's published
-  /// handoffs are in epoch order by construction.
-  std::uint64_t epoch = 0;
 };
 
 /// Type-erased interface so ParallelPipeline can hold either family's shard
 /// set behind one pointer (mirroring the core pipeline's engine dispatch).
 class ShardSetBase {
  public:
-  /// Merged-epoch delivery: (epoch, batch), invoked on the merger thread in
+  /// What close_epoch() records for an epoch and the merger hands back with
+  /// its merged batch: the cutter position of the interval being closed.
+  using Close = core::IntervalCutter::Position;
+  /// Merged-epoch delivery: (close, batch), invoked on the merger thread in
   /// strict epoch order.
   using MergedBatchCallback =
-      std::function<void(std::uint64_t, core::IntervalBatch&&)>;
+      std::function<void(const Close&, core::IntervalBatch&&)>;
 
   virtual ~ShardSetBase() = default;
   /// Enqueues a chunk for `shard` (blocking when the queue is full).
   virtual void submit(std::size_t shard, Chunk&& chunk) = 0;
-  /// Closes the interval in progress synchronously: barrier, COMBINE-merge,
-  /// key concat on the calling thread. All of the interval's chunks must
-  /// have been submitted first. Mutually exclusive with the async epoch
-  /// mode below.
-  [[nodiscard]] virtual core::IntervalBatch barrier_merge() = 0;
-  /// Arms asynchronous epoch merging: spawns the merger thread, which
-  /// invokes `on_merged` once per closed epoch, in epoch order. At most
-  /// `max_outstanding` epochs may be closed-but-unmerged before
-  /// close_epoch() blocks (backpressure bound on pooled-sketch memory).
-  /// Call once, before any record is submitted.
-  virtual void begin_async(MergedBatchCallback on_merged,
-                           std::size_t max_outstanding) = 0;
-  /// Closes the current epoch without waiting for the merge: stamps one
-  /// epoch-tagged token per shard queue and returns. Rethrows a pending
-  /// merger failure (a callback throw) on the calling thread.
-  virtual void close_epoch() = 0;
+  /// Closes the current epoch without waiting for the merge: appends
+  /// `close` to the epoch ledger, stamps one barrier token per shard queue
+  /// and returns. All of the epoch's chunks must have been submitted first.
+  /// Blocks while max_outstanding epochs are closed but not yet delivered
+  /// (the bound on pooled-sketch memory). Rethrows a pending merger failure
+  /// (a callback throw) on the calling thread.
+  virtual void close_epoch(const Close& close) = 0;
   /// Blocks until every closed epoch has been merged and delivered.
   /// Rethrows a pending merger failure.
   virtual void drain() = 0;
-  /// Closes all queues and joins the workers (and merger). Idempotent.
-  /// Closed-but-unmerged epochs are discarded, like in-flight records.
+  /// Closes all queues and joins the workers and the merger, which first
+  /// delivers every epoch the workers published. Idempotent.
   virtual void stop() = 0;
-  [[nodiscard]] virtual std::size_t workers() const noexcept = 0;
+  /// Epochs closed but not yet merged and delivered, callbacks included.
+  [[nodiscard]] virtual std::size_t pending_epochs() const = 0;
+  /// True on the merger thread: the caller runs inside the merged-batch
+  /// callback.
+  [[nodiscard]] virtual bool on_merger_thread() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t backpressure_waits() const noexcept = 0;
   /// Records lost because close() raced a blocked push during shutdown.
   /// Nonzero only when the pipeline is destroyed with records in flight.
@@ -121,34 +116,37 @@ class ShardSetBase {
 
 /// Templated on the sketch type (not the hash family) so the parallel path
 /// covers every engine the core pipeline can run: plain k-ary (either
-/// family) and the invertible majority-vote sketch. Sketches
-/// that recover keys from their own state (`recover_heavy_keys`) skip the
-/// per-shard distinct-key buffers entirely — that is the single-pass win —
-/// and vote-carrying sketches publish their merged candidate/vote arrays
-/// through IntervalBatch::mv_candidates / mv_votes.
+/// family) and the invertible majority-vote sketch. Sketches that recover
+/// keys from their own state (`recover_heavy_keys`) skip the per-shard
+/// distinct-key buffers entirely — that is the single-pass win — and
+/// publish their merged candidate/vote arrays through
+/// IntervalBatch::mv_candidates / mv_votes.
 template <typename SketchT>
 class ShardSet final : public ShardSetBase {
  public:
   using Sketch = SketchT;
   using Family = typename SketchT::FamilyType;
 
-  /// The sketch can enumerate heavy keys from its own state, so workers do
-  /// not need to collect the interval's distinct keys for replay.
+  /// The sketch enumerates heavy keys from its majority-vote state, so
+  /// workers collect no distinct keys and the candidate/vote arrays ride
+  /// along with the merged registers.
   static constexpr bool kRecovers =
       requires(const SketchT& s) { s.recover_heavy_keys(0.0); };
-  /// The sketch carries majority-vote candidate/vote arrays that must ride
-  /// along with the merged registers.
-  static constexpr bool kHasVoteState =
-      requires(const SketchT& s) { s.candidates(); };
 
-  /// `queue_chunks` is the per-shard queue capacity in chunks; `instruments`
-  /// may be null (metrics disabled).
+  /// Starts the W workers and the merger. `queue_chunks` is the per-shard
+  /// queue capacity in chunks; `instruments` may be null (metrics
+  /// disabled). `on_merged` receives every closed epoch, in order, on the
+  /// merger thread; at most `max_outstanding` epochs may be closed but
+  /// undelivered before close_epoch() blocks.
   ShardSet(std::uint64_t seed, std::size_t h, std::size_t k,
            std::size_t worker_count, std::size_t queue_chunks,
-           IngestInstruments* instruments)
+           IngestInstruments* instruments, std::size_t max_outstanding,
+           MergedBatchCallback on_merged)
       : family_(std::make_shared<const Family>(seed, h)),
         k_(k),
-        instruments_(instruments) {
+        instruments_(instruments),
+        max_outstanding_(max_outstanding),
+        on_merged_(std::move(on_merged)) {
     shards_.reserve(worker_count);
     for (std::size_t i = 0; i < worker_count; ++i) {
       shards_.push_back(std::make_unique<Shard>(queue_chunks));
@@ -156,6 +154,7 @@ class ShardSet final : public ShardSetBase {
     for (std::size_t i = 0; i < worker_count; ++i) {
       shards_[i]->thread = std::thread([this, i] { run_worker(i); });
     }
+    merger_ = std::thread([this] { run_merger(); });
   }
 
   ~ShardSet() override { stop(); }
@@ -163,7 +162,7 @@ class ShardSet final : public ShardSetBase {
   void submit(std::size_t shard, Chunk&& chunk) override {
     BoundedQueue<ShardMessage>& queue = shards_[shard]->queue;
     const auto n = static_cast<double>(chunk.size());
-    ShardMessage msg{std::move(chunk), false, 0};
+    ShardMessage msg{std::move(chunk), false};
     if (instruments_ != nullptr) instruments_->queue_records.add(n);
     if (!queue.try_push(msg)) {
       // mo: stats counter — single producer writes, any thread may read
@@ -186,44 +185,27 @@ class ShardSet final : public ShardSetBase {
     }
   }
 
-  core::IntervalBatch barrier_merge() SCD_EXCLUDES(epoch_mutex_) override {
-    const std::uint64_t epoch = stamp_epoch_tokens();
-    std::vector<EpochHandoff> handoffs;
+  void close_epoch(const Close& close) SCD_EXCLUDES(epoch_mutex_) override {
     {
       common::MutexLock lock(epoch_mutex_);
-      while (!epoch_ready_locked()) epoch_cv_.wait(epoch_mutex_);
-      handoffs = take_epoch_locked();
-      ++epochs_merged_;
-    }
-    (void)epoch;
-    return merge_epoch(std::move(handoffs));
-  }
-
-  void begin_async(MergedBatchCallback on_merged,
-                   std::size_t max_outstanding) override {
-    on_merged_ = std::move(on_merged);
-    max_outstanding_ = max_outstanding;
-    merger_ = std::thread([this] { run_merger(); });
-  }
-
-  void close_epoch() SCD_EXCLUDES(epoch_mutex_) override {
-    {
-      common::MutexLock lock(epoch_mutex_);
-      rethrow_merge_error_locked();
-      // Backpressure: bound the closed-but-unmerged window so pooled-sketch
-      // memory stays at max_outstanding_ + 1 sketch sets per shard.
-      while (epochs_closed_ - epochs_merged_ >= max_outstanding_ &&
-             merge_error_ == nullptr) {
+      // Backpressure: bound the closed-but-undelivered window so pooled-
+      // sketch memory stays at max_outstanding_ + 1 sketch sets per shard.
+      while (closes_.size() >= max_outstanding_ && merge_error_ == nullptr) {
         epoch_cv_.wait(epoch_mutex_);
       }
       rethrow_merge_error_locked();
+      closes_.push_back(close);
+      export_pending_locked();
     }
-    (void)stamp_epoch_tokens();
+    for (auto& shard : shards_) {
+      ShardMessage token{{}, true};
+      shard->queue.push(token);
+    }
   }
 
   void drain() SCD_EXCLUDES(epoch_mutex_) override {
     common::MutexLock lock(epoch_mutex_);
-    while (epochs_merged_ < epochs_closed_ && merge_error_ == nullptr) {
+    while (!closes_.empty() && merge_error_ == nullptr) {
       epoch_cv_.wait(epoch_mutex_);
     }
     rethrow_merge_error_locked();
@@ -231,12 +213,12 @@ class ShardSet final : public ShardSetBase {
 
   void stop() SCD_EXCLUDES(epoch_mutex_) override {
     // Order matters: close the queues and join the workers FIRST, so every
-    // epoch token already in flight is consumed and its handoff published
-    // (close() lets consumers drain remaining items). Only then tell the
-    // merger to finish — it merges and delivers every fully-published
-    // epoch before exiting, preserving the synchronous-close guarantee
-    // that a closed interval is never silently lost: an unflushed
-    // destructor drops only records of the still-open interval.
+    // barrier token already in flight is consumed and its handoff
+    // published (close() lets consumers drain remaining items). Only then
+    // tell the merger to finish — it merges and delivers every fully-
+    // published epoch before exiting, so a closed interval is never
+    // silently lost: an unflushed destructor drops only records of the
+    // still-open interval.
     for (auto& shard : shards_) shard->queue.close();
     for (auto& shard : shards_) {
       if (shard->thread.joinable()) shard->thread.join();
@@ -249,8 +231,13 @@ class ShardSet final : public ShardSetBase {
     if (merger_.joinable()) merger_.join();
   }
 
-  [[nodiscard]] std::size_t workers() const noexcept override {
-    return shards_.size();
+  [[nodiscard]] std::size_t pending_epochs() const
+      SCD_EXCLUDES(epoch_mutex_) override {
+    common::MutexLock lock(epoch_mutex_);
+    return closes_.size();
+  }
+  [[nodiscard]] bool on_merger_thread() const noexcept override {
+    return std::this_thread::get_id() == merger_.get_id();
   }
   [[nodiscard]] std::uint64_t backpressure_waits() const noexcept override {
     // mo: stats read — a point-in-time sample, no ordering required.
@@ -265,7 +252,6 @@ class ShardSet final : public ShardSetBase {
   /// One finished epoch from one shard: the worker's parked sketch, the
   /// interval's distinct keys, and the record count.
   struct EpochHandoff {
-    std::uint64_t epoch = 0;
     std::optional<Sketch> sketch;
     std::vector<std::uint64_t> keys;
     std::uint64_t records = 0;
@@ -275,34 +261,25 @@ class ShardSet final : public ShardSetBase {
     explicit Shard(std::size_t queue_chunks) : queue(queue_chunks) {}
     BoundedQueue<ShardMessage> queue;
     // Published epochs, oldest first: appended by the worker, drained in
-    // epoch order by the merger (or a barrier_merge caller), both under
-    // the owning ShardSet's epoch_mutex_ (a nested struct cannot name the
-    // outer instance's mutex in an attribute, so the SCD_REQUIRES helpers
-    // below carry the contract).
+    // epoch order by the merger, both under the owning ShardSet's
+    // epoch_mutex_ (a nested struct cannot name the outer instance's mutex
+    // in an attribute, so the SCD_REQUIRES helpers below carry the
+    // contract).
     std::deque<EpochHandoff> published;
     std::thread thread;
   };
 
-  /// Stamps one epoch-tagged barrier token per shard queue and advances the
-  /// closed-epoch counter. Producer thread only.
-  std::uint64_t stamp_epoch_tokens() SCD_EXCLUDES(epoch_mutex_) {
-    std::uint64_t epoch = 0;
-    {
-      common::MutexLock lock(epoch_mutex_);
-      epoch = epochs_closed_++;
-    }
-    for (auto& shard : shards_) {
-      ShardMessage token{{}, true, epoch};
-      shard->queue.push(token);
-    }
-    return epoch;
-  }
-
   /// Worker side of the epoch close: parks the finished interval's sketch
-  /// and key set at the back of the shard's publish deque.
-  void publish_handoff_locked(Shard& shard, EpochHandoff&& handoff)
-      SCD_REQUIRES(epoch_mutex_) {
+  /// and key set at the back of the shard's publish deque and, in the same
+  /// critical section, draws a zeroed recycled sketch for the next epoch
+  /// (none until the merger has returned one).
+  [[nodiscard]] std::optional<Sketch> publish_handoff_locked(
+      Shard& shard, EpochHandoff&& handoff) SCD_REQUIRES(epoch_mutex_) {
     shard.published.push_back(std::move(handoff));
+    if (pool_.empty()) return std::nullopt;
+    std::optional<Sketch> next(std::move(pool_.back()));
+    pool_.pop_back();
+    return next;
   }
 
   /// True when every shard has published its oldest outstanding epoch.
@@ -330,9 +307,17 @@ class ShardSet final : public ShardSetBase {
     if (merge_error_ != nullptr) std::rethrow_exception(merge_error_);
   }
 
+  /// Mirrors the ledger depth into scd_ingest_pending_epochs.
+  void export_pending_locked() SCD_REQUIRES(epoch_mutex_) {
+    if (instruments_ != nullptr) {
+      instruments_->pending_epochs.set(static_cast<double>(closes_.size()));
+    }
+  }
+
   /// COMBINE-merges one epoch's W handoffs in shard order and concatenates
   /// the key buffers; recycles the consumed sketches into the pool. Runs
-  /// with no lock held — the handoffs were moved out under epoch_mutex_.
+  /// with no lock held — the handoffs were moved out under epoch_mutex_ —
+  /// except to return the zeroed sketches.
   [[nodiscard]] core::IntervalBatch merge_epoch(
       std::vector<EpochHandoff> handoffs) SCD_EXCLUDES(epoch_mutex_) {
     obs::ScopedTimer timer(
@@ -349,7 +334,7 @@ class ShardSet final : public ShardSetBase {
     core::IntervalBatch batch;
     batch.registers.assign(merged.registers().begin(),
                            merged.registers().end());
-    if constexpr (kHasVoteState) {
+    if constexpr (kRecovers) {
       batch.mv_candidates.assign(merged.candidates().begin(),
                                  merged.candidates().end());
       batch.mv_votes.assign(merged.votes().begin(), merged.votes().end());
@@ -358,44 +343,23 @@ class ShardSet final : public ShardSetBase {
       batch.records += handoff.records;
       batch.keys.insert(batch.keys.end(), handoff.keys.begin(),
                         handoff.keys.end());
+      handoff.sketch->set_zero();
     }
-    recycle_sketches(std::move(handoffs));
+    common::MutexLock lock(epoch_mutex_);
+    for (auto& handoff : handoffs) pool_.push_back(std::move(*handoff.sketch));
     return batch;
   }
 
-  /// Returns consumed handoff sketches to the pool, zeroed, so workers
-  /// start their next epoch without allocating a fresh table.
-  void recycle_sketches(std::vector<EpochHandoff> handoffs)
-      SCD_EXCLUDES(pool_mutex_) {
-    common::MutexLock lock(pool_mutex_);
-    for (auto& handoff : handoffs) {
-      handoff.sketch->set_zero();
-      pool_.push_back(std::move(*handoff.sketch));
-    }
-  }
-
-  /// A zeroed sketch for the worker's next epoch: pooled when available
-  /// (steady state — the merger recycles one per shard per epoch),
-  /// freshly allocated otherwise (first epochs only).
-  [[nodiscard]] Sketch pooled_sketch() SCD_EXCLUDES(pool_mutex_) {
-    {
-      common::MutexLock lock(pool_mutex_);
-      if (!pool_.empty()) {
-        Sketch sketch = std::move(pool_.back());
-        pool_.pop_back();
-        return sketch;
-      }
-    }
-    return Sketch(family_, k_);
-  }
-
   /// Merger thread: merges published epochs strictly in order and delivers
-  /// each batch to on_merged_. A callback throw is parked in merge_error_
-  /// and rethrown on the producer thread (close_epoch/drain); the merger
-  /// stops — the stream is failed, exactly like a synchronous close throw.
+  /// each batch with its recorded close to on_merged_; the close leaves the
+  /// ledger only after its callback returns. A callback throw is parked in
+  /// merge_error_ and rethrown on the producer thread (close_epoch/drain);
+  /// the merger stops — the stream is failed, exactly like a synchronous
+  /// close throw.
   void run_merger() {
     for (;;) {
       std::vector<EpochHandoff> handoffs;
+      Close close;
       {
         common::MutexLock lock(epoch_mutex_);
         while (!epoch_ready_locked() && !stopping_) {
@@ -406,11 +370,12 @@ class ShardSet final : public ShardSetBase {
         // epoch is fully published by now); exit only when none remain.
         if (!epoch_ready_locked()) return;
         handoffs = take_epoch_locked();
+        // close_epoch() appends the close before stamping the tokens, so a
+        // published epoch always finds its close at the ledger's front.
+        close = closes_.front();
       }
-      const std::uint64_t epoch = handoffs.front().epoch;
       try {
-        core::IntervalBatch batch = merge_epoch(std::move(handoffs));
-        on_merged_(epoch, std::move(batch));
+        on_merged_(close, merge_epoch(std::move(handoffs)));
       } catch (...) {
         common::MutexLock lock(epoch_mutex_);
         merge_error_ = std::current_exception();
@@ -419,7 +384,8 @@ class ShardSet final : public ShardSetBase {
       }
       {
         common::MutexLock lock(epoch_mutex_);
-        ++epochs_merged_;
+        closes_.pop_front();
+        export_pending_locked();
       }
       epoch_cv_.notify_all();
     }
@@ -450,20 +416,21 @@ class ShardSet final : public ShardSetBase {
       if (!msg.has_value()) break;
       if (msg->barrier) {
         EpochHandoff handoff;
-        handoff.epoch = msg->epoch;
         handoff.sketch.emplace(std::move(sketch));
         if constexpr (!kRecovers) {
           handoff.keys.assign(keys.begin(), keys.end());
         }
         handoff.records = records;
+        std::optional<Sketch> next;
         {
           common::MutexLock lock(epoch_mutex_);
-          publish_handoff_locked(shard, std::move(handoff));
+          next = publish_handoff_locked(shard, std::move(handoff));
         }
         epoch_cv_.notify_all();
         // The worker starts the next epoch immediately — no wait for the
-        // merge. The pooled sketch is the async scheme's double buffer.
-        sketch = pooled_sketch();
+        // merge. The pooled sketch is the async scheme's double buffer;
+        // only the first epochs allocate.
+        sketch = next.has_value() ? std::move(*next) : Sketch(family_, k_);
         keys.clear();
         records = 0;
         continue;
@@ -491,25 +458,20 @@ class ShardSet final : public ShardSetBase {
   std::shared_ptr<const Family> family_;
   std::size_t k_;
   IngestInstruments* instruments_;
+  const std::size_t max_outstanding_;
+  const MergedBatchCallback on_merged_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Epoch protocol state. epoch_mutex_ is ordered before pool_mutex_
-  // (docs/CONCURRENCY.md lock-order table); in practice neither path nests
-  // them today, but the declared order is the one any future nesting must
-  // follow.
-  common::Mutex epoch_mutex_ SCD_ACQUIRED_BEFORE(pool_mutex_);
+  mutable common::Mutex epoch_mutex_;
   common::CondVar epoch_cv_;
-  std::uint64_t epochs_closed_ SCD_GUARDED_BY(epoch_mutex_) = 0;
-  std::uint64_t epochs_merged_ SCD_GUARDED_BY(epoch_mutex_) = 0;
+  // The epoch ledger: one close per epoch that is closed but not yet
+  // delivered, oldest first. close_epoch() appends, the merger pops after
+  // the epoch's callback returns.
+  std::deque<Close> closes_ SCD_GUARDED_BY(epoch_mutex_);
   bool stopping_ SCD_GUARDED_BY(epoch_mutex_) = false;
   std::exception_ptr merge_error_ SCD_GUARDED_BY(epoch_mutex_);
-  // Recycled zeroed sketches (double buffering): merger refills, workers
-  // draw at each epoch boundary.
-  common::Mutex pool_mutex_;
-  std::vector<Sketch> pool_ SCD_GUARDED_BY(pool_mutex_);
-  // Async-mode configuration: written once by begin_async before any epoch
-  // closes, read by the producer and merger afterwards.
-  MergedBatchCallback on_merged_;
-  std::size_t max_outstanding_ = 1;
+  // Recycled zeroed sketches (double buffering): the merger refills,
+  // workers draw at each epoch boundary.
+  std::vector<Sketch> pool_ SCD_GUARDED_BY(epoch_mutex_);
   std::thread merger_;
   // Stats counters: producer thread writes, stats() may be called from any
   // thread (monitoring), so plain integers here were a data race.

@@ -21,6 +21,7 @@
 #include "core/pipeline.h"
 #include "ingest/parallel_pipeline.h"
 #include "ingest/shard_set.h"
+#include "shard_set_harness.h"
 #include "sketch/mv_sketch.h"
 
 namespace scd::ingest {
@@ -56,10 +57,13 @@ TEST(MvShardProperty, ShardedMergeRecoversBitIdenticalToSerial) {
   const auto serial_recovered = serial.recover_heavy_keys(1000.0);
   ASSERT_EQ(serial_recovered.size(), 8u);
 
-  // Sharded: route by the pipeline's key->shard function, barrier-merge,
-  // rebuild a sketch from the published batch (registers + vote state).
+  // Sharded: route by the pipeline's key->shard function, close and merge
+  // the epoch, rebuild a sketch from the published batch (registers + vote
+  // state).
+  BatchSink sink;
   ShardSet<sketch::MvSketch> shards(kSeed, kH, kK, kWorkers,
-                                    /*queue_chunks=*/64, nullptr);
+                                    /*queue_chunks=*/64, nullptr,
+                                    /*max_outstanding=*/1, sink.callback());
   std::vector<Chunk> chunks(kWorkers);
   for (const Record& r : records) {
     chunks[common::mix64(r.key) % kWorkers].push_back(r);
@@ -67,7 +71,7 @@ TEST(MvShardProperty, ShardedMergeRecoversBitIdenticalToSerial) {
   for (std::size_t w = 0; w < kWorkers; ++w) {
     shards.submit(w, std::move(chunks[w]));
   }
-  const core::IntervalBatch batch = shards.barrier_merge();
+  const core::IntervalBatch batch = sink.close_and_drain(shards);
   shards.stop();
 
   ASSERT_EQ(batch.registers.size(), kH * kK);
@@ -99,7 +103,9 @@ TEST(MvShardProperty, RepeatedShardedRunsAreBitIdentical) {
   const auto records = make_records();
   std::vector<std::vector<sketch::RecoveredHeavyKey>> runs;
   for (int round = 0; round < 3; ++round) {
-    ShardSet<sketch::MvSketch> shards(kSeed, kH, kK, kWorkers, 64, nullptr);
+    BatchSink sink;
+    ShardSet<sketch::MvSketch> shards(kSeed, kH, kK, kWorkers, 64, nullptr, 1,
+                                      sink.callback());
     std::vector<Chunk> chunks(kWorkers);
     for (const Record& r : records) {
       chunks[common::mix64(r.key) % kWorkers].push_back(r);
@@ -107,7 +113,7 @@ TEST(MvShardProperty, RepeatedShardedRunsAreBitIdentical) {
     for (std::size_t w = 0; w < kWorkers; ++w) {
       shards.submit(w, std::move(chunks[w]));
     }
-    const core::IntervalBatch batch = shards.barrier_merge();
+    const core::IntervalBatch batch = sink.close_and_drain(shards);
     shards.stop();
     sketch::MvSketch merged(
         std::make_shared<const hash::TabulationHashFamily>(kSeed, kH), kK);

@@ -10,14 +10,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "core/pipeline.h"
+#include "obs/metrics.h"
 
 namespace scd::ingest {
 namespace {
@@ -35,8 +41,9 @@ core::PipelineConfig base_config() {
 
 /// Integer-valued deterministic stream: 50 steady keys per interval plus a
 /// spike on key 999 in interval 6. Works on anything with an add() method.
+/// Leaves the last interval open.
 template <typename Pipeline>
-void feed_stream(Pipeline& pipeline, std::size_t intervals) {
+void add_stream(Pipeline& pipeline, std::size_t intervals) {
   for (std::size_t t = 0; t < intervals; ++t) {
     const double start = static_cast<double>(t) * 10.0;
     for (std::uint64_t key = 1; key <= 50; ++key) {
@@ -46,6 +53,11 @@ void feed_stream(Pipeline& pipeline, std::size_t intervals) {
     }
     if (t == 6) pipeline.add(999, 5000.0, start + 2.0);
   }
+}
+
+template <typename Pipeline>
+void feed_stream(Pipeline& pipeline, std::size_t intervals) {
+  add_stream(pipeline, intervals);
   pipeline.flush();
 }
 
@@ -260,6 +272,97 @@ TEST(ParallelPipeline, DestructionWithoutFlushJoinsCleanly) {
     pipeline.add(key, 1.0, 1.0);
   }
   // No flush: the destructor must close the queues and join the workers.
+}
+
+TEST(ParallelPipeline, SnapshotAndRestoreMidMergeAreRefused) {
+  core::ChangeDetectionPipeline reference(base_config());
+  feed_stream(reference, 6);
+  ParallelConfig parallel;
+  parallel.workers = 2;
+  parallel.max_pending_intervals = 8;  // the merger may trail by 5 closes
+  // A snapshot cut at the 3rd interval close of an undisturbed run.
+  std::vector<std::uint8_t> snapshot;
+  {
+    ParallelPipeline source(base_config(), parallel);
+    source.set_interval_close_callback([&](std::size_t closed) {
+      if (closed == 3) snapshot = source.save_state();
+    });
+    feed_stream(source, 6);
+  }
+  ASSERT_FALSE(snapshot.empty());
+
+  // The merger is held inside the first interval's close callback, so
+  // intervals 2..5 are closed but still merging when restore_state runs.
+  ParallelPipeline pipeline(base_config(), parallel);
+  std::promise<void> gate;
+  const std::shared_future<void> opened = gate.get_future().share();
+  pipeline.set_interval_close_callback(
+      [opened](std::size_t) { opened.wait(); });
+  add_stream(pipeline, 6);
+  EXPECT_THROW((void)pipeline.save_state(), std::logic_error);
+  EXPECT_THROW(pipeline.restore_state(snapshot), std::logic_error);
+  gate.set_value();
+
+  // The refused restore touched nothing: every interval is delivered once,
+  // in order, and the stream matches the serial run.
+  pipeline.flush();
+  ASSERT_EQ(pipeline.reports().size(), reference.reports().size());
+  for (std::size_t i = 0; i < reference.reports().size(); ++i) {
+    EXPECT_EQ(pipeline.reports()[i].index, i);
+    EXPECT_EQ(pipeline.reports()[i].records, reference.reports()[i].records);
+  }
+  EXPECT_EQ(alarm_set(pipeline.reports()), alarm_set(reference.reports()));
+  EXPECT_EQ(pipeline.stats().records, reference.stats().records);
+}
+
+TEST(ParallelPipeline, RestoreStateFromAnIntervalCallbackIsRefused) {
+  ParallelConfig parallel;
+  parallel.workers = 2;
+  const std::vector<std::uint8_t> fresh =
+      ParallelPipeline(base_config(), parallel).save_state();
+  ParallelPipeline pipeline(base_config(), parallel);
+  std::size_t refused = 0;
+  // The interval being delivered is still on the epoch ledger while its
+  // callbacks run, so the merger thread is never at a restorable boundary.
+  pipeline.set_interval_close_callback([&](std::size_t) {
+    try {
+      pipeline.restore_state(fresh);
+    } catch (const std::logic_error&) {
+      ++refused;
+    }
+  });
+  feed_stream(pipeline, 4);
+  EXPECT_EQ(refused, 4u);
+  EXPECT_EQ(pipeline.reports().size(), 4u);
+  EXPECT_EQ(pipeline.stats().records, 4u * 50u);
+}
+
+TEST(ParallelPipeline, PendingEpochsGaugeTracksTheTrailingMerger) {
+  ParallelConfig parallel;
+  parallel.workers = 2;
+  parallel.max_pending_intervals = 3;
+  ParallelPipeline pipeline(base_config(), parallel);  // metrics on
+  const obs::Gauge& pending = obs::MetricsRegistry::global().gauge(
+      "scd_ingest_pending_epochs", "");
+  double peak = 0.0;
+  // A slow close callback keeps the merger trailing the producer, which
+  // then runs into the max_pending_intervals bound.
+  pipeline.set_interval_close_callback([](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  for (std::size_t t = 0; t < 12; ++t) {
+    for (std::uint64_t key = 1; key <= 20; ++key) {
+      pipeline.add(key, 1.0, static_cast<double>(t) * 10.0 + 1.0);
+      // Sampled once this pipeline has closed an interval and so owns the
+      // process-wide gauge.
+      if (t > 0) peak = std::max(peak, pending.value());
+    }
+  }
+  pipeline.flush();
+  EXPECT_LE(peak, static_cast<double>(parallel.max_pending_intervals));
+  EXPECT_GE(peak, 2.0);  // the merger really trailed
+  EXPECT_EQ(pending.value(), 0.0);
+  EXPECT_EQ(pipeline.reports().size(), 12u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "hash/tabulation_hash.h"
 #include "ingest/shard_set.h"
+#include "shard_set_harness.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/serialize.h"
 
@@ -42,10 +43,12 @@ TEST(SerializeShardRoundTrip, ParallelMergeSurvivesTheWireFormat) {
   const auto records = make_records(20000);
 
   // Sharded ingest: two producer threads route chunks by key to kWorkers
-  // private sketches; the barrier COMBINE-merges them.
+  // private sketches; the epoch close COMBINE-merges them.
+  BatchSink sink;
   ShardSet<sketch::KarySketch> shards(kSeed, kH, kK, kWorkers,
-                                              /*queue_chunks=*/64,
-                                              /*instruments=*/nullptr);
+                                      /*queue_chunks=*/64,
+                                      /*instruments=*/nullptr,
+                                      /*max_outstanding=*/1, sink.callback());
   const auto produce = [&shards, &records](std::size_t half) {
     std::vector<Chunk> chunks(kWorkers);
     const std::size_t begin = half * records.size() / 2;
@@ -61,7 +64,7 @@ TEST(SerializeShardRoundTrip, ParallelMergeSurvivesTheWireFormat) {
   std::thread second(produce, 1);
   first.join();
   second.join();
-  const core::IntervalBatch batch = shards.barrier_merge();
+  const core::IntervalBatch batch = sink.close_and_drain(shards);
   shards.stop();
 
   // Rehydrate the merged registers into a sketch over the same family and
@@ -87,16 +90,18 @@ TEST(SerializeShardRoundTrip, ParallelMergeSurvivesTheWireFormat) {
 TEST(SerializeShardRoundTrip, CorruptedShardExportIsRejected) {
   // A truncated or bit-flipped export from a shard merge must be rejected
   // with a typed error, not silently merged into the collector's view.
+  BatchSink sink;
   ShardSet<sketch::KarySketch> shards(kSeed, kH, /*k=*/256,
-                                              /*worker_count=*/2,
-                                              /*queue_chunks=*/8,
-                                              /*instruments=*/nullptr);
+                                      /*worker_count=*/2,
+                                      /*queue_chunks=*/8,
+                                      /*instruments=*/nullptr,
+                                      /*max_outstanding=*/1, sink.callback());
   Chunk chunk;
   for (std::uint64_t key = 0; key < 500; ++key) {
     chunk.push_back(Record{key, 3.0});
   }
   shards.submit(0, std::move(chunk));
-  const core::IntervalBatch batch = shards.barrier_merge();
+  const core::IntervalBatch batch = sink.close_and_drain(shards);
   shards.stop();
 
   const auto family = sketch::make_tabulation_family(kSeed, kH);

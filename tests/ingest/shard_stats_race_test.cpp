@@ -14,6 +14,7 @@
 
 #include "hash/tabulation_hash.h"
 #include "ingest/shard_set.h"
+#include "shard_set_harness.h"
 #include "sketch/kary_sketch.h"
 
 namespace scd::ingest {
@@ -26,9 +27,10 @@ TEST(ShardStatsRace, StatsReadableFromMonitorThreadDuringIngest) {
   // One-chunk queues: the producer outruns the workers and takes the
   // blocking-push path, so backpressure_waits_ is actually being written
   // while the monitor reads it.
+  BatchSink sink;
   ShardSet<sketch::KarySketch> shards(
       /*seed=*/0x5eed, /*h=*/5, /*k=*/1024, kWorkers, /*queue_chunks=*/1,
-      /*instruments=*/nullptr);
+      /*instruments=*/nullptr, /*max_outstanding=*/1, sink.callback());
 
   std::atomic<bool> done{false};
   std::uint64_t last_waits = 0;
@@ -48,7 +50,7 @@ TEST(ShardStatsRace, StatsReadableFromMonitorThreadDuringIngest) {
       shards.submit(shard, std::move(chunk));
     }
   }
-  const core::IntervalBatch batch = shards.barrier_merge();
+  const core::IntervalBatch batch = sink.close_and_drain(shards);
   done.store(true, std::memory_order_release);
   monitor.join();
   shards.stop();
