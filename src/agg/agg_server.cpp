@@ -53,14 +53,19 @@ class AggServer::Impl {
     if (!running_.exchange(false)) {
       return;
     }
-    listener_.close();  // wakes the blocked accept()
+    // One closer per fd. shutdown wakes the blocked accept() without
+    // freeing the fd under it; the listener is closed once that thread has
+    // exited.
+    listener_.shutdown();
     {
       const common::MutexLock lock(state_.conns_mutex);
-      // shutdown (not close): the reader threads still own the fds and wake
-      // with EOF; close happens in each reader's epilogue.
+      // shutdown (not close): each reader wakes with EOF and closes its own
+      // fd under conns_mutex, so no fd is shut down here after its number
+      // was freed (it may already belong to another socket).
       for (auto& conn : state_.conns) conn->sock.shutdown_both();
     }
     if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.close();
     if (timer_thread_.joinable()) timer_thread_.join();
     std::vector<std::shared_ptr<AggConn>> conns;
     {
@@ -244,7 +249,10 @@ class AggServer::Impl {
       if (agg_metrics_) agg_metrics_->rejects.inc();
       if (net_metrics_) net_metrics_->frame_rejects.inc();
     }
-    conn->sock.close();
+    {
+      const common::MutexLock lock(state_.conns_mutex);  // see stop()
+      conn->sock.close();
+    }
     if (node_id) {
       // mo: gauge bookkeeping, matching the fetch_add in handle_frame.
       const std::size_t live =

@@ -21,7 +21,8 @@ namespace scd::agg {
 
 /// One node connection: the socket plus its reader thread. The reader owns
 /// the fd; stop() only shutdown()s it so the reader wakes with EOF and
-/// closes in its own epilogue.
+/// closes in its own epilogue. Both happen under conns_mutex, so stop()
+/// never shuts down an fd number the reader has already released.
 struct AggConn {
   net::Socket sock;
   std::thread thread;
@@ -41,7 +42,9 @@ struct AggServerState {
   /// unknown or fingerprint-drifted node must not pre-mark itself.
   std::set<std::uint64_t> seen_nodes SCD_GUARDED_BY(core_mutex);
 
-  /// Guards the connection list only; reader threads never take it.
+  /// Guards the connection list, and orders stop()'s shutdown of each
+  /// connection against its reader's close; reader threads take it only to
+  /// close.
   common::Mutex conns_mutex;
   std::vector<std::shared_ptr<AggConn>> conns SCD_GUARDED_BY(conns_mutex);
 };

@@ -461,10 +461,20 @@ class Engine final : public EngineBase {
 
   void ingest_interval(IntervalBatch&& batch) override {
     SCD_TRACE_SPAN_ARG("ingest_interval", "core", batch.records);
+    // Every check runs before any state changes, so a rejected batch leaves
+    // the engine as it was and the next valid batch is accepted.
     if (batch.registers.size() != observed_.registers().size()) {
       throw std::invalid_argument(
           "ChangeDetectionPipeline::ingest_interval: register table size "
           "does not match the configured h*k");
+    }
+    if constexpr (kRecovers) {
+      if (batch.mv_candidates.size() != observed_.candidates().size() ||
+          batch.mv_votes.size() != observed_.votes().size()) {
+        throw std::invalid_argument(
+            "ChangeDetectionPipeline::ingest_interval: majority-vote state "
+            "size does not match the configured h*k");
+      }
     }
     if (!(batch.len_s > 0.0)) {
       throw std::invalid_argument(
@@ -482,17 +492,13 @@ class Engine final : public EngineBase {
           "time-ordered");
     }
     cutter_.open(batch.start_s, batch.len_s, batch.records);
-    observed_.load_registers(batch.registers);
+    // Adopt the batch's tables by swap. No interval is open, so observed_
+    // is all zeros, and the batch leaves holding zeroed tables of the same
+    // shape (the IntervalBatch post-condition).
+    observed_.swap_registers(batch.registers);
     if constexpr (kRecovers) {
-      if (batch.mv_candidates.size() != observed_.candidates().size() ||
-          batch.mv_votes.size() != observed_.votes().size()) {
-        throw std::invalid_argument(
-            "ChangeDetectionPipeline::ingest_interval: majority-vote state "
-            "size does not match the configured h*k");
-      }
-      observed_.load_aux(batch.mv_candidates, batch.mv_votes);
-    }
-    if constexpr (!kRecovers) {
+      observed_.swap_aux(batch.mv_candidates, batch.mv_votes);
+    } else {
       keys_.insert(batch.keys.begin(), batch.keys.end());
     }
     close_interval();

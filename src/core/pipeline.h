@@ -137,6 +137,15 @@ using PipelineStats = obs::PipelineStats;
 /// the distinct keys seen, and the record count. The registers must come
 /// from sketches built with the pipeline's (seed, h, k) — the same hash
 /// family parameters — or every downstream ESTIMATE is garbage.
+///
+/// Post-condition of ChangeDetectionPipeline::ingest_interval: the pipeline
+/// adopts the tables by swap, not by copy. On return `registers` — and, for
+/// an invertible (kInvertible) pipeline, `mv_candidates` and `mv_votes` —
+/// hold the pipeline's previous tables: all zeros, same h x k shape. The
+/// other fields keep their values. A rejected batch (the call throws) is
+/// left untouched. The sharded front end hands these zeroed tables back to
+/// its shard pool (ShardSetBase::recycle), so in steady state no h x k
+/// table is allocated or copied per interval.
 struct IntervalBatch {
   double start_s = 0.0;
   double len_s = 0.0;
@@ -202,10 +211,13 @@ class ChangeDetectionPipeline {
   /// Feeds one pre-aggregated interval (a sharded front-end's COMBINE merge,
   /// see src/ingest) and closes it immediately: the forecast/detect stages
   /// run exactly as if the batch's records had been add()ed one by one.
-  /// Throws std::invalid_argument when the register table does not match the
-  /// configured h*k, when len_s is not positive, when batches regress in
-  /// time, or when an interval opened by add() is still in progress —
-  /// mixing the two feeds within one interval is not supported.
+  /// The tables are adopted by swap; see IntervalBatch for what the batch
+  /// holds afterwards. Throws std::invalid_argument, before changing any
+  /// state, when the register table (or, for kInvertible, the vote state)
+  /// does not match the configured h*k, when len_s is not positive, when
+  /// batches regress in time, or when an interval opened by add() is still
+  /// in progress — mixing the two feeds within one interval is not
+  /// supported.
   void ingest_interval(IntervalBatch&& batch);
 
   /// Closes the interval in progress (and, in kNextInterval mode, emits the

@@ -283,7 +283,11 @@ class ParallelPipeline::Impl {
     // while it is still intact, and ship-then-ingest-then-checkpoint is the
     // ordering the rejoin protocol relies on (docs/DISTRIBUTED.md).
     if (on_interval_batch_) on_interval_batch_(close.index, batch);
+    // The engine adopts the merged tables and leaves its zeroed ones in
+    // the batch; they go back to the shards for the next merge.
     serial_.ingest_interval(std::move(batch));
+    // NOLINTNEXTLINE(bugprone-use-after-move): swapped, not moved from.
+    shards_->recycle(std::move(batch));
     // Fires with this interval fully ingested: save_state() from the
     // callback captures serial-equivalent state for the closed interval.
     if (on_interval_close_) {

@@ -13,27 +13,33 @@
 // producer records the close on the epoch ledger, stamps one barrier token
 // per queue after the interval's records and returns immediately; each
 // worker, on seeing the token, publishes its finished sketch and key buffer
-// and starts the next epoch on a zeroed sketch drawn from the recycle pool
-// (the merger returns consumed sketches, so steady state is double-buffered
-// with no allocation). A dedicated merger thread waits until all W shards
-// have published the oldest epoch, COMBINE-merges the handoffs in shard
-// order, and hands the merged IntervalBatch back to the owner together with
-// the close it recorded — epochs are merged and delivered strictly in
-// order, off the ingest hot path. Workers therefore never stall at an
-// interval boundary; the only producer-side wait is the max_outstanding
-// backpressure cap. Sketch linearity makes the merge exact — the merged
-// table equals the serial pipeline's table up to floating-point addition
-// order within each register, and the fixed shard order keeps it
-// bit-identical run to run. There is one merge path: tests and the
-// pipeline both close with close_epoch() and wait with drain().
+// and starts the next epoch on a zeroed sketch drawn from the recycle pool.
+// A dedicated merger thread waits until all W shards have published the
+// oldest epoch, folds shards 1..W-1 into shard 0's tables in shard order
+// (COMBINE, §3.1, in place), moves the folded tables into the IntervalBatch
+// and hands it back to the owner together with the close it recorded —
+// epochs are merged and delivered strictly in order, off the ingest hot
+// path. Workers therefore never stall at an interval boundary; the only
+// producer-side wait is the max_outstanding backpressure cap. Sketch
+// linearity makes the merge exact — the merged table equals the serial
+// pipeline's table up to floating-point addition order within each
+// register, and the fixed shard order keeps it bit-identical run to run.
+// There is one merge path: tests and the pipeline both close with
+// close_epoch() and wait with drain().
+//
+// Tables circulate; none is copied (docs/PERFORMANCE.md). The engine adopts
+// the batch's tables by swap and leaves its own zeroed ones in the batch;
+// recycle() takes those back, and the next merge swaps them into shard 0's
+// sketch, which rejoins the pool already zeroed. The merger zeroes only
+// shards 1..W-1, and after the first epochs nothing is allocated.
 //
 // Locking contract (docs/CONCURRENCY.md): epoch_mutex_ is the set's one
 // lock (the per-shard queues keep their own). It guards the epoch ledger
-// (closes_), the per-shard publish deques and the recycle pool; publish and
-// collect go through the SCD_REQUIRES(epoch_mutex_) helpers so a clang
-// -Wthread-safety build rejects an unlocked handoff access. The stats
-// counters are relaxed atomics: written by the producer thread, readable
-// from any thread.
+// (closes_), the per-shard publish deques, the recycle pool and the
+// returned tables; publish and collect go through the
+// SCD_REQUIRES(epoch_mutex_) helpers so a clang -Wthread-safety build
+// rejects an unlocked handoff access. The stats counters are relaxed
+// atomics: written by the producer thread, readable from any thread.
 #pragma once
 
 #include <atomic>
@@ -43,6 +49,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -103,6 +110,13 @@ class ShardSetBase {
   /// Closes all queues and joins the workers and the merger, which first
   /// delivers every epoch the workers published. Idempotent.
   virtual void stop() = 0;
+  /// Hands a delivered batch's tables back to the pool once its consumer
+  /// has left zeroed tables in it (ChangeDetectionPipeline::ingest_interval
+  /// does): the next merge moves its folded tables out through them instead
+  /// of allocating. Throws std::invalid_argument unless the tables have
+  /// this set's h x k shape (for the invertible family, the vote arrays
+  /// too).
+  virtual void recycle(core::IntervalBatch&& batch) = 0;
   /// Epochs closed but not yet merged and delivered, callbacks included.
   [[nodiscard]] virtual std::size_t pending_epochs() const = 0;
   /// True on the merger thread: the caller runs inside the merged-batch
@@ -231,6 +245,28 @@ class ShardSet final : public ShardSetBase {
     if (merger_.joinable()) merger_.join();
   }
 
+  void recycle(core::IntervalBatch&& batch)
+      SCD_EXCLUDES(epoch_mutex_) override {
+    const std::size_t cells = family_->rows() * k_;
+    bool shaped = batch.registers.size() == cells;
+    if constexpr (kRecovers) {
+      shaped = shaped && batch.mv_candidates.size() == cells &&
+               batch.mv_votes.size() == cells;
+    }
+    if (!shaped) {
+      throw std::invalid_argument(
+          "ShardSet::recycle: the batch's tables do not have the shard "
+          "sketches' h x k shape");
+    }
+    // Only the tables are reused; the key buffer keeps its capacity.
+    batch.start_s = 0.0;
+    batch.len_s = 0.0;
+    batch.records = 0;
+    batch.keys.clear();
+    common::MutexLock lock(epoch_mutex_);
+    returned_ = std::move(batch);
+  }
+
   [[nodiscard]] std::size_t pending_epochs() const
       SCD_EXCLUDES(epoch_mutex_) override {
     common::MutexLock lock(epoch_mutex_);
@@ -314,36 +350,61 @@ class ShardSet final : public ShardSetBase {
     }
   }
 
-  /// COMBINE-merges one epoch's W handoffs in shard order and concatenates
-  /// the key buffers; recycles the consumed sketches into the pool. Runs
+  /// The tables the next merged batch carries the fold out in: the ones
+  /// recycle() took back, or — until the first comes back — fresh zeroed
+  /// ones.
+  [[nodiscard]] core::IntervalBatch take_returned() SCD_EXCLUDES(epoch_mutex_) {
+    {
+      common::MutexLock lock(epoch_mutex_);
+      if (returned_.has_value()) {
+        core::IntervalBatch batch = std::move(*returned_);
+        returned_.reset();
+        return batch;
+      }
+    }
+    const std::size_t cells = family_->rows() * k_;
+    core::IntervalBatch batch;
+    batch.registers.assign(cells, 0.0);
+    if constexpr (kRecovers) {
+      batch.mv_candidates.assign(cells, 0);
+      batch.mv_votes.assign(cells, 0.0);
+    }
+    return batch;
+  }
+
+  /// Merges one epoch's W handoffs: folds shards 1..W-1 into shard 0 in
+  /// shard order, moves the folded tables into the batch and concatenates
+  /// the key buffers; returns every handoff sketch to the pool zeroed. Runs
   /// with no lock held — the handoffs were moved out under epoch_mutex_ —
-  /// except to return the zeroed sketches.
+  /// except to exchange tables with the pool.
   [[nodiscard]] core::IntervalBatch merge_epoch(
       std::vector<EpochHandoff> handoffs) SCD_EXCLUDES(epoch_mutex_) {
     obs::ScopedTimer timer(
         instruments_ != nullptr ? &instruments_->merge_seconds : nullptr,
         nullptr, "barrier_combine", "ingest");
-    // COMBINE(1, S_0, ..., 1, S_{W-1}) in shard order — fixed order keeps
-    // the merged registers bit-identical run to run.
-    std::vector<const Sketch*> parts;
-    parts.reserve(handoffs.size());
-    for (auto& handoff : handoffs) parts.push_back(&*handoff.sketch);
-    const std::vector<double> coeffs(handoffs.size(), 1.0);
-    const Sketch merged = Sketch::combine(coeffs, parts);
-
-    core::IntervalBatch batch;
-    batch.registers.assign(merged.registers().begin(),
-                           merged.registers().end());
+    // S_0 += S_1, ..., += S_{W-1}: the additions of COMBINE(1, S_0, ...,
+    // 1, S_{W-1}) in the same order, so the result is byte-identical to
+    // it. COMBINE starts from a zero sketch: 0 + S_0 is S_0 exactly (shard
+    // registers start at +0.0 and take only finite adds, so none is -0.0),
+    // and a zero-vote cell merged into it reads candidate 0, which
+    // clear_stale_candidates() reproduces.
+    Sketch& merged = *handoffs.front().sketch;
+    if constexpr (kRecovers) merged.clear_stale_candidates();
+    for (std::size_t i = 1; i < handoffs.size(); ++i) {
+      merged.add_scaled(*handoffs[i].sketch, 1.0);
+      handoffs[i].sketch->set_zero();
+    }
+    // The batch's zeroed tables go into shard 0's sketch, its folded
+    // tables into the batch.
+    core::IntervalBatch batch = take_returned();
+    merged.swap_registers(batch.registers);
     if constexpr (kRecovers) {
-      batch.mv_candidates.assign(merged.candidates().begin(),
-                                 merged.candidates().end());
-      batch.mv_votes.assign(merged.votes().begin(), merged.votes().end());
+      merged.swap_aux(batch.mv_candidates, batch.mv_votes);
     }
     for (auto& handoff : handoffs) {
       batch.records += handoff.records;
       batch.keys.insert(batch.keys.end(), handoff.keys.begin(),
                         handoff.keys.end());
-      handoff.sketch->set_zero();
     }
     common::MutexLock lock(epoch_mutex_);
     for (auto& handoff : handoffs) pool_.push_back(std::move(*handoff.sketch));
@@ -472,6 +533,9 @@ class ShardSet final : public ShardSetBase {
   // Recycled zeroed sketches (double buffering): the merger refills,
   // workers draw at each epoch boundary.
   std::vector<Sketch> pool_ SCD_GUARDED_BY(epoch_mutex_);
+  // Zeroed tables recycle() took back from a delivered batch; the next
+  // merge swaps them into shard 0's sketch.
+  std::optional<core::IntervalBatch> returned_ SCD_GUARDED_BY(epoch_mutex_);
   std::thread merger_;
   // Stats counters: producer thread writes, stats() may be called from any
   // thread (monitoring), so plain integers here were a data race.

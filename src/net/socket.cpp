@@ -173,11 +173,15 @@ Socket ListenSocket::accept() {
   }
 }
 
+void ListenSocket::shutdown() noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void ListenSocket::close() noexcept {
   if (fd_ >= 0) {
     // shutdown() first so a thread blocked in accept() wakes immediately
     // instead of waiting for a connection that will never come.
-    ::shutdown(fd_, SHUT_RDWR);
+    shutdown();
     ::close(fd_);
     fd_ = -1;
   }

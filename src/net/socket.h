@@ -81,12 +81,17 @@ class ListenSocket {
                                                int backlog = 16);
 
   /// Blocks until a connection arrives. Throws WireError(kIo) on failure —
-  /// including when the listening socket is close()d from another thread,
+  /// including when the listening socket is shutdown() from another thread,
   /// which is the accept loop's shutdown path.
   [[nodiscard]] Socket accept();
 
   /// The bound port (resolves port 0 to the kernel-assigned ephemeral port).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+
+  /// Wakes a thread blocked in accept() (it throws WireError(kIo)) without
+  /// releasing the fd, so that thread never reads a closed or reused fd
+  /// number. close() once that thread is done.
+  void shutdown() noexcept;
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   void close() noexcept;

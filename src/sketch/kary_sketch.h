@@ -459,6 +459,22 @@ class BasicKarySketch {
     sum_valid_.store(false, std::memory_order_relaxed);
   }
 
+  /// Exchanges the register table with `values` — load_registers without
+  /// the copy: the shard merge moves its folded table into the batch, and
+  /// the engine adopts the batch's table, this way. Same contract as
+  /// load_registers: throws std::invalid_argument unless `values` holds
+  /// exactly H * K registers.
+  void swap_registers(std::vector<double>& values) {
+    if (values.size() != table_.size()) {
+      throw std::invalid_argument(
+          "BasicKarySketch::swap_registers: vector size does not match the "
+          "register table");
+    }
+    table_.swap(values);
+    // mo: cache invalidation on the single-mutator path (see update()).
+    sum_valid_.store(false, std::memory_order_relaxed);
+  }
+
   /// Raw register access for tests and serialization.
   [[nodiscard]] std::span<const double> row(std::size_t i) const noexcept {
     return {&table_[i * k_], k_};

@@ -103,10 +103,13 @@ class BasicMvSketch {
   }
 
   /// Batched UPDATE, bit-identical to calling update() record by record.
-  /// The vote state forces per-record sequential application (a bucket's
-  /// candidate depends on every prior update that hashed into it), so unlike
-  /// BasicKarySketch there is no row-sweep rearrangement to exploit — this
-  /// is the documented UPDATE-cost trade-off of the invertible family.
+  /// A cell's candidate and vote depend only on the updates that hash into
+  /// that cell, in record order, so a BasicKarySketch-style row sweep
+  /// (hash the block, then apply it one row at a time, counters and votes
+  /// together) would also be bit-identical. A prototype of it added
+  /// nothing end to end on the sharded invertible path
+  /// (docs/PERFORMANCE.md), so this loop applies each record to all H rows
+  /// in turn.
   void update_batch(std::span<const Record> records) noexcept {
     for (const Record& r : records) update(r.key, r.update);
   }
@@ -195,6 +198,35 @@ class BasicMvSketch {
     }
     std::copy(cand.begin(), cand.end(), candidates_.begin());
     std::copy(vote_counts.begin(), vote_counts.end(), votes_.begin());
+  }
+
+  /// load_registers / load_aux without the copy: exchange the tables with
+  /// the caller's vectors (the shard merge's hand-off to the engine). Each
+  /// vector must hold H * K entries; throws std::invalid_argument otherwise
+  /// and then leaves both sides untouched.
+  void swap_registers(std::vector<double>& values) {
+    counters_.swap_registers(values);
+  }
+  void swap_aux(std::vector<std::uint64_t>& cand,
+                std::vector<double>& vote_counts) {
+    if (cand.size() != candidates_.size() ||
+        vote_counts.size() != votes_.size()) {
+      throw std::invalid_argument(
+          "BasicMvSketch::swap_aux: vector sizes do not match the table");
+    }
+    candidates_.swap(cand);
+    votes_.swap(vote_counts);
+  }
+
+  /// Resets the stale candidate of every zero-vote cell to 0 — the state
+  /// add_scaled() leaves such a cell in when it merges into a zero sketch.
+  /// Folding shards into shard 0 in place (the sharded front end's merge)
+  /// calls this first, so the fold is byte-identical to combine(), which
+  /// starts from a zero sketch.
+  void clear_stale_candidates() noexcept {
+    for (std::size_t idx = 0; idx < votes_.size(); ++idx) {
+      if (votes_[idx] == 0.0) candidates_[idx] = 0;
+    }
   }
 
   /// Raw state access for tests and serialization.

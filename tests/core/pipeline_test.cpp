@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "sketch/kary_sketch.h"
+#include "sketch/mv_sketch.h"
 
 namespace scd::core {
 namespace {
@@ -274,6 +277,98 @@ TEST(Pipeline, IngestIntervalValidatesItsBatch) {
   ChangeDetectionPipeline mixed(config);
   mixed.add(1, 1.0, 0.0);
   EXPECT_THROW(mixed.ingest_interval(valid()), std::invalid_argument);
+}
+
+/// An invertible pipeline's batch: an MvSketch64's tables after `updates`
+/// records of key 7.
+IntervalBatch invertible_batch(const PipelineConfig& config, double start_s,
+                               int updates) {
+  sketch::MvSketch64 sketch(sketch::make_cw_family(config.seed, config.h),
+                            config.k);
+  for (int i = 0; i < updates; ++i) sketch.update(7, 10.0);
+  IntervalBatch batch;
+  batch.start_s = start_s;
+  batch.len_s = config.interval_s;
+  batch.records = static_cast<std::uint64_t>(updates);
+  batch.registers.assign(sketch.registers().begin(), sketch.registers().end());
+  batch.mv_candidates.assign(sketch.candidates().begin(),
+                             sketch.candidates().end());
+  batch.mv_votes.assign(sketch.votes().begin(), sketch.votes().end());
+  return batch;
+}
+
+PipelineConfig invertible_config() {
+  PipelineConfig config = base_config();
+  config.key_kind = traffic::KeyKind::kSrcDstPair;
+  config.recovery = RecoveryMode::kInvertible;
+  return config;
+}
+
+TEST(Pipeline, RejectedBatchLeavesTheEngineReadyForTheNext) {
+  // Every shape check runs before the engine changes: a batch whose vote
+  // state has the wrong size throws, is left as it was, and the next valid
+  // batch is accepted.
+  const PipelineConfig config = invertible_config();
+  ChangeDetectionPipeline pipeline(config);
+  IntervalBatch bad = invertible_batch(config, 0.0, 3);
+  bad.mv_votes.pop_back();
+  const std::vector<double> registers = bad.registers;
+  EXPECT_THROW(pipeline.ingest_interval(std::move(bad)),
+               std::invalid_argument);
+  EXPECT_EQ(bad.registers, registers);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(pipeline.position().interval_index, 0u);
+
+  IntervalBatch short_candidates = invertible_batch(config, 0.0, 3);
+  short_candidates.mv_candidates.clear();
+  EXPECT_THROW(pipeline.ingest_interval(std::move(short_candidates)),
+               std::invalid_argument);
+
+  EXPECT_NO_THROW(pipeline.ingest_interval(invertible_batch(config, 0.0, 3)));
+  EXPECT_NO_THROW(pipeline.ingest_interval(invertible_batch(config, 10.0, 4)));
+  ASSERT_EQ(pipeline.reports().size(), 2u);
+  EXPECT_EQ(pipeline.reports()[0].records, 3u);
+  EXPECT_EQ(pipeline.reports()[1].records, 4u);
+}
+
+TEST(Pipeline, IngestIntervalReturnsZeroedTablesOfTheSameShape) {
+  // The engine adopts the batch's tables by swap and leaves its own zeroed
+  // ones behind (the IntervalBatch post-condition), in both recovery modes.
+  const std::size_t cells = base_config().h * base_config().k;
+  for (const bool invertible : {false, true}) {
+    SCOPED_TRACE(invertible ? "invertible" : "replay");
+    const PipelineConfig config =
+        invertible ? invertible_config() : base_config();
+    ChangeDetectionPipeline pipeline(config);
+    for (int t = 0; t < 3; ++t) {
+      IntervalBatch batch = invertible_batch(config, 10.0 * t, 5 + t);
+      if (!invertible) {  // only the register table's shape matters here
+        batch.mv_candidates.clear();
+        batch.mv_votes.clear();
+        batch.keys = {7};
+      }
+      const double* adopted = batch.registers.data();
+      pipeline.ingest_interval(std::move(batch));
+      // NOLINTBEGIN(bugprone-use-after-move): ingest_interval swaps.
+      EXPECT_NE(batch.registers.data(), adopted);
+      ASSERT_EQ(batch.registers.size(), cells);
+      EXPECT_TRUE(std::all_of(batch.registers.begin(), batch.registers.end(),
+                              [](double v) { return v == 0.0; }));
+      if (invertible) {
+        ASSERT_EQ(batch.mv_candidates.size(), cells);
+        ASSERT_EQ(batch.mv_votes.size(), cells);
+        EXPECT_TRUE(std::all_of(batch.mv_candidates.begin(),
+                                batch.mv_candidates.end(),
+                                [](std::uint64_t c) { return c == 0; }));
+        EXPECT_TRUE(std::all_of(batch.mv_votes.begin(), batch.mv_votes.end(),
+                                [](double v) { return v == 0.0; }));
+      } else {
+        EXPECT_TRUE(batch.mv_candidates.empty());
+      }
+      EXPECT_EQ(batch.records, static_cast<std::uint64_t>(5 + t));
+      // NOLINTEND(bugprone-use-after-move)
+    }
+    ASSERT_EQ(pipeline.reports().size(), 3u);
+  }
 }
 
 TEST(Pipeline, CallbackSeesEveryReport) {

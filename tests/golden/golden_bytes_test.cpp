@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "checkpoint/checkpoint.h"
@@ -67,8 +69,20 @@ Bytes read_file(const std::filesystem::path& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
+/// A scratch directory owned by this process and the running test. ctest
+/// runs each case on its own and again inside the whole-binary dispatch
+/// legs, possibly at the same time, so a name shared between processes
+/// would let one delete the other's files mid-write.
 std::filesystem::path fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string owner =
+      std::to_string(::getpid()) + "_" +
+      (test != nullptr
+           ? std::string(test->test_suite_name()) + "." + test->name()
+           : std::string("no_test"));
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   (name + "_" + owner);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <span>
+#include <numeric>
 #include <vector>
 
 #include "common/random.h"
@@ -192,6 +193,23 @@ TEST(KarySketch, LoadRegistersRejectsWrongSizeInAllBuildTypes) {
   const std::vector<double> right(5 * 256, 1.5);
   EXPECT_NO_THROW(s.load_registers(right));
   EXPECT_DOUBLE_EQ(s.sum(), 256.0 * 1.5);  // cache invalidated by the load
+}
+
+TEST(KarySketch, SwapRegistersExchangesTablesAndChecksTheSize) {
+  const auto family = make_tabulation_family(21, 5);
+  KarySketch s(family, 256);
+  s.update(9, 4.0);
+  EXPECT_DOUBLE_EQ(s.sum(), 4.0);  // fills the sum cache
+  std::vector<double> too_small(5 * 256 - 1, 0.0);
+  EXPECT_THROW(s.swap_registers(too_small), std::invalid_argument);
+  EXPECT_EQ(too_small.size(), 5u * 256 - 1);  // a rejected swap moves nothing
+  std::vector<double> table(5 * 256, 1.5);
+  const double* incoming = table.data();
+  s.swap_registers(table);
+  EXPECT_EQ(s.registers().data(), incoming);  // adopted, not copied
+  EXPECT_DOUBLE_EQ(s.sum(), 256.0 * 1.5);     // cache invalidated by the swap
+  ASSERT_EQ(table.size(), 5u * 256);
+  EXPECT_DOUBLE_EQ(std::accumulate(table.begin(), table.end(), 0.0), 20.0);
 }
 
 TEST(KarySketch, AddScaledRejectsIncompatibleSketches) {

@@ -397,6 +397,30 @@ TEST(MvSketchSerialize, TruncatedAuxStateIsTyped) {
   }
 }
 
+TEST(MvSketch, SwapTablesExchangeStateAndCheckTheSize) {
+  MvSketch s = make_populated_mv(25, 6);
+  const std::vector<double> registers(s.registers().begin(),
+                                      s.registers().end());
+  const std::vector<std::uint64_t> candidates(s.candidates().begin(),
+                                              s.candidates().end());
+  const std::vector<double> votes(s.votes().begin(), s.votes().end());
+  std::vector<double> r(kH * kK, 0.0);
+  std::vector<std::uint64_t> c(kH * kK, 0);
+  std::vector<double> v(kH * kK - 1, 0.0);
+  EXPECT_THROW(s.swap_aux(c, v), std::invalid_argument);
+  std::vector<double> short_r(kH * kK + 1, 0.0);
+  EXPECT_THROW(s.swap_registers(short_r), std::invalid_argument);
+  v.push_back(0.0);
+  s.swap_registers(r);
+  s.swap_aux(c, v);
+  EXPECT_EQ(r, registers);
+  EXPECT_EQ(c, candidates);
+  EXPECT_EQ(v, votes);
+  EXPECT_TRUE(std::all_of(s.votes().begin(), s.votes().end(),
+                          [](double x) { return x == 0.0; }));
+  EXPECT_DOUBLE_EQ(s.counters().sum(), 0.0);
+}
+
 TEST(MvSketchSerialize, TrailingBytesAreTyped) {
   auto bytes = mv_sketch_to_bytes(make_populated_mv(25, 6));
   bytes.push_back(0);
