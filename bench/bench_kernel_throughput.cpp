@@ -2,8 +2,9 @@
 // BasicKarySketch::update_batch (docs/PERFORMANCE.md).
 //
 // Three measurements, all single-threaded:
-//   1. dense kernels (scale/axpy/dot/sum_squares/hsum) in GB/s, the
-//      runtime-dispatched implementation against the portable scalar
+//   1. dense kernels (scale/axpy/dot/sum_squares/hsum, and mv_fold, the
+//      majority-vote sketch's fused counter AXPY + vote merge) in GB/s,
+//      the runtime-dispatched implementation against the portable scalar
 //      reference benched in the same process;
 //   2. sketch UPDATE at H=5, K=4096 — per-record update() vs the
 //      hash-batched update_batch() row sweep, in M updates/s. The batched
@@ -73,6 +74,9 @@ struct Backend {
   double (*dot)(const double*, const double*, std::size_t) noexcept;
   double (*sum_squares)(const double*, std::size_t) noexcept;
   double (*hsum)(const double*, std::size_t) noexcept;
+  void (*mv_fold)(const scd::simd::MvCells&, const scd::simd::MvConstCells&,
+                  std::size_t, double, bool,
+                  const scd::simd::MvCells*) noexcept;
 };
 
 volatile double g_sink = 0.0;
@@ -155,6 +159,49 @@ std::vector<KernelResult> bench_kernels(const Backend& backend, bool quick) {
   return out;
 }
 
+/// mv_fold in add_scaled's form (no clear, no drain): reads both sides'
+/// counters, candidates and votes and writes dst's — 72 bytes a cell.
+/// Candidates come from 16 keys, so every vote outcome occurs; c alternates
+/// +-0.5 to keep the counters bounded. Run after bench_kernels, so the
+/// earlier rows see the heap they always saw.
+std::vector<KernelResult> bench_mv_fold(const Backend& backend, bool quick) {
+  const std::size_t target = quick ? 8u << 20 : 256u << 20;
+  const int reps = quick ? 1 : 3;
+  std::vector<KernelResult> out;
+  scd::common::Rng rng(98);
+  for (const std::size_t n : {std::size_t{4096}, std::size_t{65536}}) {
+    const std::size_t iters = std::max<std::size_t>(1, target / n);
+    std::vector<double> dst_counts(n);
+    std::vector<double> src_counts(n);
+    std::vector<std::uint64_t> dst_cand(n);
+    std::vector<std::uint64_t> src_cand(n);
+    std::vector<double> dst_votes(n);
+    std::vector<double> src_votes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst_counts[i] = rng.uniform(-1e3, 1e3);
+      src_counts[i] = rng.uniform(-1e3, 1e3);
+      dst_cand[i] = rng.next_below(16);
+      src_cand[i] = rng.next_below(16);
+      dst_votes[i] = static_cast<double>(rng.next_below(4));
+      src_votes[i] = static_cast<double>(rng.next_below(4));
+    }
+    const scd::simd::MvCells dst{dst_counts.data(), dst_cand.data(),
+                                 dst_votes.data()};
+    const scd::simd::MvConstCells src{src_counts.data(), src_cand.data(),
+                                      src_votes.data()};
+    const double seconds = best_seconds(reps, [&] {
+      for (std::size_t i = 0; i < iters; ++i) {
+        backend.mv_fold(dst, src, n, (i & 1) != 0 ? -0.5 : 0.5, false,
+                        nullptr);
+      }
+    });
+    const double gbs = 72.0 * static_cast<double>(n) *
+                       static_cast<double>(iters) / seconds / 1e9;
+    out.push_back(KernelResult{"mv_fold", backend.name, backend.isa, n, gbs});
+  }
+  return out;
+}
+
 double kernel_gbs(const std::vector<KernelResult>& rows, const char* kernel,
                   const char* backend, std::size_t n) {
   for (const KernelResult& r : rows) {
@@ -188,19 +235,23 @@ int main() {
 
   // --- 1. dense kernels ----------------------------------------------------
   const Backend dispatch{"dispatch", isa, &simd::scale, &simd::axpy,
-                         &simd::dot, &simd::sum_squares, &simd::hsum};
+                         &simd::dot, &simd::sum_squares, &simd::hsum,
+                         &simd::mv_fold};
   const Backend scalar{"scalar", "scalar", &simd::scalar::scale,
                        &simd::scalar::axpy, &simd::scalar::dot,
-                       &simd::scalar::sum_squares, &simd::scalar::hsum};
+                       &simd::scalar::sum_squares, &simd::scalar::hsum,
+                       &simd::scalar::mv_fold};
   std::vector<KernelResult> kernels = bench_kernels(dispatch, quick);
-  {
-    std::vector<KernelResult> ref = bench_kernels(scalar, quick);
-    kernels.insert(kernels.end(), ref.begin(), ref.end());
-  }
+  const auto append = [&kernels](const std::vector<KernelResult>& more) {
+    kernels.insert(kernels.end(), more.begin(), more.end());
+  };
+  append(bench_kernels(scalar, quick));
+  append(bench_mv_fold(dispatch, quick));
+  append(bench_mv_fold(scalar, quick));
   std::printf("\n%-12s %8s %12s %12s %9s\n", "kernel", "n", "dispatch",
               "scalar", "ratio");
   for (const char* kernel :
-       {"scale", "axpy", "dot", "sum_squares", "hsum"}) {
+       {"scale", "axpy", "dot", "sum_squares", "hsum", "mv_fold"}) {
     for (const std::size_t n : {std::size_t{4096}, std::size_t{65536}}) {
       const double d = kernel_gbs(kernels, kernel, "dispatch", n);
       const double s = kernel_gbs(kernels, kernel, "scalar", n);

@@ -417,6 +417,7 @@ class Engine final : public EngineBase {
         obs_(instruments_for(config)),
         family_(std::make_shared<const Family>(config.seed, config.h)),
         observed_(family_, config.k),
+        step_{Counters(family_, config.k), Counters(family_, config.k)},
         active_model_(config.model),
         sample_rng_(config.seed ^ 0x5a5a5a5a5a5a5a5aULL),
         cutter_(config, obs_ != nullptr ? &obs_->out_of_order : nullptr) {
@@ -612,8 +613,8 @@ class Engine final : public EngineBase {
     if (pending_.has_value()) {
       out.f64(pending_->est_f2);
       write_report(out, pending_->report);
-      model_out.write_signal(pending_->error);
-      model_out.write_signal(pending_->forecast);  // v2
+      model_out.write_signal(parked_->error);
+      model_out.write_signal(parked_->forecast);  // v2
     }
     out.u64(history_.size());
     for (const Counters& s : history_) model_out.write_signal(s);
@@ -690,12 +691,12 @@ class Engine final : public EngineBase {
     runner_->restore_state(model_in);
     pending_.reset();
     if (in.u64() != 0) {
-      Pending p{Counters(family_, config_.k), Counters(family_, config_.k),
-                0.0, IntervalReport{}};
+      Pending p;
       p.est_f2 = in.f64();
       p.report = read_report(in);
-      model_in.read_signal(p.error);
-      model_in.read_signal(p.forecast);  // v2
+      StepTables& parked = parked_tables();
+      model_in.read_signal(parked.error);
+      model_in.read_signal(parked.forecast);  // v2
       pending_.emplace(std::move(p));
     }
     history_.clear();
@@ -720,13 +721,29 @@ class Engine final : public EngineBase {
   }
 
  private:
-  struct Pending {
+  /// One forecast step's output, S_f(t) and S_e(t). The forecast is kept
+  /// alongside the error so detection can reconstruct per-row provenance
+  /// evidence.
+  struct StepTables {
+    Counters forecast;
     Counters error;
-    Counters forecast;  // kept alongside the error so deferred detection can
-                      // still reconstruct per-row provenance evidence
-    double est_f2;
+  };
+
+  /// kNextInterval: a detection parked until the next interval's keys
+  /// arrive. Its S_e and S_f are in parked_.
+  struct Pending {
+    double est_f2 = 0.0;
     IntervalReport report;  // partially filled
   };
+
+  /// parked_, allocated on first use (only kNextInterval parks).
+  [[nodiscard]] StepTables& parked_tables() {
+    if (!parked_.has_value()) {
+      parked_.emplace(StepTables{Counters(family_, config_.k),
+                                 Counters(family_, config_.k)});
+    }
+    return *parked_;
+  }
 
   void rebuild_runner() {
     const Counters prototype(family_, config_.k);
@@ -775,11 +792,12 @@ class Engine final : public EngineBase {
       tally_.records += clock.records;
       ++tally_.intervals_closed;
       tally_.replay_buffer_keys = static_cast<double>(keys_.size());
-      std::optional<typename forecast::ForecastRunner<Counters>::Step> step;
+      bool stepped = false;
       {
         obs::ScopedTimer timer(nullptr, &report.timings.forecast_s,
                                "forecast_step", "core");
-        step = runner_->step(counters_of(observed_));
+        stepped = runner_->step_into(counters_of(observed_), step_.forecast,
+                                     step_.error);
       }
 
       if (config_.replay == KeyReplayMode::kNextInterval) {
@@ -788,16 +806,18 @@ class Engine final : public EngineBase {
           previous = take_pending(
               std::vector<std::uint64_t>(keys_.begin(), keys_.end()));
         }
-        if (step.has_value()) {
-          Pending p{std::move(step->error), std::move(step->forecast), 0.0,
-                    std::move(report)};
-          p.est_f2 = timed_estimate_f2(p.error, p.report);
+        if (stepped) {
+          // Park this step's tables; the swap leaves the ones just swept
+          // in step_ for the next step to overwrite.
+          std::swap(step_, parked_tables());
+          Pending p{0.0, std::move(report)};
+          p.est_f2 = timed_estimate_f2(parked_->error, p.report);
           pending_.emplace(std::move(p));
           parked = true;
         }
-      } else if (step.has_value()) {
-        const double est_f2 = timed_estimate_f2(step->error, report);
-        sweep(step->error, &step->forecast, est_f2,
+      } else if (stepped) {
+        const double est_f2 = timed_estimate_f2(step_.error, report);
+        sweep(step_.error, &step_.forecast, est_f2,
               std::vector<std::uint64_t>(keys_.begin(), keys_.end()), report);
       }
 
@@ -850,7 +870,7 @@ class Engine final : public EngineBase {
       const std::vector<std::uint64_t>& keys) {
     Pending p = std::move(*pending_);
     pending_.reset();
-    sweep(p.error, &p.forecast, p.est_f2, keys, p.report);
+    sweep(parked_->error, &parked_->forecast, p.est_f2, keys, p.report);
     return std::move(p.report);
   }
 
@@ -997,13 +1017,15 @@ class Engine final : public EngineBase {
   void refit() {
     obs::ScopedTimer timer(nullptr, &tally_.refit_s, "refit", "core");
     const Counters prototype(family_, config_.k);
+    // Every candidate steps into the same two tables.
+    StepTables trial{prototype, prototype};
     const gridsearch::Objective objective =
-        [this, &prototype](const forecast::ModelConfig& candidate) {
-          forecast::ForecastRunner<Counters> trial(candidate, prototype);
+        [this, &prototype, &trial](const forecast::ModelConfig& candidate) {
+          forecast::ForecastRunner<Counters> runner(candidate, prototype);
           double total = 0.0;
           for (const Counters& obs : history_) {
-            if (const auto step = trial.step(obs); step.has_value()) {
-              total += std::max(step->error.estimate_f2(), 0.0);
+            if (runner.step_into(obs, trial.forecast, trial.error)) {
+              total += std::max(trial.error.estimate_f2(), 0.0);
             }
           }
           return total;
@@ -1016,7 +1038,9 @@ class Engine final : public EngineBase {
     ++tally_.refits;
     // Swap in the re-fitted model, warmed with the retained history.
     rebuild_runner();
-    for (const Counters& obs : history_) (void)runner_->step(obs);
+    for (const Counters& obs : history_) {
+      (void)runner_->step_into(obs, step_.forecast, step_.error);
+    }
   }
 
   PipelineConfig config_;
@@ -1029,6 +1053,9 @@ class Engine final : public EngineBase {
   /// at close; its votes find keys that vanished this interval. Replay
   /// engines leave it empty.
   std::optional<Sketch> previous_;
+  /// The forecast step's output tables, written in place every close
+  /// (ForecastRunner::step_into) and never reallocated.
+  StepTables step_;
   std::unique_ptr<forecast::ForecastRunner<Counters>> runner_;
   forecast::ModelConfig active_model_;
   common::Rng sample_rng_;
@@ -1041,6 +1068,9 @@ class Engine final : public EngineBase {
   double smoothed_f2_ = 0.0;
   bool have_smoothed_f2_ = false;
   std::optional<Pending> pending_;
+  /// kNextInterval: the pending detection's S_e and S_f. Kept once taken;
+  /// the next park swaps them with step_.
+  std::optional<StepTables> parked_;
   std::deque<Counters> history_;
   /// Totals of everything published. records excludes the open interval,
   /// which the cutter counts until its close.

@@ -18,8 +18,7 @@ template <LinearSignal V>
 class ForecastRunner {
  public:
   ForecastRunner(const ModelConfig& config, const V& prototype)
-      : model_(make_model<V>(config, prototype)),
-        scratch_(zero_like(prototype)) {}
+      : model_(make_model<V>(config, prototype)) {}
 
   /// Result of one interval: the forecast and the error, absent during model
   /// warm-up.
@@ -28,29 +27,48 @@ class ForecastRunner {
     V error;
   };
 
-  /// Processes one interval's observed signal. Returns the forecast/error
-  /// pair for this interval, or nullopt while warming up.
-  [[nodiscard]] std::optional<Step> step(const V& observed) {
-    std::optional<Step> result;
-    if (model_->ready()) {
-      model_->forecast_into(scratch_);
-      Step s{scratch_, subtract(observed, scratch_)};
-      result.emplace(std::move(s));
-    }
+  /// Processes one interval's observed signal, writing the result into the
+  /// caller's signals: once the model is warmed up, S_f(t) goes into
+  /// `forecast` and S_e(t) = S_o(t) - S_f(t) into `error`, and it returns
+  /// true; during warm-up it returns false and leaves both untouched. Both
+  /// must have the observed signal's shape, and `error` may be `observed`
+  /// itself (S_e is then computed over S_o in place, after the model has
+  /// observed it). The models write `forecast` by assignment and
+  /// add_scaled, so a caller that keeps the two signals across intervals
+  /// allocates nothing here.
+  bool step_into(const V& observed, V& forecast, V& error) {
+    const bool ready = model_->ready();
+    if (ready) model_->forecast_into(forecast);
     model_->observe(observed);
-    return result;
+    if (ready) {
+      error = observed;  // a no-op when error is observed
+      error.add_scaled(forecast, -1.0);
+    }
+    return ready;
+  }
+
+  /// step_into() into fresh signals: the forecast/error pair for this
+  /// interval, or nullopt while warming up.
+  [[nodiscard]] std::optional<Step> step(const V& observed) {
+    if (!model_->ready()) {
+      model_->observe(observed);  // all step_into does during warm-up
+      return std::nullopt;
+    }
+    // S_e starts as a copy of S_o and is stepped in place, so the pair
+    // costs two table copies on top of the step itself.
+    Step s{observed, observed};
+    (void)step_into(s.error, s.forecast, s.error);
+    return s;
   }
 
   [[nodiscard]] const ForecastModel<V>& model() const noexcept { return *model_; }
 
-  /// Checkpoint passthrough: the runner itself is stateless beyond the model
-  /// (scratch_ is overwritten before every read).
+  /// Checkpoint passthrough: the runner holds no state beyond the model.
   void save_state(StateWriter<V>& out) const { model_->save_state(out); }
   void restore_state(StateReader<V>& in) { model_->restore_state(in); }
 
  private:
   std::unique_ptr<ForecastModel<V>> model_;
-  V scratch_;
 };
 
 }  // namespace scd::forecast

@@ -31,7 +31,9 @@
 // the batch's tables by swap and leaves its own zeroed ones in the batch;
 // recycle() takes those back, and the next merge swaps them into shard 0's
 // sketch, which rejoins the pool already zeroed. The merger zeroes only
-// shards 1..W-1, and after the first epochs nothing is allocated.
+// shards 1..W-1 — for the invertible sketch inside the fold pass itself
+// (BasicMvSketch::fold_in) — and after the first epochs nothing is
+// allocated.
 //
 // Locking contract (docs/CONCURRENCY.md): epoch_mutex_ is the set's one
 // lock (the per-shard queues keep their own). It guards the epoch ledger
@@ -386,13 +388,22 @@ class ShardSet final : public ShardSetBase {
     // 1, S_{W-1}) in the same order, so the result is byte-identical to
     // it. COMBINE starts from a zero sketch: 0 + S_0 is S_0 exactly (shard
     // registers start at +0.0 and take only finite adds, so none is -0.0),
-    // and a zero-vote cell merged into it reads candidate 0, which
-    // clear_stale_candidates() reproduces.
+    // and a zero-vote cell merged into it reads candidate 0. The invertible
+    // fold reproduces that in the first fold_in pass (clear_stale_candidates
+    // when there is nothing to fold) and zeroes each folded shard in the
+    // same pass; the k-ary fold is an AXPY, then a zeroing.
     Sketch& merged = *handoffs.front().sketch;
-    if constexpr (kRecovers) merged.clear_stale_candidates();
+    if constexpr (kRecovers) {
+      if (handoffs.size() == 1) merged.clear_stale_candidates();
+    }
     for (std::size_t i = 1; i < handoffs.size(); ++i) {
-      merged.add_scaled(*handoffs[i].sketch, 1.0);
-      handoffs[i].sketch->set_zero();
+      Sketch& shard = *handoffs[i].sketch;
+      if constexpr (kRecovers) {
+        merged.fold_in(shard, /*first=*/i == 1);
+      } else {
+        merged.add_scaled(shard, 1.0);
+        shard.set_zero();
+      }
     }
     // The batch's zeroed tables go into shard 0's sketch, its folded
     // tables into the batch.

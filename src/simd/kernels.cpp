@@ -28,22 +28,27 @@ struct KernelTable {
   double (*hsum)(const double*, std::size_t) noexcept;
   void (*index_shift_mask)(const std::uint64_t*, std::size_t, unsigned,
                            std::uint64_t, std::uint32_t*) noexcept;
+  void (*mv_fold)(const MvCells&, const MvConstCells&, std::size_t, double,
+                  bool, const MvCells*) noexcept;
 };
 
 constexpr KernelTable kScalarTable{IsaLevel::kScalar,    scalar::scale,
                                    scalar::axpy,         scalar::dot,
                                    scalar::sum_squares,  scalar::hsum,
-                                   scalar::index_shift_mask};
+                                   scalar::index_shift_mask,
+                                   scalar::mv_fold};
 
 constexpr KernelTable kAvx2Table{IsaLevel::kAvx2,    avx2::scale,
                                  avx2::axpy,         avx2::dot,
                                  avx2::sum_squares,  avx2::hsum,
-                                 avx2::index_shift_mask};
+                                 avx2::index_shift_mask,
+                                 avx2::mv_fold};
 
 constexpr KernelTable kAvx512Table{IsaLevel::kAvx512,    avx512::scale,
                                    avx512::axpy,         avx512::dot,
                                    avx512::sum_squares,  avx512::hsum,
-                                   avx512::index_shift_mask};
+                                   avx512::index_shift_mask,
+                                   avx512::mv_fold};
 
 KernelTable select_table() noexcept {
   // Dispatch-init read; nothing in the process calls setenv.
@@ -125,6 +130,11 @@ void index_shift_mask(const std::uint64_t* packed, std::size_t n,
                       unsigned shift, std::uint64_t mask,
                       std::uint32_t* out) noexcept {
   table().index_shift_mask(packed, n, shift, mask, out);
+}
+
+void mv_fold(const MvCells& dst, const MvConstCells& src, std::size_t n,
+             double c, bool clear_stale, const MvCells* drain) noexcept {
+  table().mv_fold(dst, src, n, c, clear_stale, drain);
 }
 
 }  // namespace scd::simd

@@ -1,13 +1,17 @@
 // Runtime-dispatched dense-vector kernels for the sketch hot paths.
 //
-// Every per-interval operation on a k-ary sketch is a linear sweep over the
-// H x K register table: COMBINE / add_scaled is AXPY, EWMA rollover is a
-// scale, ESTIMATEF2 is a per-row sum of squares, and sum(S) is a horizontal
-// sum of row 0. This header is the ONLY entry point the rest of the tree may
-// use (enforced by the scd_lint `simd-isolation` rule): it exposes the four
-// kernels behind function pointers that are resolved exactly once, before
-// main() touches them, to either the AVX2+FMA implementation
-// (kernels_avx2.cpp) or the portable scalar reference (kernels_scalar.h).
+// Every per-interval operation on a sketch is a linear sweep over its H x K
+// tables: COMBINE / add_scaled is AXPY (and, for the majority-vote sketch,
+// the vote merge fused with it in mv_fold), EWMA rollover is a scale,
+// ESTIMATEF2 is a per-row sum of squares, sum(S) is a horizontal sum of row
+// 0, and the batched UPDATE's row sweep extracts bucket indices with
+// index_shift_mask. This header is the ONLY entry point the rest of the tree
+// may use (enforced by the scd_lint `simd-isolation` rule): it exposes the
+// seven kernels (scale, axpy, dot, sum_squares, hsum, index_shift_mask,
+// mv_fold) behind function pointers that are resolved exactly once, before
+// main() touches them, to one of three backends: AVX-512F
+// (kernels_avx512.cpp), AVX2+FMA (kernels_avx2.cpp) or the portable scalar
+// reference (kernels_scalar.h).
 //
 // Dispatch policy (decided once, process-wide):
 //   * SCD_SIMD=scalar forces the scalar reference — the knob the equivalence
@@ -18,8 +22,10 @@
 //     avx512 > avx2 > scalar.
 //
 // Numerical contract:
-//   * scale and axpy are element-wise and bit-exact across implementations:
-//     every element is a separately rounded multiply then add, never an FMA.
+//   * scale, axpy and mv_fold are element-wise and bit-exact across
+//     implementations: every element is a separately rounded multiply then
+//     add, never an FMA, and mv_fold's vote merge selects among the same
+//     separately rounded sums and differences the scalar rule computes.
 //     The simd library is built with -ffp-contract=off so the compiler
 //     cannot fuse either path (kernels_test.cpp verifies bit-equality);
 //   * dot, sum_squares and hsum reassociate the reduction across vector
@@ -77,5 +83,36 @@ void axpy(double* y, const double* x, std::size_t n, double c) noexcept;
 void index_shift_mask(const std::uint64_t* packed, std::size_t n,
                       unsigned shift, std::uint64_t mask,
                       std::uint32_t* out) noexcept;
+
+/// The n cells of one majority-vote sketch table (sketch::BasicMvSketch):
+/// counters, candidate keys and vote counts, row-major H x K each.
+struct MvCells {
+  double* counts;
+  std::uint64_t* candidates;
+  double* votes;
+};
+
+/// A read-only view of the same three tables.
+struct MvConstCells {
+  const double* counts;
+  const std::uint64_t* candidates;
+  const double* votes;
+};
+
+/// dst += c * src for a majority-vote table, in one branch-free pass. Per
+/// cell i: counts[i] += c * src.counts[i] exactly as axpy computes it, and
+/// dst's (candidate, vote) pair takes src's candidate with weight
+/// w = |c| * src.votes[i] by the weighted Boyer-Moore rule (w == 0: no
+/// change; zero vote: adopt it with vote w; same candidate: vote + w; vote
+/// >= w: vote - w; otherwise adopt it with vote w - vote).
+///   * clear_stale: first give every zero-vote cell of dst candidate 0, the
+///     state a merge into a zero sketch starts from (combine()'s first
+///     operand);
+///   * drain: null, or src's own tables, writable: each source cell is
+///     zeroed once read, so src ends all zero (the shard fold hands the
+///     folded shard back ready for the next epoch).
+/// dst and src must not partially overlap.
+void mv_fold(const MvCells& dst, const MvConstCells& src, std::size_t n,
+             double c, bool clear_stale, const MvCells* drain) noexcept;
 
 }  // namespace scd::simd

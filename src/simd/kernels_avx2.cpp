@@ -3,9 +3,10 @@
 // (supported(), consulted once by the dispatcher in kernels.cpp).
 //
 // Numerical notes:
-//   * scale and axpy are element-wise: lane i computes exactly what the
-//     scalar reference computes for element i — a separately rounded
-//     multiply then add, never an FMA. The scalar reference cannot contract
+//   * scale, axpy and mv_fold are element-wise: lane i computes exactly what
+//     the scalar reference computes for element i — a separately rounded
+//     multiply then add, never an FMA; mv_fold's vote merge picks, with
+//     blends, among the same sums and differences the scalar selects. The scalar reference cannot contract
 //     (base x86-64 has no FMA instruction), so the vector path must not
 //     either; this TU is built with -ffp-contract=off (see CMakeLists.txt)
 //     to stop GCC fusing the mul+add intrinsic pairs and the tail loops
@@ -20,6 +21,10 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <cmath>
+
+#include "simd/kernels_scalar.h"
 
 #define SCD_AVX2_TARGET __attribute__((target("avx2,fma")))
 
@@ -192,6 +197,58 @@ SCD_AVX2_TARGET void index_shift_mask(const std::uint64_t* packed,
   }
 }
 
+SCD_AVX2_TARGET void mv_fold(const MvCells& dst, const MvConstCells& src,
+                             std::size_t n, double c, bool clear_stale,
+                             const MvCells* drain) noexcept {
+  // Four cells per step; the same selection as the AVX-512 leg, with
+  // compare masks and blends in place of mask registers. A blend only moves
+  // bits, so it carries the 64-bit candidate keys through the pd domain
+  // unchanged.
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d abs_c = _mm256_set1_pd(std::abs(c));
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(
+        dst.counts + i,
+        _mm256_add_pd(_mm256_loadu_pd(dst.counts + i),
+                      _mm256_mul_pd(vc, _mm256_loadu_pd(src.counts + i))));
+    __m256d cand = _mm256_castsi256_pd(_mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(dst.candidates + i)));
+    const __m256d vote = _mm256_loadu_pd(dst.votes + i);
+    const __m256i key = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(src.candidates + i));
+    const __m256d w = _mm256_mul_pd(abs_c, _mm256_loadu_pd(src.votes + i));
+    const __m256d empty = _mm256_cmp_pd(vote, zero, _CMP_EQ_OQ);
+    if (clear_stale) cand = _mm256_andnot_pd(empty, cand);
+    const __m256d skip = _mm256_cmp_pd(w, zero, _CMP_EQ_OQ);
+    const __m256d same = _mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(_mm256_castpd_si256(cand), key));
+    const __m256d holds = _mm256_cmp_pd(vote, w, _CMP_GE_OQ);
+    __m256d merged = _mm256_blendv_pd(_mm256_sub_pd(w, vote),
+                                      _mm256_sub_pd(vote, w), holds);
+    merged = _mm256_blendv_pd(merged, _mm256_add_pd(vote, w), same);
+    merged = _mm256_blendv_pd(merged, w, empty);
+    merged = _mm256_blendv_pd(merged, vote, skip);
+    // The candidate stays when the weight is zero or a held vote absorbs
+    // it (same candidate, or vote >= w); otherwise src's key is adopted.
+    const __m256d stays =
+        _mm256_or_pd(skip, _mm256_andnot_pd(empty, _mm256_or_pd(same, holds)));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst.candidates + i),
+        _mm256_castpd_si256(
+            _mm256_blendv_pd(_mm256_castsi256_pd(key), cand, stays)));
+    _mm256_storeu_pd(dst.votes + i, merged);
+    if (drain != nullptr) {
+      _mm256_storeu_pd(drain->counts + i, zero);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(drain->candidates + i),
+                          _mm256_setzero_si256());
+      _mm256_storeu_pd(drain->votes + i, zero);
+    }
+  }
+  scalar::mv_fold_cells(dst, src, i, n, c, clear_stale, drain);
+}
+
 }  // namespace scd::simd::avx2
 
 #else  // non-x86: the AVX2 backend is never selectable.
@@ -221,6 +278,10 @@ void index_shift_mask(const std::uint64_t* packed, std::size_t n,
                       unsigned shift, std::uint64_t mask,
                       std::uint32_t* out) noexcept {
   scalar::index_shift_mask(packed, n, shift, mask, out);
+}
+void mv_fold(const MvCells& dst, const MvConstCells& src, std::size_t n,
+             double c, bool clear_stale, const MvCells* drain) noexcept {
+  scalar::mv_fold(dst, src, n, c, clear_stale, drain);
 }
 
 }  // namespace scd::simd::avx2

@@ -13,6 +13,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "simd/kernels.h"
+
 namespace scd::simd::avx2 {
 
 /// True when this build has AVX2 implementations and the running CPU
@@ -28,5 +30,7 @@ void axpy(double* y, const double* x, std::size_t n, double c) noexcept;
 void index_shift_mask(const std::uint64_t* packed, std::size_t n,
                       unsigned shift, std::uint64_t mask,
                       std::uint32_t* out) noexcept;
+void mv_fold(const MvCells& dst, const MvConstCells& src, std::size_t n,
+             double c, bool clear_stale, const MvCells* drain) noexcept;
 
 }  // namespace scd::simd::avx2

@@ -3,9 +3,10 @@
 // (supported(), consulted once by the dispatcher in kernels.cpp).
 //
 // Numerical notes:
-//   * scale and axpy are element-wise: lane i computes exactly what the
-//     scalar reference computes for element i — a separately rounded
-//     multiply then add, never an FMA. This TU is built with
+//   * scale, axpy and mv_fold are element-wise: lane i computes exactly what
+//     the scalar reference computes for element i — a separately rounded
+//     multiply then add, never an FMA; mv_fold's vote merge picks, with
+//     mask moves, among the same sums and differences the scalar selects. This TU is built with
 //     -ffp-contract=off (see CMakeLists.txt) to stop GCC fusing the mul+add
 //     intrinsic pairs and the tail loops inside these target("avx512f")
 //     functions. Results are bit-identical across dispatch modes.
@@ -19,6 +20,10 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <cmath>
+
+#include "simd/kernels_scalar.h"
 
 // GCC's _mm512_extractf64x4_pd / cast intrinsics expand through an
 // intentionally-uninitialized _mm256_undefined_pd() temporary inside
@@ -197,6 +202,50 @@ SCD_AVX512_TARGET void index_shift_mask(const std::uint64_t* packed,
   }
 }
 
+SCD_AVX512_TARGET void mv_fold(const MvCells& dst, const MvConstCells& src,
+                               std::size_t n, double c, bool clear_stale,
+                               const MvCells* drain) noexcept {
+  // Eight cells per step. The vote rule's four outcomes are all computed
+  // and the lane masks pick one (scalar::mv_vote_cell is the same selection
+  // written per cell), so the loop has no data-dependent branch.
+  const __m512d vc = _mm512_set1_pd(c);
+  const __m512d abs_c = _mm512_set1_pd(std::abs(c));
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512i zero_key = _mm512_setzero_si512();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(
+        dst.counts + i,
+        _mm512_add_pd(_mm512_loadu_pd(dst.counts + i),
+                      _mm512_mul_pd(vc, _mm512_loadu_pd(src.counts + i))));
+    __m512i cand = _mm512_loadu_si512(dst.candidates + i);
+    const __m512d vote = _mm512_loadu_pd(dst.votes + i);
+    const __m512i key = _mm512_loadu_si512(src.candidates + i);
+    const __m512d w = _mm512_mul_pd(abs_c, _mm512_loadu_pd(src.votes + i));
+    const __mmask8 empty = _mm512_cmp_pd_mask(vote, zero, _CMP_EQ_OQ);
+    if (clear_stale) cand = _mm512_mask_mov_epi64(cand, empty, zero_key);
+    const __mmask8 skip = _mm512_cmp_pd_mask(w, zero, _CMP_EQ_OQ);
+    const __mmask8 same = _mm512_cmpeq_epi64_mask(cand, key);
+    const __mmask8 holds = _mm512_cmp_pd_mask(vote, w, _CMP_GE_OQ);
+    __m512d merged = _mm512_mask_blend_pd(holds, _mm512_sub_pd(w, vote),
+                                          _mm512_sub_pd(vote, w));
+    merged = _mm512_mask_mov_pd(merged, same, _mm512_add_pd(vote, w));
+    merged = _mm512_mask_mov_pd(merged, empty, w);
+    merged = _mm512_mask_mov_pd(merged, skip, vote);
+    const auto adopt =
+        static_cast<__mmask8>(~skip & (empty | ~(same | holds)));
+    _mm512_storeu_si512(dst.candidates + i,
+                        _mm512_mask_mov_epi64(cand, adopt, key));
+    _mm512_storeu_pd(dst.votes + i, merged);
+    if (drain != nullptr) {
+      _mm512_storeu_pd(drain->counts + i, zero);
+      _mm512_storeu_si512(drain->candidates + i, zero_key);
+      _mm512_storeu_pd(drain->votes + i, zero);
+    }
+  }
+  scalar::mv_fold_cells(dst, src, i, n, c, clear_stale, drain);
+}
+
 }  // namespace scd::simd::avx512
 
 #else  // non-x86: the AVX-512 backend is never selectable.
@@ -226,6 +275,10 @@ void index_shift_mask(const std::uint64_t* packed, std::size_t n,
                       unsigned shift, std::uint64_t mask,
                       std::uint32_t* out) noexcept {
   scalar::index_shift_mask(packed, n, shift, mask, out);
+}
+void mv_fold(const MvCells& dst, const MvConstCells& src, std::size_t n,
+             double c, bool clear_stale, const MvCells* drain) noexcept {
+  scalar::mv_fold(dst, src, n, c, clear_stale, drain);
 }
 
 }  // namespace scd::simd::avx512

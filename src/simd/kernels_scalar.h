@@ -8,8 +8,11 @@
 // semantics the reductions are specified against.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+
+#include "simd/kernels.h"
 
 namespace scd::simd::scalar {
 
@@ -48,6 +51,54 @@ inline void index_shift_mask(const std::uint64_t* packed, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = static_cast<std::uint32_t>((packed[i] >> shift) & mask);
   }
+}
+
+/// One cell's vote merge as selects over the rule's four outcomes (the
+/// vector backends compute the same lanes with masks): the candidate `cand`
+/// with vote `vote` meets evidence of weight `w` for `key`.
+inline void mv_vote_cell(std::uint64_t& cand, double& vote, std::uint64_t key,
+                         double w) noexcept {
+  const bool skip = w == 0.0;
+  const bool empty = vote == 0.0;
+  const bool same = cand == key;
+  const bool holds = vote >= w;
+  const double sum = vote + w;
+  const double diff = vote - w;
+  const double deficit = w - vote;
+  double merged = holds ? diff : deficit;
+  merged = same ? sum : merged;
+  merged = empty ? w : merged;
+  const bool adopt = !skip && (empty || !(same || holds));
+  vote = skip ? vote : merged;
+  cand = adopt ? key : cand;
+}
+
+/// mv_fold over cells [begin, end): the reference loop, and the vector
+/// backends' tail.
+inline void mv_fold_cells(const MvCells& dst, const MvConstCells& src,
+                          std::size_t begin, std::size_t end, double c,
+                          bool clear_stale, const MvCells* drain) noexcept {
+  const double abs_c = std::abs(c);
+  for (std::size_t i = begin; i < end; ++i) {
+    dst.counts[i] += c * src.counts[i];
+    std::uint64_t cand = dst.candidates[i];
+    double vote = dst.votes[i];
+    if (clear_stale && vote == 0.0) cand = 0;
+    mv_vote_cell(cand, vote, src.candidates[i], abs_c * src.votes[i]);
+    dst.candidates[i] = cand;
+    dst.votes[i] = vote;
+    if (drain != nullptr) {
+      drain->counts[i] = 0.0;
+      drain->candidates[i] = 0;
+      drain->votes[i] = 0.0;
+    }
+  }
+}
+
+inline void mv_fold(const MvCells& dst, const MvConstCells& src,
+                    std::size_t n, double c, bool clear_stale,
+                    const MvCells* drain) noexcept {
+  mv_fold_cells(dst, src, 0, n, c, clear_stale, drain);
 }
 
 }  // namespace scd::simd::scalar

@@ -60,6 +60,9 @@ struct Record {
 };
 
 template <hash::HashFamily16 Family>
+class BasicMvSketch;
+
+template <hash::HashFamily16 Family>
 class BasicKarySketch {
  public:
   using FamilyPtr = std::shared_ptr<const Family>;
@@ -490,6 +493,18 @@ class BasicKarySketch {
   }
 
  private:
+  // The majority-vote sketch merges its counters and votes in one kernel
+  // pass (simd::mv_fold), which writes this table through
+  // registers_for_write().
+  friend class BasicMvSketch<Family>;
+
+  /// The writable register table; invalidates the sum cache.
+  [[nodiscard]] double* registers_for_write() noexcept {
+    // mo: cache invalidation on the single-mutator path (see update()).
+    sum_valid_.store(false, std::memory_order_relaxed);
+    return table_.data();
+  }
+
   /// Debug-mode guard for the key-domain constraint: the tabulation fast
   /// path truncates keys to 32 bits, so a 64-bit key kind bound to
   /// KarySketch (rather than KarySketch64) would collide distinct keys

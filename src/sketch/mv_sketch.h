@@ -34,7 +34,8 @@
 // is what the sharded front end's COMBINE of W shard sketches needs:
 // scale(c) multiplies votes by |c| (candidates unchanged), and
 // add_scaled(other, c) merges each bucket's (candidate, vote) pair with the
-// weighted majority rule using weight |c| * other.vote. Votes are
+// weighted majority rule using weight |c| * other.vote, in the same
+// branch-free kernel pass as the counter AXPY (simd::mv_fold). Votes are
 // order-sensitive in general, but candidate identity for strict-majority
 // keys is not — see docs/KEY_RECOVERY.md for the exact invariant the
 // serial-vs-sharded property test relies on.
@@ -50,11 +51,13 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hash/cw_hash.h"
 #include "hash/hash_family.h"
 #include "hash/tabulation_hash.h"
+#include "simd/kernels.h"
 #include "sketch/kary_sketch.h"
 
 namespace scd::sketch {
@@ -148,15 +151,33 @@ class BasicMvSketch {
   }
 
   /// *this += c * other. Counters combine entry-wise; each bucket's
-  /// candidate pair merges by majority vote with weight |c| * other.vote.
+  /// candidate pair merges by majority vote with weight |c| * other.vote —
+  /// one branch-free simd::mv_fold pass over the six tables, bit-identical
+  /// on every dispatch leg to update()'s vote() step applied per cell.
   /// Throws std::invalid_argument unless the two sketches share the same
   /// family and width.
   void add_scaled(const BasicMvSketch& other, double c) {
-    counters_.add_scaled(other.counters_, c);
-    const double w = std::abs(c);
-    for (std::size_t idx = 0; idx < votes_.size(); ++idx) {
-      vote(idx, other.candidates_[idx], w * other.votes_[idx]);
+    check_compatible(other, "add_scaled");
+    simd::mv_fold(cells(), other.const_cells(), votes_.size(), c,
+                  /*clear_stale=*/false, nullptr);
+  }
+
+  /// The shard merge's fold: add_scaled(other, 1.0), after which `other` is
+  /// all zero, in the same single pass. With `first`, every zero-vote cell
+  /// of *this reads candidate 0 before the merge, as in combine(), whose
+  /// first operand merges into a zero sketch: folding S_1 into S_0 with
+  /// `first`, then S_2, ... without it, is byte-identical to
+  /// combine(1, S_0, 1, S_1, ...). Throws std::invalid_argument unless the
+  /// sketches share family and width, or when `other` is *this.
+  void fold_in(BasicMvSketch& other, bool first) {
+    check_compatible(other, "fold_in");
+    if (&other == this) {
+      throw std::invalid_argument(
+          "BasicMvSketch::fold_in: cannot fold a sketch into itself");
     }
+    const simd::MvCells drain = other.cells();
+    simd::mv_fold(cells(), other.const_cells(), votes_.size(), 1.0, first,
+                  &drain);
   }
 
   /// COMBINE(c_1, S_1, ..., c_l, S_l). Throws std::invalid_argument when
@@ -220,9 +241,8 @@ class BasicMvSketch {
 
   /// Resets the stale candidate of every zero-vote cell to 0 — the state
   /// add_scaled() leaves such a cell in when it merges into a zero sketch.
-  /// Folding shards into shard 0 in place (the sharded front end's merge)
-  /// calls this first, so the fold is byte-identical to combine(), which
-  /// starts from a zero sketch.
+  /// A one-shard epoch has nothing to fold_in(), so the merge calls this
+  /// instead to stay byte-identical to combine() of that one sketch.
   void clear_stale_candidates() noexcept {
     for (std::size_t idx = 0; idx < votes_.size(); ++idx) {
       if (votes_[idx] == 0.0) candidates_[idx] = 0;
@@ -249,9 +269,10 @@ class BasicMvSketch {
   }
 
  private:
-  /// Weighted Boyer-Moore step on one bucket: weight w of evidence for
-  /// `key`. A zero vote count means "no candidate"; the stored candidate is
-  /// then stale and must not be read (recover_heavy_keys skips it).
+  /// Weighted Boyer-Moore step on one bucket (UPDATE's vote; the merges run
+  /// the same rule in simd::mv_fold): weight w of evidence for `key`. A
+  /// zero vote count means "no candidate"; the stored candidate is then
+  /// stale and must not be read (recover_heavy_keys skips it).
   void vote(std::size_t idx, std::uint64_t key, double w) noexcept {
     if (w == 0.0) return;
     if (votes_[idx] == 0.0) {
@@ -265,6 +286,22 @@ class BasicMvSketch {
       votes_[idx] = w - votes_[idx];
       candidates_[idx] = key;
     }
+  }
+
+  void check_compatible(const BasicMvSketch& other, const char* op) const {
+    if (!counters_.compatible(other.counters_)) {
+      throw std::invalid_argument(
+          std::string("BasicMvSketch::") + op +
+          ": incompatible sketches (family or width mismatch)");
+    }
+  }
+
+  [[nodiscard]] simd::MvCells cells() noexcept {
+    return {counters_.registers_for_write(), candidates_.data(),
+            votes_.data()};
+  }
+  [[nodiscard]] simd::MvConstCells const_cells() const noexcept {
+    return {counters_.registers().data(), candidates_.data(), votes_.data()};
   }
 
   Counters counters_;

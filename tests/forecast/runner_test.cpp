@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/random.h"
 #include "sketch/kary_sketch.h"
 
@@ -65,6 +68,71 @@ TEST(ForecastRunner, ModelAccessorReflectsProgress) {
   EXPECT_EQ(runner.model().observed_count(), 0u);
   (void)runner.step(ScalarSignal(1.0));
   EXPECT_EQ(runner.model().observed_count(), 1u);
+}
+
+bool same_bytes(const sketch::KarySketch& a, const sketch::KarySketch& b) {
+  return a.registers().size() == b.registers().size() &&
+         std::memcmp(a.registers().data(), b.registers().data(),
+                     a.registers().size_bytes()) == 0;
+}
+
+/// One valid configuration of each of the paper's six models.
+std::vector<ModelConfig> six_models() {
+  std::vector<ModelConfig> out;
+  for (const ModelKind kind : all_model_kinds()) {
+    ModelConfig c;
+    c.kind = kind;
+    c.window = 3;
+    c.alpha = 0.4;
+    c.beta = 0.3;
+    c.arima.p = 2;
+    c.arima.d = kind == ModelKind::kArima1 ? 1 : 0;
+    c.arima.q = 1;
+    c.arima.ar = {0.5, -0.2};
+    c.arima.ma = {0.3, 0.0};
+    EXPECT_TRUE(c.valid()) << c.to_string();
+    out.push_back(c);
+  }
+  return out;
+}
+
+TEST(ForecastRunner, StepIntoEqualsStepByteForByte) {
+  // step() wraps step_into(); the in-place form, writing into the same two
+  // tables every interval as the engine does, must produce the same bytes
+  // and the same warm-up, for every model.
+  const auto family = sketch::make_tabulation_family(4, 3);
+  const sketch::KarySketch prototype(family, 128);
+  for (const ModelConfig& config : six_models()) {
+    SCOPED_TRACE(config.to_string());
+    ForecastRunner<sketch::KarySketch> by_value(config, prototype);
+    ForecastRunner<sketch::KarySketch> in_place(config, prototype);
+    sketch::KarySketch forecast = prototype;
+    sketch::KarySketch error = prototype;
+    scd::common::Rng rng(5);
+    std::size_t ready_steps = 0;
+    for (int t = 0; t < 12; ++t) {
+      sketch::KarySketch observed = prototype;
+      for (int i = 0; i < 200; ++i) {
+        observed.update(rng.next_below(5000), rng.uniform(-50.0, 150.0));
+      }
+      const sketch::KarySketch forecast_before = forecast;
+      const sketch::KarySketch error_before = error;
+      const auto step = by_value.step(observed);
+      const bool ready = in_place.step_into(observed, forecast, error);
+      ASSERT_EQ(ready, step.has_value()) << "t=" << t;
+      if (!ready) {
+        // Warm-up leaves the caller's tables untouched.
+        EXPECT_TRUE(same_bytes(forecast, forecast_before));
+        EXPECT_TRUE(same_bytes(error, error_before));
+        continue;
+      }
+      ++ready_steps;
+      EXPECT_TRUE(same_bytes(forecast, step->forecast)) << "t=" << t;
+      EXPECT_TRUE(same_bytes(error, step->error)) << "t=" << t;
+    }
+    EXPECT_GT(ready_steps, 0u);
+    EXPECT_LT(ready_steps, 12u);  // every model has a warm-up
+  }
 }
 
 }  // namespace

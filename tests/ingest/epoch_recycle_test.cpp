@@ -1,6 +1,7 @@
 // EpochRecycle: in steady state the merged epoch travels from the shards to
-// the engine and back by swap. No h x k table is allocated or copied per
-// interval (docs/PERFORMANCE.md, "Asynchronous epoch merge").
+// the engine and back by swap, and the engine steps its forecast into
+// tables it keeps. No h x k table is allocated or copied per interval
+// (docs/PERFORMANCE.md, "Fold, adopt, recycle").
 //
 // The pin is an allocation count. This file replaces the global operator
 // new for the whole test_ingest binary with one that counts allocations of
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -231,55 +233,84 @@ void add_intervals(Pipeline& pipeline, std::size_t from, std::size_t to) {
   }
 }
 
-TEST(EpochRecycle, ShardedFrontEndAddsNoTableAllocationToTheEngines) {
-  // The engine's own close allocates its forecast and error sketches each
-  // interval. A serial pipeline shows that count; the sharded pipeline,
-  // whose merger hands the engine its tables by swap and takes them back
-  // through recycle(), must show exactly the same count.
-  core::PipelineConfig config;
-  config.interval_s = 10.0;
-  config.h = kH;
-  config.k = kK;
-  config.key_kind = traffic::KeyKind::kSrcDstPair;
-  config.recovery = core::RecoveryMode::kInvertible;
-  config.model.kind = forecast::ModelKind::kEwma;
-  config.metrics = false;
+/// Table-sized allocations of `pipeline` over kSteady intervals after a
+/// kWarm-interval warm-up; a sharded pipeline is drained on both sides of
+/// the count so its merger's work falls inside it.
+template <typename Pipeline>
+std::size_t steady_table_allocations(Pipeline& pipeline) {
   constexpr std::size_t kWarm = 6;
   constexpr std::size_t kSteady = 12;
-
-  core::ChangeDetectionPipeline serial(config);
-  add_intervals(serial, 0, kWarm);
-  std::size_t serial_allocated = 0;
+  constexpr bool kSharded = requires(Pipeline& p) { p.drain(); };
+  add_intervals(pipeline, 0, kWarm);
+  if constexpr (kSharded) pipeline.drain();
+  std::size_t allocated = 0;
   {
     const LargeAllocations tables(kTableBytes);
-    add_intervals(serial, kWarm, kWarm + kSteady);
-    serial_allocated = tables.count();
+    add_intervals(pipeline, kWarm, kWarm + kSteady);
+    if constexpr (kSharded) pipeline.drain();
+    allocated = tables.count();
   }
+  pipeline.flush();
+  return allocated;
+}
+
+/// Neither the serial engine nor the sharded front end and its engine
+/// allocate a table in steady state, and both report the same intervals.
+void expect_no_table_allocated_by_the_engines(
+    const core::PipelineConfig& config) {
+  std::optional<core::ChangeDetectionPipeline> serial;
+  {
+    // The counter sees the engine's tables: building one allocates them,
+    // so the zeros below are readings, not a counter that sees nothing.
+    const LargeAllocations tables(kTableBytes);
+    serial.emplace(config);
+    EXPECT_GT(tables.count(), 0u);
+  }
+  EXPECT_EQ(steady_table_allocations(*serial), 0u);
 
   ParallelConfig parallel;
   parallel.workers = 2;
   parallel.batch_size = 64;
   parallel.max_pending_intervals = 1;
   ParallelPipeline sharded(config, parallel);
-  add_intervals(sharded, 0, kWarm);
-  sharded.drain();
-  std::size_t sharded_allocated = 0;
-  {
-    const LargeAllocations tables(kTableBytes);
-    add_intervals(sharded, kWarm, kWarm + kSteady);
-    sharded.drain();
-    sharded_allocated = tables.count();
-  }
-  sharded.flush();
-  serial.flush();
+  EXPECT_EQ(steady_table_allocations(sharded), 0u);
 
-  EXPECT_GT(serial_allocated, 0u);  // the counter sees the engine's tables
-  EXPECT_EQ(sharded_allocated, serial_allocated);
-  ASSERT_EQ(sharded.reports().size(), serial.reports().size());
-  for (std::size_t i = 0; i < serial.reports().size(); ++i) {
+  ASSERT_EQ(sharded.reports().size(), serial->reports().size());
+  for (std::size_t i = 0; i < serial->reports().size(); ++i) {
     EXPECT_EQ(sharded.reports()[i].estimated_error_f2,
-              serial.reports()[i].estimated_error_f2);
+              serial->reports()[i].estimated_error_f2);
   }
+}
+
+core::PipelineConfig steady_config() {
+  core::PipelineConfig config;
+  config.interval_s = 10.0;
+  config.h = kH;
+  config.k = kK;
+  config.key_kind = traffic::KeyKind::kSrcDstPair;
+  config.model.kind = forecast::ModelKind::kEwma;
+  config.metrics = false;
+  return config;
+}
+
+TEST(EpochRecycle, ShardedFrontEndAddsNoTableAllocationToTheEngines) {
+  // The engine steps the forecast into tables it keeps
+  // (ForecastRunner::step_into), and the sharded front end hands it the
+  // merged tables by swap and takes them back through recycle(): the
+  // invertible engine allocates no table per interval on either path.
+  core::PipelineConfig config = steady_config();
+  config.recovery = core::RecoveryMode::kInvertible;
+  expect_no_table_allocated_by_the_engines(config);
+}
+
+TEST(EpochRecycle, NextIntervalReplayEngineAllocatesNoTable) {
+  // A key-replay engine under kNextInterval parks each detection until the
+  // next interval's keys arrive; parking swaps the step's tables with the
+  // parked ones instead of moving fresh ones out.
+  core::PipelineConfig config = steady_config();
+  config.recovery = core::RecoveryMode::kReplay;
+  config.replay = core::KeyReplayMode::kNextInterval;
+  expect_no_table_allocated_by_the_engines(config);
 }
 
 }  // namespace

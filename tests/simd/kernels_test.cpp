@@ -6,6 +6,9 @@
 //   * scale and axpy are element-wise → results must be BIT-EXACT between
 //     implementations (the AVX2 lane computes exactly the scalar
 //     expression for its element, FMA included);
+//   * mv_fold is element-wise too, and every implementation, the scalar
+//     reference included, must match a branchy per-cell rendering of the
+//     majority-vote rule bit for bit;
 //   * dot / sum_squares / hsum reassociate the reduction across lanes →
 //     results must agree within a tolerance scaled to the condition of the
 //     sum (ULP-level per accumulated term).
@@ -22,10 +25,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -261,6 +268,206 @@ TEST(KernelEquivalence, ReductionsAreExactOnIntegerValues) {
                 backend.sum_squares(x.data(), n))
           << backend.name << " n=" << n;
     }
+  }
+}
+
+/// One majority-vote table held by value, for mv_fold.
+struct MvTable {
+  std::vector<double> counts;
+  std::vector<std::uint64_t> candidates;
+  std::vector<double> votes;
+
+  explicit MvTable(std::size_t n) : counts(n), candidates(n), votes(n) {}
+  [[nodiscard]] MvCells cells() {
+    return {counts.data(), candidates.data(), votes.data()};
+  }
+  [[nodiscard]] MvConstCells const_cells() const {
+    return {counts.data(), candidates.data(), votes.data()};
+  }
+  [[nodiscard]] bool same_bytes(const MvTable& other) const {
+    const std::size_t n = counts.size();
+    if (other.counts.size() != n) return false;
+    // memcmp must not see an empty vector's null data().
+    return n == 0 || (std::memcmp(counts.data(), other.counts.data(),
+                                  n * sizeof(double)) == 0 &&
+                      std::memcmp(candidates.data(), other.candidates.data(),
+                                  n * sizeof(std::uint64_t)) == 0 &&
+                      std::memcmp(votes.data(), other.votes.data(),
+                                  n * sizeof(double)) == 0);
+  }
+};
+
+/// BasicMvSketch's vote() step, branch for branch: the rule mv_fold must
+/// reproduce without branches.
+void reference_vote(std::uint64_t& cand, double& vote, std::uint64_t key,
+                    double w) {
+  if (w == 0.0) return;
+  if (vote == 0.0) {
+    cand = key;
+    vote = w;
+  } else if (cand == key) {
+    vote += w;
+  } else if (vote >= w) {
+    vote -= w;
+  } else {
+    vote = w - vote;
+    cand = key;
+  }
+}
+
+/// The merge as BasicMvSketch::add_scaled used to run it: an axpy on the
+/// counters, then vote() per cell; clear_stale first resets the candidate
+/// of every zero-vote cell, drain then zeroes the source.
+void reference_fold(MvTable& dst, MvTable& src, double c, bool clear_stale,
+                    bool drain) {
+  const std::size_t n = dst.counts.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    dst.counts[i] += c * src.counts[i];
+    if (clear_stale && dst.votes[i] == 0.0) dst.candidates[i] = 0;
+    reference_vote(dst.candidates[i], dst.votes[i], src.candidates[i],
+                   std::abs(c) * src.votes[i]);
+  }
+  if (drain) src = MvTable(n);
+}
+
+/// The cell shapes mv_fold's selection distinguishes.
+enum class VoteCase {
+  kStaleEmptyDestination,  // dst vote 0, stale nonzero candidate
+  kEmptySource,            // src vote 0, nonzero src candidate
+  kSameCandidate,
+  kDestinationHolds,       // dst vote > w, different candidate
+  kExactCancel,            // dst vote == w, different candidate
+  kDestinationLoses,       // dst vote < w, different candidate
+};
+constexpr std::size_t kVoteCases = 6;
+
+/// Cell i of a (dst, src) pair is built to fall in case i % 6 for c != 0,
+/// with votes in halves so that w = |c| * vote is exact for c = +-1, 0.5.
+std::pair<MvTable, MvTable> vote_case_tables(common::Rng& rng, std::size_t n,
+                                             double c) {
+  MvTable dst(n);
+  MvTable src(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    dst.counts[i] = rng.uniform(-1e3, 1e3);
+    src.counts[i] = rng.uniform(-1e3, 1e3);
+    const std::uint64_t key = 1 + rng.next_below(1u << 30);
+    const std::uint64_t other = key + 1 + rng.next_below(1000);
+    src.candidates[i] = key;
+    src.votes[i] = 0.5 * static_cast<double>(1 + rng.next_below(64));
+    dst.candidates[i] = other;
+    const double w = std::abs(c) * src.votes[i];
+    switch (static_cast<VoteCase>(i % kVoteCases)) {
+      case VoteCase::kStaleEmptyDestination:
+        dst.votes[i] = 0.0;
+        break;
+      case VoteCase::kEmptySource:
+        src.votes[i] = 0.0;
+        dst.votes[i] = 0.5 * static_cast<double>(rng.next_below(8));
+        break;
+      case VoteCase::kSameCandidate:
+        dst.candidates[i] = key;
+        dst.votes[i] = 0.5 * static_cast<double>(1 + rng.next_below(64));
+        break;
+      case VoteCase::kDestinationHolds:
+        dst.votes[i] = w + 0.5 * static_cast<double>(1 + rng.next_below(8));
+        break;
+      case VoteCase::kExactCancel:
+        dst.votes[i] = w;
+        break;
+      case VoteCase::kDestinationLoses:
+        dst.votes[i] = w / 4.0;
+        break;
+    }
+  }
+  return {std::move(dst), std::move(src)};
+}
+
+using MvFoldFn = void (*)(const MvCells&, const MvConstCells&, std::size_t,
+                          double, bool, const MvCells*) noexcept;
+
+std::vector<std::pair<const char*, MvFoldFn>> mv_fold_impls() {
+  std::vector<std::pair<const char*, MvFoldFn>> impls = {
+      {"dispatch", &simd::mv_fold}, {"scalar", &scalar::mv_fold}};
+  if (avx2::supported()) impls.emplace_back("avx2", &avx2::mv_fold);
+  if (avx512::supported()) impls.emplace_back("avx512", &avx512::mv_fold);
+  return impls;
+}
+
+TEST(KernelEquivalence, MvFoldMatchesThePerCellVoteRule) {
+  // Bit equality with the branchy per-cell rule, on every implementation,
+  // for every vote case, every coefficient shape and every tail length
+  // (below, at and just past one AVX-512 vector, and a ragged 33).
+  common::Rng rng(18);
+  for (const auto& [name, fold] : mv_fold_impls()) {
+    for (const std::size_t n : {0UL, 1UL, 7UL, 8UL, 9UL, 33UL, 4099UL}) {
+      for (const double c : {1.0, -1.0, 0.5, 0.0}) {
+        for (const bool clear_stale : {false, true}) {
+          for (const bool drain : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << name << " n=" << n << " c=" << c
+                         << " clear_stale=" << clear_stale
+                         << " drain=" << drain);
+            auto [dst, src] = vote_case_tables(rng, n, c);
+            MvTable expect_dst = dst;
+            MvTable expect_src = src;
+            reference_fold(expect_dst, expect_src, c, clear_stale, drain);
+            const MvCells src_cells = src.cells();
+            fold(dst.cells(), src.const_cells(), n, c, clear_stale,
+                 drain ? &src_cells : nullptr);
+            ASSERT_TRUE(dst.same_bytes(expect_dst));
+            ASSERT_TRUE(src.same_bytes(expect_src));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, MvFoldVoteCasesReachEveryOutcome) {
+  // The case tables above must produce every outcome of the rule, or the
+  // bit-equality test could pass without exercising one: per case, the
+  // reference's result for c = 1.
+  constexpr std::size_t n = 6 * kVoteCases;
+  common::Rng rng(19);
+  auto [dst, src] = vote_case_tables(rng, n, 1.0);
+  const MvTable before = dst;
+  reference_fold(dst, src, 1.0, /*clear_stale=*/true, /*drain=*/false);
+  std::array<std::size_t, kVoteCases> seen{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = src.candidates[i];
+    bool outcome = false;
+    switch (static_cast<VoteCase>(i % kVoteCases)) {
+      case VoteCase::kStaleEmptyDestination:
+        outcome = before.votes[i] == 0.0 && before.candidates[i] != 0 &&
+                  dst.candidates[i] == key && dst.votes[i] == src.votes[i];
+        break;
+      case VoteCase::kEmptySource:
+        outcome = src.votes[i] == 0.0 && key != 0 &&
+                  dst.votes[i] == before.votes[i] &&
+                  dst.candidates[i] ==
+                      (before.votes[i] == 0.0 ? 0 : before.candidates[i]);
+        break;
+      case VoteCase::kSameCandidate:
+        outcome = dst.candidates[i] == key &&
+                  dst.votes[i] == before.votes[i] + src.votes[i];
+        break;
+      case VoteCase::kDestinationHolds:
+        outcome = dst.candidates[i] == before.candidates[i] &&
+                  dst.votes[i] > 0.0;
+        break;
+      case VoteCase::kExactCancel:
+        outcome = dst.candidates[i] == before.candidates[i] &&
+                  dst.votes[i] == 0.0;
+        break;
+      case VoteCase::kDestinationLoses:
+        outcome = dst.candidates[i] == key &&
+                  dst.votes[i] == src.votes[i] - before.votes[i];
+        break;
+    }
+    if (outcome) ++seen[i % kVoteCases];
+  }
+  for (std::size_t v = 0; v < kVoteCases; ++v) {
+    EXPECT_EQ(seen[v], n / kVoteCases) << "vote case " << v;
   }
 }
 

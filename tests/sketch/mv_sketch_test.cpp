@@ -421,6 +421,61 @@ TEST(MvSketch, SwapTablesExchangeStateAndCheckTheSize) {
   EXPECT_DOUBLE_EQ(s.counters().sum(), 0.0);
 }
 
+TEST(MvSketch, FoldInEqualsCombineAndDrainsTheFoldedSketch) {
+  // The shard merge folds S_1, S_2 into S_0 (the first fold_in with
+  // `first`) where COMBINE(1, S_0, 1, S_1, 1, S_2) starts from zero. The
+  // two differ only where S_0 holds a stale zero-vote candidate that no
+  // later vote overwrites, so S_1 is sparse: most of its cells hold no
+  // votes, and the test asserts that such a cell meets a stale one.
+  const auto family = make_tabulation_family(31, kH);
+  constexpr std::size_t k = 16;
+  std::vector<MvSketch> parts(3, MvSketch(family, k));
+  common::Rng rng(32);
+  for (int i = 0; i < 300; ++i) {
+    parts[0].update(1 + rng.next_below(40),
+                    static_cast<double>(1 + rng.next_below(2)));
+  }
+  parts[1].update(7, 3.0);
+  for (int i = 0; i < 100; ++i) {
+    parts[2].update(1 + rng.next_below(40), 1.0);
+  }
+  bool stale_meets_empty = false;
+  for (std::size_t idx = 0; idx < kH * k; ++idx) {
+    if (parts[0].votes()[idx] == 0.0 && parts[0].candidates()[idx] != 0 &&
+        parts[1].votes()[idx] == 0.0) {
+      stale_meets_empty = true;
+    }
+  }
+  ASSERT_TRUE(stale_meets_empty);
+  const std::vector<const MvSketch*> ptrs{&parts[0], &parts[1], &parts[2]};
+  const std::vector<double> ones(3, 1.0);
+  const MvSketch combined = MvSketch::combine(ones, ptrs);
+
+  MvSketch& merged = parts[0];
+  merged.fold_in(parts[1], /*first=*/true);
+  merged.fold_in(parts[2], /*first=*/false);
+  const auto same_bytes = [](auto a, auto b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+  };
+  EXPECT_TRUE(same_bytes(merged.registers(), combined.registers()));
+  EXPECT_TRUE(same_bytes(merged.candidates(), combined.candidates()));
+  EXPECT_TRUE(same_bytes(merged.votes(), combined.votes()));
+  for (const MvSketch* folded : {&parts[1], &parts[2]}) {
+    const auto zero = [](auto span) {
+      return std::all_of(span.begin(), span.end(),
+                         [](auto x) { return x == 0; });
+    };
+    EXPECT_TRUE(zero(folded->registers()));
+    EXPECT_TRUE(zero(folded->candidates()));
+    EXPECT_TRUE(zero(folded->votes()));
+    EXPECT_DOUBLE_EQ(folded->counters().sum(), 0.0);
+  }
+  MvSketch foreign(make_tabulation_family(33, kH), k);
+  EXPECT_THROW(merged.fold_in(foreign, true), std::invalid_argument);
+  EXPECT_THROW(merged.fold_in(merged, true), std::invalid_argument);
+}
+
 TEST(MvSketchSerialize, TrailingBytesAreTyped) {
   auto bytes = mv_sketch_to_bytes(make_populated_mv(25, 6));
   bytes.push_back(0);
