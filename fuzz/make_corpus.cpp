@@ -2,8 +2,8 @@
 //
 // Usage: make_fuzz_corpus <output-dir>
 //
-// Writes wire/, sketch/ and checkpoint/ subdirectories, each seeded with
-// valid encodings produced by the real encoders plus truncated and
+// Writes wire/, sketch/, checkpoint/ and engine/ subdirectories, each seeded
+// with valid encodings produced by the real encoders plus truncated and
 // bit-flipped variants — so coverage starts inside the parsers' deep paths
 // instead of dying at the magic check, and the gcc corpus-replay smoke
 // exercises both accept and every typed-reject branch.
@@ -15,6 +15,9 @@
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
+#include "core/pipeline.h"
+#include "engine_state_configs.h"
+#include "ingest/parallel_pipeline.h"
 #include "net/wire.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
@@ -53,6 +56,30 @@ void write_variants(const std::filesystem::path& dir, const std::string& stem,
   }
 }
 
+/// A state snapshot taken at the close of interval 6 of a stream with a
+/// key that ramps up over several intervals, so the snapshot holds alarms'
+/// streaks, model state and (for deferred detection) a pending report.
+template <typename Pipeline, typename... Args>
+std::vector<std::uint8_t> snapshot_of(const Args&... args) {
+  Pipeline pipeline(args...);
+  std::vector<std::uint8_t> state;
+  pipeline.set_interval_close_callback([&](std::size_t closed) {
+    if (closed == 6) state = pipeline.save_state();
+  });
+  for (std::uint64_t t = 0; t < 9; ++t) {
+    const double start = 10.0 * static_cast<double>(t);
+    for (std::uint64_t key = 1; key <= 24; ++key) {
+      pipeline.add(key, 100.0 + static_cast<double>((key * 7 + t) % 11),
+                   start + 1.0);
+    }
+    if (t >= 3) {
+      pipeline.add(99, 3000.0 * static_cast<double>(t - 2), start + 2.0);
+    }
+  }
+  pipeline.flush();
+  return state;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -64,9 +91,11 @@ int main(int argc, char** argv) {
   const std::filesystem::path wire_dir = root / "wire";
   const std::filesystem::path sketch_dir = root / "sketch";
   const std::filesystem::path ckpt_dir = root / "checkpoint";
+  const std::filesystem::path engine_dir = root / "engine";
   std::filesystem::create_directories(wire_dir);
   std::filesystem::create_directories(sketch_dir);
   std::filesystem::create_directories(ckpt_dir);
+  std::filesystem::create_directories(engine_dir);
 
   // A small but non-trivial sketch, shared by the sketch and wire seeds.
   scd::sketch::FamilyRegistry registry;
@@ -128,6 +157,18 @@ int main(int argc, char** argv) {
                  scd::checkpoint::encode_checkpoint_frame(
                      scd::checkpoint::PayloadKind::kParallel,
                      0xfeedface12345678ull, 43, {0x01, 0x02, 0x03}));
+
+  // Engine-state seeds: real snapshots of each pipeline the harness
+  // restores into.
+  write_variants(engine_dir, "seed-replay",
+                 snapshot_of<scd::core::ChangeDetectionPipeline>(
+                     scd_fuzz::replay_config()));
+  write_variants(engine_dir, "seed-invertible",
+                 snapshot_of<scd::core::ChangeDetectionPipeline>(
+                     scd_fuzz::invertible_config()));
+  write_variants(engine_dir, "seed-parallel",
+                 snapshot_of<scd::ingest::ParallelPipeline>(
+                     scd_fuzz::replay_config(), scd_fuzz::parallel_config()));
 
   std::printf("make_fuzz_corpus: seeded %s\n", root.string().c_str());
   return 0;

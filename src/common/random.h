@@ -87,6 +87,16 @@ class Rng {
     has_cached_normal_ = snap.has_cached_normal;
   }
 
+  /// The snapshot's field list (common/bytes.h).
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& rng) {
+    Snapshot snap = rng.snapshot();
+    ar.field(snap.state);
+    ar.field(snap.cached_normal);
+    ar.field(snap.has_cached_normal);
+    if constexpr (Ar::kReads) rng.restore(snap);
+  }
+
   /// Uniform over all 64-bit values.
   [[nodiscard]] std::uint64_t next_u64() noexcept { return gen_.next(); }
 

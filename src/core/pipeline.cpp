@@ -1,12 +1,13 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <deque>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -88,57 +89,41 @@ void PipelineConfig::validate() const {
 }
 
 std::uint64_t config_fingerprint(const PipelineConfig& config) noexcept {
-  // FNV-1a64 over the state-determining fields, in declaration order.
+  // FNV-1a64 over the state-determining fields' little-endian bytes, in
+  // declaration order; the model configuration is its own field list.
   // Lives in core (not checkpoint) because provenance records and
   // flight-recorder dumps stamp it too; checkpoint delegates here.
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix_u64 = [&hash](std::uint64_t v) noexcept {
-    std::uint8_t bytes[8];
-    common::store_le(bytes, v);
-    for (const std::uint8_t b : bytes) {
-      hash ^= b;
-      hash *= 0x100000001b3ULL;
-    }
-  };
-  const auto mix_f64 = [&mix_u64](double v) noexcept {
-    mix_u64(std::bit_cast<std::uint64_t>(v));
-  };
-  mix_f64(config.interval_s);
-  mix_u64(config.h);
-  mix_u64(config.k);
-  mix_u64(config.seed);
-  mix_u64(static_cast<std::uint64_t>(config.key_kind));
-  mix_u64(static_cast<std::uint64_t>(config.update_kind));
-  mix_u64(static_cast<std::uint64_t>(config.model.kind));
-  mix_u64(config.model.window);
-  mix_f64(config.model.alpha);
-  mix_f64(config.model.beta);
-  mix_f64(config.model.gamma);
-  mix_u64(config.model.period);
-  mix_u64(static_cast<std::uint64_t>(config.model.arima.p));
-  mix_u64(static_cast<std::uint64_t>(config.model.arima.d));
-  mix_u64(static_cast<std::uint64_t>(config.model.arima.q));
-  for (const double c : config.model.arima.ar) mix_f64(c);
-  for (const double c : config.model.arima.ma) mix_f64(c);
-  mix_f64(config.threshold);
-  mix_u64(static_cast<std::uint64_t>(config.criterion));
-  mix_u64(static_cast<std::uint64_t>(config.baseline));
-  mix_f64(config.baseline_alpha);
-  mix_u64(static_cast<std::uint64_t>(config.replay));
-  mix_f64(config.key_sample_rate);
-  mix_u64(config.randomize_intervals ? 1 : 0);
-  mix_u64(config.max_alarms_per_interval);
-  mix_u64(config.min_consecutive);
-  mix_u64(config.refit_every);
-  mix_u64(config.refit_window);
+  std::vector<std::uint8_t> bytes;
+  common::ByteWriter out(bytes);
+  out.field(config.interval_s);
+  out.field(config.h);
+  out.field(config.k);
+  out.field(config.seed);
+  out.field(config.key_kind);
+  out.field(config.update_kind);
+  out.field(config.model);
+  out.field(config.threshold);
+  out.field(config.criterion);
+  out.field(config.baseline);
+  out.field(config.baseline_alpha);
+  out.field(config.replay);
+  out.field(config.key_sample_rate);
+  out.field(config.randomize_intervals);
+  out.field(config.max_alarms_per_interval);
+  out.field(config.min_consecutive);
+  out.field(config.refit_every);
+  out.field(config.refit_window);
   // The recovery mode is mixed only when it departs from kReplay: every
   // fingerprint computed before the field existed stays valid, so
   // checkpoints and provenance records from replay-mode deployments restore
   // unchanged.
-  if (config.recovery != RecoveryMode::kReplay) {
-    mix_u64(static_cast<std::uint64_t>(config.recovery));
-  }
+  if (config.recovery != RecoveryMode::kReplay) out.field(config.recovery);
   // config.metrics deliberately excluded: observability never alters state.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
   return hash;
 }
 
@@ -151,10 +136,10 @@ namespace {
 constexpr std::uint64_t kUpdateSampleMask = 63;
 
 // ---------------------------------------------------------------------------
-// Engine-state byte codec. The encoding is explicit little-endian so a
+// Engine-state byte stream. The encoding is explicit little-endian so a
 // checkpoint written on one host restores bit-identically on any other; the
 // checkpoint layer (src/checkpoint) adds CRC framing and atomicity on top of
-// this raw stream.
+// this raw stream. Engine::transfer is its one field list.
 
 /// Engine-state stream layout version; bump on any field change.
 /// v2: a deferred (kNextInterval) detection now also carries the interval's
@@ -166,200 +151,36 @@ constexpr std::uint64_t kUpdateSampleMask = 63;
 /// recovery modes; an invertible engine appends the previous interval's
 /// candidate and vote arrays after the history.
 constexpr std::uint64_t kEngineStateVersion = 4;
-/// Trailing sentinel: catches a reader/writer field-order drift that happens
-/// to stay inside the buffer.
+/// Trailing sentinel: a stream cut short at a field boundary and followed
+/// by other bytes fails here rather than restoring.
 constexpr std::uint64_t kEngineStateSentinel = 0x5cdc0de5e17a11edULL;
 
 using common::ByteReader;
 using common::ByteWriter;
+using sketch::SerializeError;
+using sketch::SerializeErrorKind;
 
-/// Bridges the engine's byte stream to the forecast layer's typed
-/// StateWriter: signals (k-ary sketches) are written as a register count
-/// followed by the raw register doubles.
-template <typename Sketch>
-class SketchStateWriter final : public forecast::StateWriter<Sketch> {
- public:
-  explicit SketchStateWriter(ByteWriter& out) : out_(out) {}
-  void write_u64(std::uint64_t value) override { out_.u64(value); }
-  void write_f64(double value) override { out_.f64(value); }
-  void write_signal(const Sketch& value) override {
-    out_.u64(value.registers().size());
-    out_.array(value.registers());
-  }
-
- private:
-  ByteWriter& out_;
-};
-
-template <typename Sketch>
-class SketchStateReader final : public forecast::StateReader<Sketch> {
- public:
-  SketchStateReader(ByteReader& in, std::size_t expected_registers)
-      : in_(in), expected_(expected_registers) {}
-
-  [[nodiscard]] std::uint64_t read_u64() override { return in_.u64(); }
-  [[nodiscard]] double read_f64() override { return in_.f64(); }
-  void read_signal(Sketch& out) override {
-    const std::uint64_t n = in_.u64();
-    if (n != expected_) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kBadDimensions,
-          "engine state sketch has " + std::to_string(n) +
-              " registers, expected " + std::to_string(expected_));
-    }
-    scratch_.resize(expected_);
-    in_.array(std::span(scratch_));
-    out.load_registers(scratch_);
-  }
-  [[noreturn]] void fail(const std::string& what) override {
-    throw sketch::SerializeError(sketch::SerializeErrorKind::kBadDimensions,
-                                 "engine state: " + what);
-  }
-
- private:
-  ByteReader& in_;
-  std::size_t expected_;
-  std::vector<double> scratch_;
-};
-
-/// An invertible sketch's candidate and vote arrays, without its registers.
-template <typename Sketch>
-void write_vote_state(ByteWriter& out, const Sketch& sketch) {
-  out.u64(sketch.candidates().size());
-  out.array(sketch.candidates());
-  out.array(sketch.votes());
+/// A reader hook's verdict against the stream.
+[[noreturn]] void reject(SerializeErrorKind kind, const std::string& what) {
+  throw SerializeError(kind, "engine state " + what);
 }
 
-/// Reads write_vote_state's arrays into `sketch`, whose counters are left
-/// as they are.
-template <typename Sketch>
-void read_vote_state(ByteReader& in, Sketch& sketch) {
-  const std::size_t cells = sketch.candidates().size();
-  const std::uint64_t n = in.u64();
-  if (n != cells) {
-    throw sketch::SerializeError(
-        sketch::SerializeErrorKind::kBadDimensions,
-        "engine state vote table has " + std::to_string(n) +
-            " cells, expected " + std::to_string(cells));
+/// Reader hook on the stream clock: a non-finite time never closes an
+/// interval, and a length the cutter could not have drawn (or too small to
+/// move the start) stalls or skews every later close.
+void check_clock(const IntervalCutter::Position& clock,
+                 const PipelineConfig& config) {
+  const double len = clock.len_s;
+  const bool drawable = config.randomize_intervals
+                            ? len >= 0.25 * config.interval_s &&
+                                  len <= 4.0 * config.interval_s
+                            : len == config.interval_s;
+  if (!std::isfinite(clock.start_s) || !std::isfinite(clock.high_water_s) ||
+      !drawable || !(clock.end_s() > clock.start_s)) {
+    reject(SerializeErrorKind::kCorruptRegisters,
+           "stream clock is invalid: its times must be finite and its "
+           "length one the interval cutter draws");
   }
-  std::vector<std::uint64_t> candidates(cells);
-  in.array(std::span(candidates));
-  std::vector<double> votes(cells);
-  in.array(std::span(votes));
-  for (const double v : votes) {
-    if (!std::isfinite(v) || v < 0.0) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kCorruptRegisters,
-          "engine state vote table holds an invalid vote value");
-    }
-  }
-  sketch.load_aux(candidates, votes);
-}
-
-void write_model_config(ByteWriter& out, const forecast::ModelConfig& m) {
-  out.u64(static_cast<std::uint64_t>(m.kind));
-  out.u64(m.window);
-  out.f64(m.alpha);
-  out.f64(m.beta);
-  out.f64(m.gamma);
-  out.u64(m.period);
-  out.u64(static_cast<std::uint64_t>(m.arima.p));
-  out.u64(static_cast<std::uint64_t>(m.arima.d));
-  out.u64(static_cast<std::uint64_t>(m.arima.q));
-  for (const double c : m.arima.ar) out.f64(c);
-  for (const double c : m.arima.ma) out.f64(c);
-}
-
-[[nodiscard]] forecast::ModelConfig read_model_config(ByteReader& in) {
-  forecast::ModelConfig m;
-  const std::uint64_t kind = in.u64();
-  if (kind >
-      static_cast<std::uint64_t>(forecast::ModelKind::kSeasonalHoltWinters)) {
-    throw sketch::SerializeError(sketch::SerializeErrorKind::kCorruptRegisters,
-                                 "engine state names an unknown model kind");
-  }
-  m.kind = static_cast<forecast::ModelKind>(kind);
-  m.window = static_cast<std::size_t>(in.u64());
-  m.alpha = in.f64();
-  m.beta = in.f64();
-  m.gamma = in.f64();
-  m.period = static_cast<std::size_t>(in.u64());
-  m.arima.p = static_cast<int>(in.u64());
-  m.arima.d = static_cast<int>(in.u64());
-  m.arima.q = static_cast<int>(in.u64());
-  for (double& c : m.arima.ar) c = in.f64();
-  for (double& c : m.arima.ma) c = in.f64();
-  if (!m.valid()) {
-    throw sketch::SerializeError(
-        sketch::SerializeErrorKind::kCorruptRegisters,
-        "engine state model config is invalid: " + m.to_string());
-  }
-  return m;
-}
-
-void write_rng(ByteWriter& out, const common::Rng& rng) {
-  const common::Rng::Snapshot snap = rng.snapshot();
-  for (const std::uint64_t word : snap.state) out.u64(word);
-  out.f64(snap.cached_normal);
-  out.u64(snap.has_cached_normal ? 1 : 0);
-}
-
-void read_rng(ByteReader& in, common::Rng& rng) {
-  common::Rng::Snapshot snap;
-  for (std::uint64_t& word : snap.state) word = in.u64();
-  snap.cached_normal = in.f64();
-  snap.has_cached_normal = in.u64() != 0;
-  rng.restore(snap);
-}
-
-void write_report(ByteWriter& out, const IntervalReport& r) {
-  out.u64(r.index);
-  out.f64(r.start_s);
-  out.f64(r.end_s);
-  out.u64(r.records);
-  out.u64(r.detection_ran ? 1 : 0);
-  out.u64(r.keys_checked);
-  out.f64(r.estimated_error_f2);
-  out.f64(r.alarm_threshold);
-  out.u64(r.alarms.size());
-  for (const detect::Alarm& a : r.alarms) {
-    out.u64(a.interval);
-    out.u64(a.key);
-    out.f64(a.error);
-    out.f64(a.threshold_abs);
-  }
-  out.f64(r.timings.close_s);
-  out.f64(r.timings.forecast_s);
-  out.f64(r.timings.estimate_f2_s);
-  out.f64(r.timings.key_replay_s);
-}
-
-[[nodiscard]] IntervalReport read_report(ByteReader& in) {
-  IntervalReport r;
-  r.index = static_cast<std::size_t>(in.u64());
-  r.start_s = in.f64();
-  r.end_s = in.f64();
-  r.records = in.u64();
-  r.detection_ran = in.u64() != 0;
-  r.keys_checked = static_cast<std::size_t>(in.u64());
-  r.estimated_error_f2 = in.f64();
-  r.alarm_threshold = in.f64();
-  const std::uint64_t alarms = in.u64();
-  r.alarms.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(alarms, 1024)));  // defensive pre-reserve cap
-  for (std::uint64_t i = 0; i < alarms; ++i) {
-    detect::Alarm a;
-    a.interval = static_cast<std::size_t>(in.u64());
-    a.key = in.u64();
-    a.error = in.f64();
-    a.threshold_abs = in.f64();
-    r.alarms.push_back(a);
-  }
-  r.timings.close_s = in.f64();
-  r.timings.forecast_s = in.f64();
-  r.timings.estimate_f2_s = in.f64();
-  r.timings.key_replay_s = in.f64();
-  return r;
 }
 
 class EngineBase {
@@ -558,166 +379,143 @@ class Engine final : public EngineBase {
           "snapshot only at an interval boundary (see "
           "set_interval_close_callback)");
     }
-    out.u64(kEngineStateVersion);
-    // Config guards: restoring into a pipeline with different sketch
-    // geometry or hashing would silently corrupt every later estimate, so
-    // the stream pins the state-determining config axes.
-    out.u64(config_.h);
-    out.u64(config_.k);
-    out.u64(config_.seed);
-    out.u64(static_cast<std::uint64_t>(config_.key_kind));
-    out.u64(static_cast<std::uint64_t>(config_.update_kind));
-
-    out.u64(clock.started ? 1 : 0);
-    out.f64(clock.start_s);
-    out.f64(clock.len_s);
-    out.f64(clock.high_water_s);
-    out.u64(clock.index);
-    write_model_config(out, active_model_);
-    out.f64(smoothed_f2_);
-    out.u64(have_smoothed_f2_ ? 1 : 0);
-    write_rng(out, sample_rng_);
-    write_rng(out, cutter_.length_rng());
-    out.u64(stats_.records);
-    out.u64(stats_.intervals_closed);
-    out.u64(stats_.alarms);
-    out.u64(stats_.refits);
-    out.u64(stats_.keys_replayed);
-    out.u64(stats_.recovery_candidates);  // v3
-    out.u64(stats_.keys_recovered);       // v3
-    out.u64(stats_.hysteresis_suppressed);
-    out.u64(clock.out_of_order);
-    out.f64(stats_.update_seconds);
-    out.u64(stats_.update_samples);
-    out.f64(stats_.close_seconds);
-    out.f64(stats_.forecast_seconds);
-    out.f64(stats_.estimate_f2_seconds);
-    out.f64(stats_.key_replay_seconds);
-    out.f64(stats_.refit_seconds);
-    // Hysteresis streaks, sorted by key: the map's iteration order is not
-    // deterministic, the byte stream must be.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> streaks;
-    streaks.reserve(alarm_streaks_.size());
-    for (const auto& [key, streak] : alarm_streaks_) {
-      streaks.emplace_back(key, streak);
-    }
-    std::sort(streaks.begin(), streaks.end());
-    out.u64(streaks.size());
-    for (const auto& [key, streak] : streaks) {
-      out.u64(key);
-      out.u64(streak);
-    }
-    SketchStateWriter<Counters> model_out(out);
-    runner_->save_state(model_out);
-    out.u64(pending_.has_value() ? 1 : 0);
-    if (pending_.has_value()) {
-      out.f64(pending_->est_f2);
-      write_report(out, pending_->report);
-      model_out.write_signal(parked_->error);
-      model_out.write_signal(parked_->forecast);  // v2
-    }
-    out.u64(history_.size());
-    for (const Counters& s : history_) model_out.write_signal(s);
-    // v4: the last closed interval's votes, which the next detection sweeps
-    // for keys that vanished.
-    if constexpr (kRecovers) write_vote_state(out, *previous_);
-    out.u64(kEngineStateSentinel);
+    transfer(out, *this);
   }
 
   void restore_state(ByteReader& in) override {
-    const std::uint64_t version = in.u64();
-    if (version != kEngineStateVersion) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kBadVersion,
-          "engine state version " + std::to_string(version) +
-              " is not the supported version " +
-              std::to_string(kEngineStateVersion));
-    }
-    if (in.u64() != config_.h || in.u64() != config_.k) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kBadDimensions,
-          "engine state sketch geometry (h, k) does not match this "
-          "pipeline's configuration");
-    }
-    if (in.u64() != config_.seed ||
-        in.u64() != static_cast<std::uint64_t>(config_.key_kind) ||
-        in.u64() != static_cast<std::uint64_t>(config_.update_kind)) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kFamilyMismatch,
-          "engine state (seed, key kind, update kind) does not match this "
-          "pipeline's configuration");
-    }
+    transfer(in, *this);
+    observed_.set_zero();
+    keys_.clear();
+  }
+
+  /// The engine state's one field list, in stream order; reader hooks check
+  /// values and rebuild what the fields imply.
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    const PipelineConfig& config = self.config_;
+    ar.pinned(kEngineStateVersion, [](std::uint64_t version) {
+      reject(SerializeErrorKind::kBadVersion,
+             "version " + std::to_string(version) +
+                 " is not the supported version 4");
+    });
+    // Config guards: restoring into a pipeline with different sketch
+    // geometry or hashing would silently corrupt every later estimate, so
+    // the stream pins the state-determining config axes.
+    ar.pinned(std::array<std::uint64_t, 2>{config.h, config.k},
+              [](const auto&) {
+                reject(SerializeErrorKind::kBadDimensions,
+                       "sketch geometry (h, k) does not match this "
+                       "pipeline's configuration");
+              });
+    ar.pinned(std::array<std::uint64_t, 3>{
+                  config.seed, static_cast<std::uint64_t>(config.key_kind),
+                  static_cast<std::uint64_t>(config.update_kind)},
+              [](const auto&) {
+                reject(SerializeErrorKind::kFamilyMismatch,
+                       "(seed, key kind, update kind) does not match this "
+                       "pipeline's configuration");
+              });
+
     // Boundary state: a snapshot is only taken between intervals, so the
     // open interval restores empty.
     IntervalCutter::Position clock;
-    clock.started = in.u64() != 0;
-    clock.start_s = in.f64();
-    clock.len_s = in.f64();
-    clock.high_water_s = in.f64();
-    clock.index = in.u64();
-    active_model_ = read_model_config(in);
-    smoothed_f2_ = in.f64();
-    have_smoothed_f2_ = in.u64() != 0;
-    read_rng(in, sample_rng_);
-    read_rng(in, cutter_.length_rng());
-    stats_ = PipelineStats{};
-    tally_ = obs::IntervalTally{};
-    stats_.records = in.u64();
-    stats_.intervals_closed = static_cast<std::size_t>(in.u64());
-    stats_.alarms = static_cast<std::size_t>(in.u64());
-    stats_.refits = static_cast<std::size_t>(in.u64());
-    stats_.keys_replayed = in.u64();
-    stats_.recovery_candidates = in.u64();  // v3
-    stats_.keys_recovered = in.u64();       // v3
-    stats_.hysteresis_suppressed = in.u64();
-    clock.out_of_order = in.u64();
-    cutter_.restore(clock);
-    stats_.update_seconds = in.f64();
-    stats_.update_samples = in.u64();
-    stats_.close_seconds = in.f64();
-    stats_.forecast_seconds = in.f64();
-    stats_.estimate_f2_seconds = in.f64();
-    stats_.key_replay_seconds = in.f64();
-    stats_.refit_seconds = in.f64();
-    stats_.sketch_bytes = observed_.table_bytes();
-    alarm_streaks_.clear();
-    const std::uint64_t streaks = in.u64();
-    for (std::uint64_t i = 0; i < streaks; ++i) {
-      const std::uint64_t key = in.u64();
-      alarm_streaks_[key] = static_cast<std::size_t>(in.u64());
+    if constexpr (!Ar::kReads) clock = self.cutter_.position();
+    ar.field(clock.started);
+    ar.field(clock.start_s);
+    ar.field(clock.len_s);
+    ar.field(clock.high_water_s);
+    ar.field(clock.index);
+    if constexpr (Ar::kReads) check_clock(clock, config);
+    ar.field(self.active_model_);
+    if constexpr (Ar::kReads) {
+      if (!self.active_model_.valid()) {
+        reject(SerializeErrorKind::kCorruptRegisters,
+               "model config is invalid: " + self.active_model_.to_string());
+      }
     }
-    rebuild_runner();
-    SketchStateReader<Counters> model_in(in, observed_.registers().size());
-    runner_->restore_state(model_in);
-    pending_.reset();
-    if (in.u64() != 0) {
-      Pending p;
-      p.est_f2 = in.f64();
-      p.report = read_report(in);
-      StepTables& parked = parked_tables();
-      model_in.read_signal(parked.error);
-      model_in.read_signal(parked.forecast);  // v2
-      pending_.emplace(std::move(p));
+    ar.field(self.smoothed_f2_);
+    ar.field(self.have_smoothed_f2_);
+    ar.field(self.sample_rng_);
+    ar.field(self.cutter_.length_rng());
+
+    if constexpr (Ar::kReads) {
+      self.stats_ = PipelineStats{};
+      self.stats_.sketch_bytes = self.observed_.table_bytes();
+      self.tally_ = obs::IntervalTally{};
     }
-    history_.clear();
-    const std::uint64_t hist = in.u64();
-    for (std::uint64_t i = 0; i < hist; ++i) {
-      Counters s(family_, config_.k);
-      model_in.read_signal(s);
-      history_.push_back(std::move(s));
+    auto& stats = self.stats_;
+    ar.field(stats.records);
+    ar.field(stats.intervals_closed);
+    ar.field(stats.alarms);
+    ar.field(stats.refits);
+    ar.field(stats.keys_replayed);
+    ar.field(stats.recovery_candidates);  // v3
+    ar.field(stats.keys_recovered);       // v3
+    ar.field(stats.hysteresis_suppressed);
+    ar.field(clock.out_of_order);
+    if constexpr (Ar::kReads) self.cutter_.restore(clock);
+    ar.field(stats.update_seconds);
+    ar.field(stats.update_samples);
+    ar.field(stats.close_seconds);
+    ar.field(stats.forecast_seconds);
+    ar.field(stats.estimate_f2_seconds);
+    ar.field(stats.key_replay_seconds);
+    ar.field(stats.refit_seconds);
+
+    // Hysteresis streaks, sorted by key: the map's iteration order is not
+    // deterministic, the byte stream must be.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> streaks;
+    if constexpr (!Ar::kReads) {
+      streaks.assign(self.alarm_streaks_.begin(), self.alarm_streaks_.end());
+      std::sort(streaks.begin(), streaks.end());
     }
+    ar.size(streaks, 2 * sizeof(std::uint64_t));
+    for (auto& [key, streak] : streaks) {
+      ar.field(key);
+      ar.field(streak);
+    }
+    if constexpr (Ar::kReads) {
+      self.alarm_streaks_ = {streaks.begin(), streaks.end()};
+      self.rebuild_runner();  // the restored active_model_'s runner
+    }
+
+    ar.field(*self.runner_);
+    bool pending = self.pending_.has_value();
+    ar.field(pending);
+    if constexpr (Ar::kReads) {
+      self.pending_.reset();
+      if (pending) {
+        self.pending_.emplace();
+        (void)self.parked_tables();
+      }
+    }
+    if (pending) {
+      ar.field(self.pending_->est_f2);
+      ar.field(self.pending_->report);
+      ar.field(self.parked_->error);
+      ar.field(self.parked_->forecast);  // v2
+    }
+    const Counters& shape = counters_of(self.observed_);
+    ar.size(self.history_, sizeof(std::uint64_t) + shape.table_bytes(), shape);
+    for (auto& s : self.history_) ar.field(s);
+    // v4: the last closed interval's votes, which the next detection sweeps
+    // for keys that vanished. The counters restore zero.
     if constexpr (kRecovers) {
-      previous_->set_zero();
-      read_vote_state(in, *previous_);
+      if constexpr (Ar::kReads) self.previous_->set_zero();
+      Sketch::transfer_votes(ar, *self.previous_);
+      if constexpr (Ar::kReads) {
+        for (const double v : self.previous_->votes()) {
+          if (!std::isfinite(v) || v < 0.0) {
+            reject(SerializeErrorKind::kCorruptRegisters,
+                   "vote table holds an invalid vote value");
+          }
+        }
+      }
     }
-    if (in.u64() != kEngineStateSentinel) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kCorruptRegisters,
-          "engine state sentinel mismatch: reader and writer disagree on "
-          "the field layout");
-    }
-    observed_.set_zero();
-    keys_.clear();
+    ar.pinned(kEngineStateSentinel, [](std::uint64_t) {
+      reject(SerializeErrorKind::kCorruptRegisters,
+             "sentinel mismatch: the stream ends before its last field");
+    });
   }
 
  private:
@@ -785,8 +583,16 @@ class Engine final : public EngineBase {
       }
 
       if (config_.refit_every > 0) {
-        history_.push_back(counters_of(observed_));
-        if (history_.size() > config_.refit_window) history_.pop_front();
+        if (history_.size() < config_.refit_window) {
+          history_.push_back(counters_of(observed_));
+        } else {
+          // A full window: the oldest table takes this interval's counters
+          // (a copy into storage of the same size allocates nothing).
+          Counters oldest = std::move(history_.front());
+          history_.pop_front();
+          oldest = counters_of(observed_);
+          history_.push_back(std::move(oldest));
+        }
       }
 
       tally_.records += clock.records;
@@ -1180,12 +986,14 @@ void ChangeDetectionPipeline::restore_state(
   try {
     impl_->engine_->restore_state(in);
   } catch (const common::TruncatedError& e) {
-    throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
-                                 e.what());
+    throw SerializeError(SerializeErrorKind::kTruncated, e.what());
+  } catch (const common::FieldError& e) {
+    throw SerializeError(SerializeErrorKind::kBadDimensions,
+                         std::string("engine state: ") + e.what());
   }
   if (in.remaining() != 0) {
-    throw sketch::SerializeError(
-        sketch::SerializeErrorKind::kTrailingBytes,
+    throw SerializeError(
+        SerializeErrorKind::kTrailingBytes,
         "engine state has " + std::to_string(in.remaining()) +
             " unconsumed trailing bytes");
   }

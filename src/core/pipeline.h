@@ -187,6 +187,25 @@ struct IntervalReport {
   double alarm_threshold = 0.0;     // T_A
   std::vector<detect::Alarm> alarms;  // sorted by |error| descending
   StageTimings timings;             // where this interval's time went
+
+  /// Field list (common/bytes.h): a deferred report rides in engine state.
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& r) {
+    ar.field(r.index);
+    ar.field(r.start_s);
+    ar.field(r.end_s);
+    ar.field(r.records);
+    ar.field(r.detection_ran);
+    ar.field(r.keys_checked);
+    ar.field(r.estimated_error_f2);
+    ar.field(r.alarm_threshold);
+    ar.size(r.alarms, 4 * sizeof(std::uint64_t));
+    for (auto& alarm : r.alarms) ar.field(alarm);
+    ar.field(r.timings.close_s);
+    ar.field(r.timings.forecast_s);
+    ar.field(r.timings.estimate_f2_s);
+    ar.field(r.timings.key_replay_s);
+  }
 };
 
 class ChangeDetectionPipeline {

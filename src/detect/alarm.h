@@ -19,6 +19,15 @@ struct Alarm {
   std::uint64_t key = 0;
   double error = 0.0;          // estimated forecast error (signed)
   double threshold_abs = 0.0;  // T_A in absolute units
+
+  /// Field list (common/bytes.h).
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& a) {
+    ar.field(a.interval);
+    ar.field(a.key);
+    ar.field(a.error);
+    ar.field(a.threshold_abs);
+  }
 };
 
 }  // namespace scd::detect

@@ -26,7 +26,7 @@
 namespace scd::forecast {
 
 template <LinearSignal V>
-class ArimaModel final : public ForecastModel<V> {
+class ArimaModel final : public ModelBase<ArimaModel<V>, V> {
  public:
   ArimaModel(const ArimaCoeffs& coeffs, const V& prototype)
       : coeffs_(coeffs),
@@ -80,17 +80,12 @@ class ArimaModel final : public ForecastModel<V> {
     return count_;
   }
 
-  void save_state(StateWriter<V>& out) const override {
-    out.write_u64(count_);
-    save_ring(out, z_history_);
-    save_ring(out, e_history_);
-    out.write_signal(prev_y_);
-  }
-  void restore_state(StateReader<V>& in) override {
-    count_ = in.read_u64();
-    load_ring(in, z_history_, zero_);
-    load_ring(in, e_history_, zero_);
-    in.read_signal(prev_y_);
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    ar.field(self.count_);
+    HistoryRing<V>::transfer(ar, self.z_history_, self.zero_);
+    HistoryRing<V>::transfer(ar, self.e_history_, self.zero_);
+    ar.field(self.prev_y_);
   }
 
  private:

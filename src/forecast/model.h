@@ -11,13 +11,33 @@
 
 #include <cstddef>
 
+#include "common/bytes.h"
 #include "forecast/linear_space.h"
-#include "forecast/state_io.h"
 
 namespace scd::forecast {
 
+/// The checkpoint half of ForecastModel. Only a signal space with a byte
+/// codec (common::Transferable: the engine's k-ary counter tables) has one;
+/// models over ScalarSignal or DenseVector carry no state codec at all.
+template <typename V>
+class ModelState {};
+
+template <common::Transferable V>
+class ModelState<V> {
+ public:
+  virtual ~ModelState() = default;
+
+  /// Writes the model's complete mutable state (counters and stored
+  /// signals). Configuration parameters are NOT written — a restored model
+  /// is first rebuilt from its ModelConfig, then fed the snapshot. After
+  /// restore_state consumes a matching save_state stream, all future
+  /// forecasts are bit-identical to the source model's.
+  virtual void save_state(common::ByteWriter& out) const = 0;
+  virtual void restore_state(common::ByteReader& in) = 0;
+};
+
 template <LinearSignal V>
-class ForecastModel {
+class ForecastModel : public ModelState<V> {
  public:
   virtual ~ForecastModel() = default;
 
@@ -33,14 +53,24 @@ class ForecastModel {
 
   /// Number of observe() calls so far.
   [[nodiscard]] virtual std::size_t observed_count() const noexcept = 0;
+};
 
-  /// Checkpoint support: writes the model's complete mutable state (counters
-  /// and stored signals) in a fixed order. Configuration parameters are NOT
-  /// written — a restored model is first rebuilt from its ModelConfig, then
-  /// fed the snapshot. After restore_state consumes a matching save_state
-  /// stream, all future forecasts are bit-identical to the source model's.
-  virtual void save_state(StateWriter<V>& out) const = 0;
-  virtual void restore_state(StateReader<V>& in) = 0;
+/// Every model's base (CRTP). Over a Transferable signal space it
+/// implements ModelState through the model's one field list, a
+/// `template <class Ar, class Self> static void transfer(Ar&, Self&)`.
+template <class Derived, LinearSignal V>
+class ModelBase : public ForecastModel<V> {};
+
+template <class Derived, LinearSignal V>
+  requires common::Transferable<V>
+class ModelBase<Derived, V> : public ForecastModel<V> {
+ public:
+  void save_state(common::ByteWriter& out) const final {
+    Derived::transfer(out, static_cast<const Derived&>(*this));
+  }
+  void restore_state(common::ByteReader& in) final {
+    Derived::transfer(in, static_cast<Derived&>(*this));
+  }
 };
 
 }  // namespace scd::forecast

@@ -75,7 +75,7 @@ bool ModelConfig::valid() const noexcept {
   switch (kind) {
     case ModelKind::kMovingAverage:
     case ModelKind::kSShapedMA:
-      return window >= 1;
+      return window >= 1 && window <= kMaxHistory;
     case ModelKind::kEwma:
       return alpha >= 0.0 && alpha <= 1.0;
     case ModelKind::kHoltWinters:
@@ -90,7 +90,8 @@ bool ModelConfig::valid() const noexcept {
     }
     case ModelKind::kSeasonalHoltWinters:
       return alpha >= 0.0 && alpha <= 1.0 && beta >= 0.0 && beta <= 1.0 &&
-             gamma >= 0.0 && gamma <= 1.0 && period >= 2;
+             gamma >= 0.0 && gamma <= 1.0 && period >= 2 &&
+             period <= kMaxHistory;
   }
   return false;
 }

@@ -44,6 +44,10 @@ struct ArimaCoeffs {
 /// MA invertibility: roots of 1 + ma1*x + ma2*x^2 outside the unit circle.
 [[nodiscard]] bool is_invertible(const ArimaCoeffs& c) noexcept;
 
+/// The longest history, in intervals, a model may keep (an MA or SMA
+/// window, a seasonal period): each slot can hold a whole signal.
+inline constexpr std::size_t kMaxHistory = std::size_t{1} << 16;
+
 /// Full parameter set for any of the six models; the fields used depend on
 /// `kind`. Produced by hand, by random sampling (Figures 1-3), or by grid
 /// search (§3.4.2).
@@ -57,9 +61,25 @@ struct ModelConfig {
   ArimaCoeffs arima{};        // ARIMA0, ARIMA1
 
   [[nodiscard]] std::string to_string() const;
-  /// True iff the parameters are in-range for `kind` (window >= 1,
-  /// alpha/beta in [0,1], ARIMA stationary + invertible).
+  /// True iff the parameters are in-range for `kind` (window, period <=
+  /// kMaxHistory, alpha/beta in [0,1], ARIMA stationary + invertible).
   [[nodiscard]] bool valid() const noexcept;
+
+  /// Field list (common/bytes.h); a reader checks the result with valid().
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& m) {
+    ar.field(m.kind);
+    ar.field(m.window);
+    ar.field(m.alpha);
+    ar.field(m.beta);
+    ar.field(m.gamma);
+    ar.field(m.period);
+    ar.field(m.arima.p);
+    ar.field(m.arima.d);
+    ar.field(m.arima.q);
+    ar.field(m.arima.ar);
+    ar.field(m.arima.ma);
+  }
 };
 
 }  // namespace scd::forecast

@@ -4,7 +4,11 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
+
+#include "common/bytes.h"
 
 namespace scd::forecast {
 
@@ -28,16 +32,28 @@ class HistoryRing {
 
   /// Element observed `ago` steps in the past (1 = most recent).
   [[nodiscard]] const V& back(std::size_t ago) const noexcept {
-    assert(ago >= 1 && ago <= slots_.size());
-    const std::size_t idx = (head_ + capacity_ - (ago - 1)) % capacity_;
-    return slots_[idx];
+    return slots_[slot(ago)];
   }
 
-  /// Empties the ring (capacity unchanged); used by state restore before
-  /// re-pushing a snapshotted history.
-  void clear() noexcept {
-    slots_.clear();
-    head_ = 0;
+  /// The ring's field list (common/bytes.h): the element count, then the
+  /// elements oldest first. A reader refills it from slot 0 with copies of
+  /// `shape` (any signal of the elements' structure) and reads each in.
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& ring, const V& shape) {
+    std::uint64_t n = ring.size();
+    ar.field(n);
+    if constexpr (Ar::kReads) {
+      if (n > ring.capacity_) {
+        throw common::FieldError("history ring holds " + std::to_string(n) +
+                                 " elements but capacity is " +
+                                 std::to_string(ring.capacity_));
+      }
+      ring.slots_.assign(n, shape);
+      ring.head_ = n == 0 ? 0 : n - 1;
+    }
+    for (std::size_t ago = n; ago >= 1; --ago) {
+      ar.field(ring.slots_[ring.slot(ago)]);
+    }
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
@@ -45,6 +61,11 @@ class HistoryRing {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
+  [[nodiscard]] std::size_t slot(std::size_t ago) const noexcept {
+    assert(ago >= 1 && ago <= slots_.size());
+    return (head_ + capacity_ - (ago - 1)) % capacity_;
+  }
+
   std::size_t capacity_;
   std::size_t head_ = 0;
   std::vector<V> slots_;

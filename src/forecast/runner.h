@@ -63,9 +63,15 @@ class ForecastRunner {
 
   [[nodiscard]] const ForecastModel<V>& model() const noexcept { return *model_; }
 
-  /// Checkpoint passthrough: the runner holds no state beyond the model.
-  void save_state(StateWriter<V>& out) const { model_->save_state(out); }
-  void restore_state(StateReader<V>& in) { model_->restore_state(in); }
+  /// Field list (common/bytes.h): the model's state, the runner's only one.
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    if constexpr (Ar::kReads) {
+      self.model_->restore_state(ar);
+    } else {
+      self.model_->save_state(ar);
+    }
+  }
 
  private:
   std::unique_ptr<ForecastModel<V>> model_;

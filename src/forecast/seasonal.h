@@ -25,7 +25,8 @@
 namespace scd::forecast {
 
 template <LinearSignal V>
-class SeasonalHoltWintersModel final : public ForecastModel<V> {
+class SeasonalHoltWintersModel final
+    : public ModelBase<SeasonalHoltWintersModel<V>, V> {
  public:
   SeasonalHoltWintersModel(double alpha, double beta, double gamma,
                            std::size_t period, const V& prototype)
@@ -88,19 +89,23 @@ class SeasonalHoltWintersModel final : public ForecastModel<V> {
     return count_;
   }
 
-  void save_state(StateWriter<V>& out) const override {
-    out.write_u64(count_);
-    out.write_signal(level_);
-    out.write_signal(trend_);
-    save_ring(out, seasons_);
-    save_ring(out, warmup_);
-  }
-  void restore_state(StateReader<V>& in) override {
-    count_ = in.read_u64();
-    in.read_signal(level_);
-    in.read_signal(trend_);
-    load_ring(in, seasons_, zero_like(level_));
-    load_ring(in, warmup_, zero_like(level_));
+  /// The rings must hold what the count says: forecast_into() and
+  /// initialize() index them unchecked.
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    ar.field(self.count_);
+    ar.field(self.level_);
+    ar.field(self.trend_);
+    HistoryRing<V>::transfer(ar, self.seasons_, self.level_);
+    HistoryRing<V>::transfer(ar, self.warmup_, self.level_);
+    if constexpr (Ar::kReads) {
+      const bool warm = self.count_ >= self.period_;
+      if (self.seasons_.size() != (warm ? self.period_ : 0) ||
+          self.warmup_.size() != (warm ? self.period_ : self.count_)) {
+        throw common::FieldError(
+            "seasonal model state does not match its observation count");
+      }
+    }
   }
 
  private:

@@ -16,7 +16,8 @@ namespace scd::forecast {
 /// Moving average: S_f(t) = (1/W) * sum_{i=1..W} S_o(t-i). While fewer than
 /// W observations exist the window is truncated to the available history.
 template <LinearSignal V>
-class MovingAverageModel final : public ForecastModel<V> {
+class MovingAverageModel final
+    : public ModelBase<MovingAverageModel<V>, V> {
  public:
   MovingAverageModel(std::size_t window, const V& prototype)
       : window_(window), history_(window), zero_(zero_like(prototype)) {
@@ -42,13 +43,10 @@ class MovingAverageModel final : public ForecastModel<V> {
     return count_;
   }
 
-  void save_state(StateWriter<V>& out) const override {
-    out.write_u64(count_);
-    save_ring(out, history_);
-  }
-  void restore_state(StateReader<V>& in) override {
-    count_ = in.read_u64();
-    load_ring(in, history_, zero_);
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    ar.field(self.count_);
+    HistoryRing<V>::transfer(ar, self.history_, self.zero_);
   }
 
  private:
@@ -64,7 +62,7 @@ class MovingAverageModel final : public ForecastModel<V> {
 ///   w_i = 1                          for i <= m   (i = intervals ago)
 ///   w_i = (W - i + 1) / (W - m + 1)  for i >  m
 template <LinearSignal V>
-class SShapedMaModel final : public ForecastModel<V> {
+class SShapedMaModel final : public ModelBase<SShapedMaModel<V>, V> {
  public:
   SShapedMaModel(std::size_t window, const V& prototype)
       : window_(window), history_(window), zero_(zero_like(prototype)) {
@@ -101,13 +99,10 @@ class SShapedMaModel final : public ForecastModel<V> {
     return count_;
   }
 
-  void save_state(StateWriter<V>& out) const override {
-    out.write_u64(count_);
-    save_ring(out, history_);
-  }
-  void restore_state(StateReader<V>& in) override {
-    count_ = in.read_u64();
-    load_ring(in, history_, zero_);
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    ar.field(self.count_);
+    HistoryRing<V>::transfer(ar, self.history_, self.zero_);
   }
 
  private:
@@ -120,7 +115,7 @@ class SShapedMaModel final : public ForecastModel<V> {
 
 /// EWMA: S_f(t) = alpha * S_o(t-1) + (1 - alpha) * S_f(t-1); S_f(2) = S_o(1).
 template <LinearSignal V>
-class EwmaModel final : public ForecastModel<V> {
+class EwmaModel final : public ModelBase<EwmaModel<V>, V> {
  public:
   EwmaModel(double alpha, const V& prototype)
       : alpha_(alpha), forecast_(zero_like(prototype)) {
@@ -148,13 +143,10 @@ class EwmaModel final : public ForecastModel<V> {
     return count_;
   }
 
-  void save_state(StateWriter<V>& out) const override {
-    out.write_u64(count_);
-    out.write_signal(forecast_);
-  }
-  void restore_state(StateReader<V>& in) override {
-    count_ = in.read_u64();
-    in.read_signal(forecast_);
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    ar.field(self.count_);
+    ar.field(self.forecast_);
   }
 
  private:
@@ -172,7 +164,7 @@ class EwmaModel final : public ForecastModel<V> {
 /// The trend initialization uses S_o(2), so the first causal forecast is for
 /// t = 3: ready() requires two observations.
 template <LinearSignal V>
-class HoltWintersModel final : public ForecastModel<V> {
+class HoltWintersModel final : public ModelBase<HoltWintersModel<V>, V> {
  public:
   HoltWintersModel(double alpha, double beta, const V& prototype)
       : alpha_(alpha),
@@ -222,17 +214,12 @@ class HoltWintersModel final : public ForecastModel<V> {
     return count_;
   }
 
-  void save_state(StateWriter<V>& out) const override {
-    out.write_u64(count_);
-    out.write_signal(smooth_);
-    out.write_signal(trend_);
-    out.write_signal(first_obs_);
-  }
-  void restore_state(StateReader<V>& in) override {
-    count_ = in.read_u64();
-    in.read_signal(smooth_);
-    in.read_signal(trend_);
-    in.read_signal(first_obs_);
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    ar.field(self.count_);
+    ar.field(self.smooth_);
+    ar.field(self.trend_);
+    ar.field(self.first_obs_);
   }
 
  private:

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/random.h"
@@ -27,6 +29,48 @@ namespace {
 /// Front-end state stream layout version; bump on any field change. The
 /// serial engine's payload is versioned separately inside its own blob.
 constexpr std::uint64_t kFrontendStateVersion = 1;
+
+/// The front-end state stream: the front end's own clock and record count,
+/// then the serial engine's state stream as one nested blob. Shard
+/// sketches are all drained at a boundary and backpressure_waits is a
+/// transient liveness counter, so neither is carried.
+struct FrontendState {
+  core::IntervalCutter::Position clock;
+  /// Records accepted before the boundary: every one of them has been
+  /// ingested by the serial stages (shards drop records only at shutdown).
+  std::uint64_t records = 0;
+  std::vector<std::uint8_t> serial;
+
+  /// Field list (common/bytes.h).
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& s) {
+    ar.pinned(kFrontendStateVersion, [](std::uint64_t version) {
+      throw sketch::SerializeError(
+          sketch::SerializeErrorKind::kBadVersion,
+          "parallel front-end state version " + std::to_string(version) +
+              " is not the supported version 1");
+    });
+    ar.field(s.clock.started);
+    ar.field(s.clock.start_s);
+    ar.field(s.clock.high_water_s);
+    if constexpr (Ar::kReads) {
+      // The reader sets clock.len_s (interval_s) before the transfer.
+      if (!std::isfinite(s.clock.start_s) ||
+          !std::isfinite(s.clock.high_water_s) ||
+          !(s.clock.end_s() > s.clock.start_s)) {
+        throw sketch::SerializeError(
+            sketch::SerializeErrorKind::kCorruptRegisters,
+            "parallel front-end state clock times must be finite and the "
+            "interval long enough to move its start");
+      }
+    }
+    ar.field(s.records);
+    ar.field(s.clock.out_of_order);
+    ar.field(s.clock.index);
+    ar.size(s.serial, 1);
+    ar.array(std::span(s.serial));
+  }
+};
 
 /// The serial engine's late-record counter: late records never reach the
 /// engine here (the front end clamps them before sharding), so the front
@@ -160,69 +204,48 @@ class ParallelPipeline::Impl {
     if (!shards_->on_merger_thread()) {
       require_boundary("ParallelPipeline::save_state");
     }
-    const core::IntervalCutter::Position clock = boundary();
+    const FrontendState state{boundary(), serial_.stats().records,
+                              serial_.save_state()};
     std::vector<std::uint8_t> bytes;
     common::ByteWriter out(bytes);
-    out.u64(kFrontendStateVersion);
-    out.u64(clock.started ? 1 : 0);
-    out.f64(clock.start_s);
-    out.f64(clock.high_water_s);
-    // Records accepted before the boundary: every one of them has been
-    // ingested by the serial stages (shards drop records only at shutdown).
-    out.u64(serial_.stats().records);
-    out.u64(clock.out_of_order);
-    out.u64(clock.index);
-    // Shard sketches are all drained at a boundary and backpressure_waits
-    // is a transient liveness counter, so the serial engine blob is the
-    // only nested payload.
-    const std::vector<std::uint8_t> serial = serial_.save_state();
-    out.u64(serial.size());
-    out.bytes(serial);
+    FrontendState::transfer(out, state);
     return bytes;
   }
 
   void restore_state(const std::vector<std::uint8_t>& bytes) {
     require_boundary("ParallelPipeline::restore_state");
     common::ByteReader in(bytes, "parallel front-end state");
-    std::uint64_t records = 0;
-    std::uint64_t serial_size = 0;
-    core::IntervalCutter::Position clock;
-    clock.len_s = config_.interval_s;
+    FrontendState state;
+    state.clock.len_s = config_.interval_s;
     try {
-      const std::uint64_t version = in.u64();
-      if (version != kFrontendStateVersion) {
-        throw sketch::SerializeError(
-            sketch::SerializeErrorKind::kBadVersion,
-            "parallel front-end state version " + std::to_string(version) +
-                " is not the supported version " +
-                std::to_string(kFrontendStateVersion));
-      }
-      clock.started = in.u64() != 0;
-      clock.start_s = in.f64();
-      clock.high_water_s = in.f64();
-      records = in.u64();
-      clock.out_of_order = in.u64();
-      clock.index = in.u64();
-      serial_size = in.u64();
+      FrontendState::transfer(in, state);
     } catch (const common::TruncatedError& e) {
       throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
                                    e.what());
     }
-    if (in.remaining() < serial_size) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kTruncated,
-          "parallel front-end state ends inside the serial engine blob");
-    }
-    if (in.remaining() > serial_size) {
+    if (in.remaining() != 0) {
       throw sketch::SerializeError(
           sketch::SerializeErrorKind::kTrailingBytes,
           "parallel front-end state has trailing bytes after the serial "
           "engine blob");
     }
-    const auto serial = in.bytes(in.remaining());
-    serial_.restore_state({serial.begin(), serial.end()});
-    cutter_.restore(clock);
-    records_ = records;
+    serial_.restore_state(state.serial);
+    // The nested engine closed exactly the intervals the front end cut: a
+    // clock behind the engine's would hand it batches out of order.
+    const core::StreamPosition engine = serial_.position();
+    const bool agree =
+        engine.started
+            ? engine.interval_index == state.clock.index &&
+                  engine.next_interval_start_s == state.clock.start_s
+            : state.clock.index == 0;
+    if (!agree) {
+      throw sketch::SerializeError(
+          sketch::SerializeErrorKind::kCorruptRegisters,
+          "parallel front-end state clock disagrees with its serial engine "
+          "blob");
+    }
+    cutter_.restore(state.clock);
+    records_ = state.records;
   }
 
   [[nodiscard]] core::StreamPosition position() const noexcept {

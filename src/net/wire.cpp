@@ -186,21 +186,42 @@ std::optional<Frame> FrameReader::next() {
   }
 }
 
+namespace {
+
 constexpr std::uint64_t kIntervalPayloadVersion = 1;
+
+/// The interval payload's field list (common/bytes.h).
+template <class Ar, class Payload>
+void transfer(Ar& ar, Payload& p) {
+  ar.pinned(kIntervalPayloadVersion, [](std::uint64_t version) {
+    throw WireError(WireErrorKind::kBadPayload,
+                    "interval payload version " + std::to_string(version) +
+                        " is not the supported version 1");
+  });
+  ar.field(p.start_s);
+  ar.field(p.len_s);
+  if constexpr (Ar::kReads) {
+    if (!std::isfinite(p.start_s) || !std::isfinite(p.len_s) ||
+        !(p.len_s > 0.0)) {
+      throw WireError(WireErrorKind::kBadPayload,
+                      "interval times must be finite with len_s > 0");
+    }
+  }
+  ar.field(p.records);
+  ar.size(p.sketch_packet, 1);
+  ar.array(std::span(p.sketch_packet));
+  ar.size(p.keys, sizeof(std::uint64_t));
+  ar.array(std::span(p.keys));
+}
+
+}  // namespace
 
 std::vector<std::uint8_t> encode_interval_payload(
     const IntervalPayload& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(8 * 6 + payload.sketch_packet.size() + 8 * payload.keys.size());
   common::ByteWriter w(out);
-  w.u64(kIntervalPayloadVersion);
-  w.f64(payload.start_s);
-  w.f64(payload.len_s);
-  w.u64(payload.records);
-  w.u64(payload.sketch_packet.size());
-  w.bytes(payload.sketch_packet);
-  w.u64(payload.keys.size());
-  w.array(std::span<const std::uint64_t>(payload.keys));
+  transfer(w, payload);
   return out;
 }
 
@@ -208,30 +229,7 @@ IntervalPayload decode_interval_payload(std::span<const std::uint8_t> bytes) {
   common::ByteReader in(bytes, "interval payload");
   IntervalPayload payload;
   try {
-    const std::uint64_t version = in.u64();
-    if (version != kIntervalPayloadVersion) {
-      throw WireError(WireErrorKind::kBadPayload,
-                      "interval payload version " + std::to_string(version) +
-                          " is not the supported version " +
-                          std::to_string(kIntervalPayloadVersion));
-    }
-    payload.start_s = in.f64();
-    payload.len_s = in.f64();
-    if (!std::isfinite(payload.start_s) || !std::isfinite(payload.len_s) ||
-        !(payload.len_s > 0.0)) {
-      throw WireError(WireErrorKind::kBadPayload,
-                      "interval times must be finite with len_s > 0");
-    }
-    payload.records = in.u64();
-    const auto packet = in.bytes(static_cast<std::size_t>(in.u64()));
-    payload.sketch_packet.assign(packet.begin(), packet.end());
-    const std::uint64_t key_count = in.u64();
-    if (in.remaining() / 8 < key_count) {
-      throw WireError(WireErrorKind::kBadPayload,
-                      "interval payload ends inside the key list");
-    }
-    payload.keys.resize(static_cast<std::size_t>(key_count));
-    in.array(std::span(payload.keys));
+    transfer(in, payload);
   } catch (const common::TruncatedError& e) {
     throw WireError(WireErrorKind::kBadPayload, e.what());
   }

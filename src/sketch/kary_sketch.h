@@ -39,8 +39,10 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "hash/cw_hash.h"
 #include "hash/hash_family.h"
 #include "hash/tabulation_hash.h"
@@ -476,6 +478,19 @@ class BasicKarySketch {
     table_.swap(values);
     // mo: cache invalidation on the single-mutator path (see update()).
     sum_valid_.store(false, std::memory_order_relaxed);
+  }
+
+  /// The register table as one field (common/bytes.h): its size, then the
+  /// registers. The reader's table must already have the writer's shape.
+  template <class Ar, class Self>
+  static void transfer(Ar& ar, Self& self) {
+    ar.pinned(self.table_.size(), [](std::uint64_t n) {
+      throw common::FieldError("sketch table of " + std::to_string(n) +
+                               " registers has another shape");
+    });
+    ar.array(std::span(self.table_));
+    // mo: cache invalidation on the single-mutator path (see update()).
+    if constexpr (Ar::kReads) self.sum_valid_.store(false, std::memory_order_relaxed);
   }
 
   /// Raw register access for tests and serialization.

@@ -54,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "hash/cw_hash.h"
 #include "hash/hash_family.h"
 #include "hash/tabulation_hash.h"
@@ -219,6 +220,20 @@ class BasicMvSketch {
     }
     std::copy(cand.begin(), cand.end(), candidates_.begin());
     std::copy(vote_counts.begin(), vote_counts.end(), votes_.begin());
+  }
+
+  /// The candidate and vote arrays as one field list (common/bytes.h),
+  /// without the counters: the cell count, the candidates, the votes. The
+  /// reader's table must have the writer's shape; validating the votes is
+  /// the caller's job, as for load_aux.
+  template <class Ar, class Self>
+  static void transfer_votes(Ar& ar, Self& self) {
+    ar.pinned(self.candidates_.size(), [](std::uint64_t n) {
+      throw common::FieldError("vote table of " + std::to_string(n) +
+                               " cells has another shape");
+    });
+    ar.array(std::span(self.candidates_));
+    ar.array(std::span(self.votes_));
   }
 
   /// load_registers / load_aux without the copy: exchange the tables with

@@ -5,10 +5,12 @@
 // checkpoint that still verifies.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,8 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "core/pipeline.h"
+#include "ingest/parallel_pipeline.h"
+#include "sketch/serialize.h"
 
 namespace scd::checkpoint {
 namespace {
@@ -179,6 +183,66 @@ TEST(CorruptCheckpoint, TrailingGarbage) {
   bytes.push_back(0xee);
   write_file(corpus.newest, bytes);
   expect_skip_to_previous(corpus, "trailing garbage", "[bad-payload]");
+}
+
+/// Overwrites the little-endian double at `offset` of a state stream.
+std::vector<std::uint8_t> patch_f64(std::vector<std::uint8_t> bytes,
+                                    std::size_t offset, double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes.at(offset + i) = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  return bytes;
+}
+
+TEST(CorruptCheckpoint, RestoreRejectsAnInvalidStreamClock) {
+  // A CRC-valid snapshot whose stream clock is wrong: a length of zero or
+  // below spins the interval cutter forever on the next record, and a
+  // non-finite time never closes an interval. The restore must refuse it.
+  const core::PipelineConfig config = corpus_config();
+  core::ChangeDetectionPipeline source(config);
+  for (double t = 1.0; t < 45.0; t += 10.0) {
+    for (std::uint64_t key = 0; key < 20; ++key) source.add(key, 300.0, t);
+  }
+  source.flush();
+  const std::vector<std::uint8_t> state = source.save_state();
+  // Engine state: version and five config guards (48 bytes), started,
+  // then start_s at 56, len_s at 64 and high_water_s at 72.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    std::size_t offset;
+    double value;
+  } engine_cases[] = {{64, 0.0},  {64, -5.0}, {64, nan}, {64, 7.0},
+                      {56, nan},  {56, inf},  {72, nan}, {72, -inf}};
+  for (const auto& c : engine_cases) {
+    SCOPED_TRACE("offset " + std::to_string(c.offset) + " value " +
+                 std::to_string(c.value));
+    core::ChangeDetectionPipeline restored(config);
+    EXPECT_THROW(restored.restore_state(patch_f64(state, c.offset, c.value)),
+                 sketch::SerializeError);
+  }
+  core::ChangeDetectionPipeline untouched(config);
+  EXPECT_NO_THROW(untouched.restore_state(state));
+
+  // Front-end state: version, started, then start_s at 16 and
+  // high_water_s at 24.
+  ingest::ParallelConfig parallel;
+  parallel.workers = 2;
+  ingest::ParallelPipeline sharded(config, parallel);
+  for (double t = 1.0; t < 45.0; t += 10.0) {
+    for (std::uint64_t key = 0; key < 20; ++key) sharded.add(key, 300.0, t);
+  }
+  sharded.flush();
+  const std::vector<std::uint8_t> frontend = sharded.save_state();
+  for (const std::size_t offset : {16u, 24u}) {
+    SCOPED_TRACE("front-end offset " + std::to_string(offset));
+    ingest::ParallelPipeline restored(config, parallel);
+    EXPECT_THROW(restored.restore_state(patch_f64(frontend, offset, nan)),
+                 sketch::SerializeError);
+  }
+  ingest::ParallelPipeline untouched_sharded(config, parallel);
+  EXPECT_NO_THROW(untouched_sharded.restore_state(frontend));
 }
 
 TEST(CheckpointListing, OrdersByNumericIntervalNotLexicographically) {

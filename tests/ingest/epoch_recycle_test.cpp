@@ -313,5 +313,17 @@ TEST(EpochRecycle, NextIntervalReplayEngineAllocatesNoTable) {
   expect_no_table_allocated_by_the_engines(config);
 }
 
+TEST(EpochRecycle, RefitHistoryReusesItsOldestTable) {
+  // With online re-fitting on, each close keeps the observed counters in
+  // the refit window; once the window is full the oldest table takes the
+  // new counters instead of a fresh table being allocated. The window of 4
+  // fills during warm-up, and no refit falls inside the counted intervals.
+  core::PipelineConfig config = steady_config();
+  config.recovery = core::RecoveryMode::kInvertible;
+  config.refit_every = 100;
+  config.refit_window = 4;
+  expect_no_table_allocated_by_the_engines(config);
+}
+
 }  // namespace
 }  // namespace scd::ingest
