@@ -1,7 +1,8 @@
 // Fuzz target: the pipeline state parsers behind a checkpoint frame —
 // ChangeDetectionPipeline::restore_state (key-replay and invertible
-// engines) and ParallelPipeline::restore_state (front-end state around a
-// nested engine blob).
+// engines) and ParallelPipeline::restore_state (the same engine stream,
+// restored into the engine behind the sharded front end, which then resumes
+// its producer clock from it).
 //
 // The only legal rejection is the typed SerializeError. An accepted input
 // must re-save to a fixed point: save(restore(save(restore(x)))) equals

@@ -148,14 +148,23 @@ int main(int argc, char** argv) {
   write_variants(wire_dir, "seed-interval",
                  scd::net::encode_frame(data, payload_bytes));
 
-  // Checkpoint seeds: serial and parallel kinds over distinct payloads.
+  // Checkpoint seeds: the one payload kind over distinct payloads, one of
+  // them a real snapshot written by the sharded front end, and a frame of
+  // the retired kind 2, which the parser must reject.
   write_variants(ckpt_dir, "seed-serial",
                  scd::checkpoint::encode_checkpoint_frame(
                      scd::checkpoint::PayloadKind::kSerial,
                      0xfeedface12345678ull, 42, packet));
-  write_variants(ckpt_dir, "seed-parallel",
+  write_variants(ckpt_dir, "seed-sharded",
                  scd::checkpoint::encode_checkpoint_frame(
-                     scd::checkpoint::PayloadKind::kParallel,
+                     scd::checkpoint::PayloadKind::kSerial,
+                     0xfeedface12345678ull, 6,
+                     snapshot_of<scd::ingest::ParallelPipeline>(
+                         scd_fuzz::replay_config(),
+                         scd_fuzz::parallel_config())));
+  write_variants(ckpt_dir, "seed-retired-kind2",
+                 scd::checkpoint::encode_checkpoint_frame(
+                     static_cast<scd::checkpoint::PayloadKind>(2),
                      0xfeedface12345678ull, 43, {0x01, 0x02, 0x03}));
 
   // Engine-state seeds: real snapshots of each pipeline the harness

@@ -122,7 +122,7 @@ constexpr common::FrameFormat kFormat{
     .magic = kCheckpointMagic,
     .version = kCheckpointVersion,
     .min_kind = static_cast<std::uint32_t>(PayloadKind::kSerial),
-    .max_kind = static_cast<std::uint32_t>(PayloadKind::kParallel),
+    .max_kind = static_cast<std::uint32_t>(PayloadKind::kSerial),
     .fields = 2,  // config_fingerprint, interval_index
 };
 static_assert(kFormat.header_bytes() == kCheckpointHeaderBytes);
@@ -343,18 +343,35 @@ std::filesystem::path CheckpointWriter::write(
   return final_path;
 }
 
-void CheckpointWriter::attach(core::ChangeDetectionPipeline& pipeline) {
-  core::ChangeDetectionPipeline* p = &pipeline;
-  pipeline.set_interval_close_callback([this, p](std::size_t closed) {
-    if (!due(closed)) return;
+namespace {
+
+/// Installs `writer`'s snapshot callback on either pipeline: both save the
+/// serial engine's state stream.
+template <typename Pipeline>
+void install(CheckpointWriter& writer, Pipeline& pipeline) {
+  pipeline.set_interval_close_callback([&writer, &pipeline](
+                                           std::size_t closed) {
+    if (!writer.due(closed)) return;
     try {
-      (void)write(PayloadKind::kSerial, p->position().interval_index,
-                  p->save_state());
+      (void)writer.write(PayloadKind::kSerial,
+                         pipeline.position().interval_index,
+                         pipeline.save_state());
     } catch (const std::exception& e) {
       SCD_WARN() << "checkpoint write failed (stream continues): "
                  << e.what();
     }
   });
+}
+
+}  // namespace
+
+void CheckpointWriter::attach(core::ChangeDetectionPipeline& pipeline) {
+  install(*this, pipeline);
+}
+
+void CheckpointWriter::attach(ingest::ParallelPipeline& pipeline) {
+  attached_ = &pipeline;
+  install(*this, pipeline);
 }
 
 void CheckpointWriter::detach() noexcept {
@@ -373,21 +390,6 @@ void CheckpointWriter::detach() noexcept {
 }
 
 CheckpointWriter::~CheckpointWriter() { detach(); }
-
-void CheckpointWriter::attach(ingest::ParallelPipeline& pipeline) {
-  attached_ = &pipeline;
-  ingest::ParallelPipeline* p = &pipeline;
-  pipeline.set_interval_close_callback([this, p](std::size_t closed) {
-    if (!due(closed)) return;
-    try {
-      (void)write(PayloadKind::kParallel, p->position().interval_index,
-                  p->save_state());
-    } catch (const std::exception& e) {
-      SCD_WARN() << "checkpoint write failed (stream continues): "
-                 << e.what();
-    }
-  });
-}
 
 void CheckpointWriter::prune() noexcept {
   try {
@@ -415,16 +417,19 @@ void CheckpointWriter::prune() noexcept {
 
 namespace {
 
-/// Shared scan loop: `try_restore(payload)` builds a scratch pipeline,
-/// restores into it and swaps it into place, throwing on rejection.
-template <typename TryRestore>
+/// Scans newest-first and restores the first checkpoint `pipeline` accepts.
+/// Each candidate is restored into a scratch pipeline of the same
+/// configuration and moved into place only on success, so a mid-restore
+/// throw never leaves `pipeline` half-mutated.
+template <typename Pipeline, typename... Extra>
 RecoverResult recover_scan(const std::filesystem::path& directory,
-                           PayloadKind expected_kind,
-                           std::uint64_t expected_fingerprint, bool metrics,
-                           TryRestore&& try_restore) {
+                           Pipeline& pipeline, const Extra&... extra) {
+  const core::PipelineConfig& config = pipeline.config();
+  const std::uint64_t expected_fingerprint =
+      checkpoint::config_fingerprint(config);
   RecoverResult result;
   CheckpointInstruments* obs =
-      metrics ? &CheckpointInstruments::global() : nullptr;
+      config.metrics ? &CheckpointInstruments::global() : nullptr;
   for (const std::filesystem::path& path : list_checkpoints(directory)) {
     try {
       const CheckpointFrame parsed = decode_checkpoint_frame(read_file(path));
@@ -435,17 +440,9 @@ RecoverResult recover_scan(const std::filesystem::path& directory,
                 " was written by a pipeline with a different configuration "
                 "(fingerprint mismatch); refusing to restore");
       }
-      if (parsed.kind != expected_kind) {
-        throw CheckpointError(
-            CheckpointErrorKind::kConfigMismatch,
-            path.string() + " holds a " +
-                (parsed.kind == PayloadKind::kSerial ? "serial" : "parallel") +
-                " snapshot but a " +
-                (expected_kind == PayloadKind::kSerial ? "serial"
-                                                       : "parallel") +
-                " pipeline is restoring");
-      }
-      try_restore(parsed.payload);
+      Pipeline scratch(config, extra...);
+      scratch.restore_state(parsed.payload);
+      pipeline = std::move(scratch);
       result.restored = true;
       result.path = path;
       result.interval_index = parsed.interval_index;
@@ -470,29 +467,12 @@ RecoverResult recover_scan(const std::filesystem::path& directory,
 
 RecoverResult recover(const std::filesystem::path& directory,
                       core::ChangeDetectionPipeline& pipeline) {
-  const core::PipelineConfig& config = pipeline.config();
-  return recover_scan(
-      directory, PayloadKind::kSerial, checkpoint::config_fingerprint(config),
-      config.metrics, [&](const std::vector<std::uint8_t>& payload) {
-        // Restore into a scratch pipeline first: a mid-restore throw must
-        // not leave the caller's pipeline half-mutated.
-        core::ChangeDetectionPipeline scratch(config);
-        scratch.restore_state(payload);
-        pipeline = std::move(scratch);
-      });
+  return recover_scan(directory, pipeline);
 }
 
 RecoverResult recover(const std::filesystem::path& directory,
                       ingest::ParallelPipeline& pipeline) {
-  const core::PipelineConfig& config = pipeline.config();
-  const ingest::ParallelConfig parallel = pipeline.parallel_config();
-  return recover_scan(
-      directory, PayloadKind::kParallel, checkpoint::config_fingerprint(config),
-      config.metrics, [&](const std::vector<std::uint8_t>& payload) {
-        ingest::ParallelPipeline scratch(config, parallel);
-        scratch.restore_state(payload);
-        pipeline = std::move(scratch);
-      });
+  return recover_scan(directory, pipeline, pipeline.parallel_config());
 }
 
 }  // namespace scd::checkpoint

@@ -40,12 +40,12 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// Fixed header size in bytes (see file layout above).
 inline constexpr std::size_t kCheckpointHeaderBytes = 48;
 
-/// What kind of pipeline state the payload holds. A serial engine snapshot
-/// and a parallel front-end snapshot have different layouts; restoring one
-/// as the other is a typed error, not a parse attempt.
+/// What kind of pipeline state the payload holds. Both pipelines write the
+/// serial engine's state stream (kSerial), so a file restores into either
+/// at any worker count. Kind 2, a retired sharded front-end stream, fails
+/// frame validation (kBadPayload) and recover() skips it.
 enum class PayloadKind : std::uint32_t {
   kSerial = 1,
-  kParallel = 2,
 };
 
 /// Why a checkpoint operation failed. Every failure path in this module is
@@ -58,7 +58,7 @@ enum class CheckpointErrorKind {
   kBadMagic,        ///< leading bytes are not "SCDP"
   kBadVersion,      ///< unknown checkpoint format version
   kBadCrc,          ///< header or payload CRC32 mismatch
-  kConfigMismatch,  ///< fingerprint or payload kind differs from the restorer
+  kConfigMismatch,  ///< config fingerprint differs from the restorer
   kBadPayload,      ///< framing verified but the pipeline rejected the state
 };
 
@@ -211,10 +211,11 @@ struct RecoverResult {
 /// Corrupt, truncated or unreadable files are skipped with a logged reason
 /// and counted (scd_ckpt_restore_skipped_total); the state is first loaded
 /// into a scratch pipeline so a failure mid-restore never leaves `pipeline`
-/// half-mutated. A checkpoint whose config fingerprint or payload kind does
-/// not match throws CheckpointError(kConfigMismatch): silently falling back
-/// to an older file would mask an operator error. When no valid checkpoint
-/// exists, returns restored = false and leaves `pipeline` untouched.
+/// half-mutated. A checkpoint whose config fingerprint does not match throws
+/// CheckpointError(kConfigMismatch): silently falling back to an older file
+/// would mask an operator error. Either pipeline restores a file either
+/// wrote. When no valid checkpoint exists, returns restored = false and
+/// leaves `pipeline` untouched.
 [[nodiscard]] RecoverResult recover(const std::filesystem::path& directory,
                                     core::ChangeDetectionPipeline& pipeline);
 [[nodiscard]] RecoverResult recover(const std::filesystem::path& directory,

@@ -32,8 +32,8 @@ namespace scd::core {
 
 class IntervalCutter {
  public:
-  /// Where the clock stands. Plain data, so the engine-state and
-  /// front-end-state codecs can write each field where their layouts put it.
+  /// Where the clock stands. Plain data, so the engine-state codec can write
+  /// each field where its layout puts it.
   struct Position {
     bool started = false;
     double start_s = 0.0;       // open interval's start
@@ -106,13 +106,18 @@ class IntervalCutter {
 
   /// Opens an interval that was cut elsewhere (a sharded front end's merged
   /// batch) so the caller can close it: [start_s, start_s + len_s) holding
-  /// `records` records.
-  void open(double start_s, double len_s, std::uint64_t records) noexcept {
+  /// `records` records, `late` of them out of order, cut by a clock whose
+  /// high-water mark stood at `high_water_s`. The late records were counted
+  /// (and the metric bumped) where they were cut, so the metric is left
+  /// alone here.
+  void open(double start_s, double len_s, std::uint64_t records,
+            std::uint64_t late, double high_water_s) noexcept {
     pos_.started = true;
     pos_.start_s = start_s;
     pos_.len_s = len_s;
-    pos_.high_water_s = std::max(pos_.high_water_s, start_s + len_s);
+    pos_.high_water_s = std::max(pos_.high_water_s, high_water_s);
     pos_.records = records;
+    pos_.out_of_order += late;
   }
 
   [[nodiscard]] const Position& position() const noexcept { return pos_; }

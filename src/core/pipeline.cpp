@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -313,7 +314,8 @@ class Engine final : public EngineBase {
           "ChangeDetectionPipeline::ingest_interval: batches must be "
           "time-ordered");
     }
-    cutter_.open(batch.start_s, batch.len_s, batch.records);
+    cutter_.open(batch.start_s, batch.len_s, batch.records, batch.out_of_order,
+                 batch.high_water_s);
     // Adopt the batch's tables by swap. No interval is open, so observed_
     // is all zeros, and the batch leaves holding zeroed tables of the same
     // shape (the IntervalBatch post-condition).
@@ -829,19 +831,27 @@ class Engine final : public EngineBase {
         [this, &prototype, &trial](const forecast::ModelConfig& candidate) {
           forecast::ForecastRunner<Counters> runner(candidate, prototype);
           double total = 0.0;
+          bool forecast_any = false;
           for (const Counters& obs : history_) {
             if (runner.step_into(obs, trial.forecast, trial.error)) {
               total += std::max(trial.error.estimate_f2(), 0.0);
+              forecast_any = true;
             }
           }
-          return total;
+          // A candidate that never warms up inside the window would score
+          // 0 and win, and then never detect anything.
+          return forecast_any ? total
+                              : std::numeric_limits<double>::infinity();
         };
     gridsearch::GridSearchOptions options;
     options.max_window = std::max<std::size_t>(2, history_.size() / 2);
+    options.season_period = active_model_.period;
     const auto result =
         gridsearch::grid_search(active_model_.kind, objective, options);
-    active_model_ = result.best;
     ++tally_.refits;
+    // No candidate could forecast the window: keep the active model.
+    if (!std::isfinite(result.best_objective)) return;
+    active_model_ = result.best;
     // Swap in the re-fitted model, warmed with the retained history.
     rebuild_runner();
     for (const Counters& obs : history_) {

@@ -157,6 +157,14 @@ struct IntervalBatch {
   /// (h x k each). Empty in every other mode.
   std::vector<std::uint64_t> mv_candidates;
   std::vector<double> mv_votes;
+  /// The front end's stream clock at the close: the late records it binned
+  /// into this interval (added to PipelineStats::out_of_order_records) and
+  /// the largest record time it had seen (the pipeline keeps the larger of
+  /// this and its own mark). With these the pipeline's clock, and so its
+  /// save_state(), matches a pipeline fed the same records by add(). The
+  /// zero defaults add no late records and leave the mark where it was.
+  std::uint64_t out_of_order = 0;
+  double high_water_s = 0.0;
 };
 
 /// Where a pipeline sits in its input stream. After a restore this tells the

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/random.h"
 #include "core/interval_cutter.h"
 #include "core/pipeline.h"
@@ -18,7 +16,6 @@
 #include "ingest/shard_set.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_metrics.h"
-#include "sketch/serialize.h"
 #include "traffic/flow_record.h"
 #include "traffic/key_extract.h"
 
@@ -26,55 +23,10 @@ namespace scd::ingest {
 
 namespace {
 
-/// Front-end state stream layout version; bump on any field change. The
-/// serial engine's payload is versioned separately inside its own blob.
-constexpr std::uint64_t kFrontendStateVersion = 1;
-
-/// The front-end state stream: the front end's own clock and record count,
-/// then the serial engine's state stream as one nested blob. Shard
-/// sketches are all drained at a boundary and backpressure_waits is a
-/// transient liveness counter, so neither is carried.
-struct FrontendState {
-  core::IntervalCutter::Position clock;
-  /// Records accepted before the boundary: every one of them has been
-  /// ingested by the serial stages (shards drop records only at shutdown).
-  std::uint64_t records = 0;
-  std::vector<std::uint8_t> serial;
-
-  /// Field list (common/bytes.h).
-  template <class Ar, class Self>
-  static void transfer(Ar& ar, Self& s) {
-    ar.pinned(kFrontendStateVersion, [](std::uint64_t version) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kBadVersion,
-          "parallel front-end state version " + std::to_string(version) +
-              " is not the supported version 1");
-    });
-    ar.field(s.clock.started);
-    ar.field(s.clock.start_s);
-    ar.field(s.clock.high_water_s);
-    if constexpr (Ar::kReads) {
-      // The reader sets clock.len_s (interval_s) before the transfer.
-      if (!std::isfinite(s.clock.start_s) ||
-          !std::isfinite(s.clock.high_water_s) ||
-          !(s.clock.end_s() > s.clock.start_s)) {
-        throw sketch::SerializeError(
-            sketch::SerializeErrorKind::kCorruptRegisters,
-            "parallel front-end state clock times must be finite and the "
-            "interval long enough to move its start");
-      }
-    }
-    ar.field(s.records);
-    ar.field(s.clock.out_of_order);
-    ar.field(s.clock.index);
-    ar.size(s.serial, 1);
-    ar.array(std::span(s.serial));
-  }
-};
-
-/// The serial engine's late-record counter: late records never reach the
-/// engine here (the front end clamps them before sharding), so the front
-/// end's cutter feeds the same scd_pipeline_out_of_order_total.
+/// The serial engine's late-record counter: the front end clamps late
+/// records before sharding, so its cutter bumps
+/// scd_pipeline_out_of_order_total, and the engine only adds the count each
+/// close hands it.
 [[nodiscard]] obs::Counter* out_of_order_metric(
     const core::PipelineConfig& config) {
   return config.metrics ? &obs::PipelineInstruments::global().out_of_order
@@ -101,8 +53,8 @@ void ParallelConfig::validate(const core::PipelineConfig& pipeline) const {
   if (pipeline.randomize_intervals) {
     throw std::invalid_argument(
         "ParallelConfig: randomize_intervals is not supported by sharded "
-        "ingestion (the front-end state stream carries no drawn interval "
-        "length or length-generator state, so a restore could not resume "
+        "ingestion (the producer cuts intervals with its own length "
+        "generator, which no snapshot carries, so a restore could not resume "
         "the cut)");
   }
   if (pipeline.key_sample_rate < 1.0) {
@@ -174,12 +126,6 @@ class ParallelPipeline::Impl {
 
   void drain() { shards_->drain(); }
 
-  [[nodiscard]] core::PipelineStats stats() const noexcept {
-    core::PipelineStats s = serial_.stats();
-    s.out_of_order_records += cutter_.position().out_of_order;
-    return s;
-  }
-
   [[nodiscard]] ParallelStats parallel_stats() const noexcept {
     ParallelStats s;
     s.records = records_;
@@ -204,57 +150,24 @@ class ParallelPipeline::Impl {
     if (!shards_->on_merger_thread()) {
       require_boundary("ParallelPipeline::save_state");
     }
-    const FrontendState state{boundary(), serial_.stats().records,
-                              serial_.save_state()};
-    std::vector<std::uint8_t> bytes;
-    common::ByteWriter out(bytes);
-    FrontendState::transfer(out, state);
-    return bytes;
+    return serial_.save_state();
   }
 
   void restore_state(const std::vector<std::uint8_t>& bytes) {
     require_boundary("ParallelPipeline::restore_state");
-    common::ByteReader in(bytes, "parallel front-end state");
-    FrontendState state;
-    state.clock.len_s = config_.interval_s;
-    try {
-      FrontendState::transfer(in, state);
-    } catch (const common::TruncatedError& e) {
-      throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
-                                   e.what());
-    }
-    if (in.remaining() != 0) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kTrailingBytes,
-          "parallel front-end state has trailing bytes after the serial "
-          "engine blob");
-    }
-    serial_.restore_state(state.serial);
-    // The nested engine closed exactly the intervals the front end cut: a
-    // clock behind the engine's would hand it batches out of order.
+    serial_.restore_state(bytes);
+    // The producer's clock resumes where the engine's stopped.
     const core::StreamPosition engine = serial_.position();
-    const bool agree =
-        engine.started
-            ? engine.interval_index == state.clock.index &&
-                  engine.next_interval_start_s == state.clock.start_s
-            : state.clock.index == 0;
-    if (!agree) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kCorruptRegisters,
-          "parallel front-end state clock disagrees with its serial engine "
-          "blob");
-    }
-    cutter_.restore(state.clock);
-    records_ = state.records;
-  }
-
-  [[nodiscard]] core::StreamPosition position() const noexcept {
-    core::StreamPosition p = serial_.position();
-    const core::IntervalCutter::Position clock = boundary();
-    p.started = clock.started;
-    p.next_interval_start_s = clock.start_s;
-    p.high_water_s = std::max(p.high_water_s, clock.high_water_s);
-    return p;
+    const core::PipelineStats stats = serial_.stats();
+    core::IntervalCutter::Position clock;
+    clock.started = engine.started;
+    clock.start_s = engine.next_interval_start_s;
+    clock.len_s = config_.interval_s;
+    clock.high_water_s = engine.high_water_s;
+    clock.index = engine.interval_index;
+    clock.out_of_order = stats.out_of_order_records;
+    cutter_.restore(clock);
+    records_ = stats.records;
   }
 
   core::PipelineConfig config_;
@@ -300,8 +213,11 @@ class ParallelPipeline::Impl {
                      core::IntervalBatch&& batch) {
     batch.start_s = close.start_s;
     batch.len_s = close.len_s;
-    // Read by save_state()/position() re-entered from the callbacks below.
-    delivering_ = close;
+    batch.high_water_s = close.high_water_s;
+    // The engine's late count stands at the previous close's; the close
+    // carries the count since then.
+    batch.out_of_order =
+        close.out_of_order - serial_.stats().out_of_order_records;
     // Export tap BEFORE the serial ingest: the shipper must see the batch
     // while it is still intact, and ship-then-ingest-then-checkpoint is the
     // ordering the rejoin protocol relies on (docs/DISTRIBUTED.md).
@@ -316,20 +232,6 @@ class ParallelPipeline::Impl {
     if (on_interval_close_) {
       on_interval_close_(static_cast<std::size_t>(close.index) + 1);
     }
-  }
-
-  /// The interval boundary save_state() and position() describe. Inside an
-  /// interval callback (merger thread) it is the end of the interval being
-  /// delivered — exactly what a synchronous close would have left, even
-  /// though the producer may already be filling later epochs. Anywhere else
-  /// it is the producer's cutter.
-  [[nodiscard]] core::IntervalCutter::Position boundary() const noexcept {
-    if (!shards_->on_merger_thread()) return cutter_.position();
-    core::IntervalCutter::Position next = delivering_;
-    next.start_s = next.end_s();
-    ++next.index;
-    next.records = 0;
-    return next;
   }
 
   /// save_state's boundary rule off the merger thread: no closed interval
@@ -352,8 +254,6 @@ class ParallelPipeline::Impl {
   core::IntervalCutter cutter_;  // producer-side stream clock
   std::vector<Chunk> pending_;   // per-shard producer-side batches
   std::uint64_t records_ = 0;    // records accepted by add()
-  // Merger thread only: the close whose callbacks are running.
-  core::IntervalCutter::Position delivering_;
   std::function<void(std::size_t)> on_interval_close_;
   std::function<void(std::uint64_t, const core::IntervalBatch&)>
       on_interval_batch_;
@@ -418,11 +318,11 @@ void ParallelPipeline::restore_state(const std::vector<std::uint8_t>& bytes) {
 }
 
 core::StreamPosition ParallelPipeline::position() const noexcept {
-  return impl_->position();
+  return impl_->serial_.position();
 }
 
 core::PipelineStats ParallelPipeline::stats() const noexcept {
-  return impl_->stats();
+  return impl_->serial_.stats();
 }
 
 ParallelStats ParallelPipeline::parallel_stats() const noexcept {

@@ -58,9 +58,9 @@ struct ParallelConfig {
 
   /// Throws std::invalid_argument when out of range or when the pipeline
   /// config asks for what the sharded front end does not support:
-  /// randomize_intervals (its state stream has no interval length to
-  /// resume from) and key_sample_rate < 1 (shard key buffers would depend
-  /// on arrival order).
+  /// randomize_intervals (the producer's interval-length generator is in no
+  /// snapshot, so a restore could not resume the cut) and
+  /// key_sample_rate < 1 (shard key buffers would depend on arrival order).
   void validate(const core::PipelineConfig& pipeline) const;
 };
 
@@ -147,19 +147,25 @@ class ParallelPipeline {
   /// would fire before the front-end position advanced.
   void set_interval_close_callback(std::function<void(std::size_t)> callback);
 
-  /// Serializes front-end position and counters plus the full serial-engine
-  /// snapshot. Only legal at an interval boundary: from the interval-close
-  /// callback (where it captures exactly the just-ingested interval's
-  /// position, even though the producer may already be filling later
+  /// The serial engine's own snapshot (ChangeDetectionPipeline::
+  /// save_state): the engine holds the stream clock, the late-record count
+  /// and the high-water mark, because every close hands them over with the
+  /// merged batch. Only legal at an interval boundary: from the
+  /// interval-close callback (where it captures exactly the just-ingested
+  /// interval, even though the producer may already be filling later
   /// epochs), after flush(), or before the first record. Throws
   /// std::logic_error when records have been accepted since the last close
   /// or closed intervals are still being merged. Worker count and queue
-  /// sizing are NOT part of the state — a snapshot restores into a
-  /// ParallelPipeline with any ParallelConfig, or even into a plain serial
-  /// feed of the same PipelineConfig.
+  /// sizing are NOT part of the state, so a snapshot restores into a
+  /// ParallelPipeline with any ParallelConfig or into a
+  /// ChangeDetectionPipeline of the same PipelineConfig, and either's
+  /// snapshot restores here. A start_at anchor with no interval closed yet
+  /// is not in the snapshot: the restored pipeline reports
+  /// position().started == false and the caller anchors again.
   [[nodiscard]] std::vector<std::uint8_t> save_state() const;
 
-  /// Restores a save_state() stream. Same contract as
+  /// Restores a save_state() stream into the engine and resumes the
+  /// producer's clock from it. Same contract as
   /// ChangeDetectionPipeline::restore_state: the pipeline must be freshly
   /// constructed with the same PipelineConfig, callbacks are installed
   /// after; throws sketch::SerializeError on malformed input or config
@@ -170,13 +176,18 @@ class ParallelPipeline {
   /// restored clock), and when called from an interval callback.
   void restore_state(const std::vector<std::uint8_t>& bytes);
 
-  /// Current stream position; after restore_state, tells the feeder where
-  /// to resume.
+  /// The serial engine's stream position: the boundary after the last
+  /// ingested interval. After restore_state it tells the feeder where to
+  /// resume.
   [[nodiscard]] core::StreamPosition position() const noexcept;
 
-  /// Core counters (records, alarms, ...) with out_of_order_records folded
-  /// in from the front-end.
+  /// The serial engine's counters (records, alarms, late records, ...) as
+  /// of the last ingested interval. Inside an interval callback they are
+  /// the serial pipeline's counters at the same report; they never read
+  /// the producer's state, which may already be intervals ahead.
   [[nodiscard]] core::PipelineStats stats() const noexcept;
+  /// The front end's own counters; read them on the thread that feeds
+  /// add(), not from an interval callback.
   [[nodiscard]] ParallelStats parallel_stats() const noexcept;
 
   [[nodiscard]] const core::PipelineConfig& config() const noexcept;

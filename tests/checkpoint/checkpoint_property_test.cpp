@@ -6,15 +6,22 @@
 //
 // Verified for the serial pipeline and the W=4 sharded front-end, over a
 // deterministic synthetic stream with spikes (so real alarms, thresholds
-// and forecast state are part of the comparison, not just counters). The
+// and forecast state are part of the comparison, not just counters), and
+// for snapshots moved between the serial and the sharded pipelines. The
 // whole suite is rerun with SCD_SIMD=scalar by the ctest harness, so both
 // dispatch decisions must reproduce their own runs exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <iterator>
+#include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include <unistd.h>
@@ -219,6 +226,192 @@ TEST(CheckpointProperty, ShardedKillRestoreBitIdentical) {
   }
 }
 
+/// 14 intervals of 10 s over 40 keys, integer updates. After interval 0
+/// every interval's first record lands 2.5 s past its start, so each close
+/// is triggered by a record past the boundary and the high-water mark at
+/// the close is not the interval's end. Every other interval takes two late
+/// records, one behind the high-water mark and one before the interval's
+/// start. Interval 8 is empty, so interval 9's first record closes two
+/// intervals at once. Keys 5 and 17 spike in intervals 5 and 11.
+std::vector<Item> make_late_stream() {
+  std::vector<Item> items;
+  for (int interval = 0; interval < 14; ++interval) {
+    if (interval == 8) continue;
+    const double base = interval * 10.0;
+    const double first = interval == 0 ? 0.0 : base + 2.5;
+    for (int rep = 0; rep < 3; ++rep) {
+      for (std::uint64_t key = 0; key < 40; ++key) {
+        const auto shift = static_cast<std::uint64_t>(interval + rep);
+        const auto update = static_cast<double>(100 + (key * 7 + shift) % 13);
+        items.push_back({key, update, first + rep * 2.5});
+      }
+      if (rep == 1 && interval % 2 == 1) {
+        items.push_back({41, 50.0, base + 1.0});
+        items.push_back({42, 60.0, base - 3.0});
+      }
+    }
+    if (interval == 5) items.push_back({5, 40000.0, base + 9.0});
+    if (interval == 11) items.push_back({17, 40000.0, base + 9.0});
+  }
+  return items;
+}
+
+/// A pipeline of either kind: 0 workers is the serial pipeline, more is the
+/// sharded front end with that many workers.
+class AnyPipeline {
+ public:
+  AnyPipeline(const core::PipelineConfig& config, std::size_t workers) {
+    if (workers == 0) {
+      pipeline_.emplace<core::ChangeDetectionPipeline>(config);
+    } else {
+      ingest::ParallelConfig parallel;
+      parallel.workers = workers;
+      parallel.batch_size = 16;
+      pipeline_.emplace<ingest::ParallelPipeline>(config, parallel);
+    }
+  }
+
+  template <typename F>
+  decltype(auto) visit(F&& f) {
+    return std::visit(std::forward<F>(f), pipeline_);
+  }
+
+ private:
+  std::variant<std::monostate, core::ChangeDetectionPipeline,
+               ingest::ParallelPipeline>
+      pipeline_;
+};
+
+/// Runs a visitor on the live alternative; monostate is never live.
+template <typename F>
+decltype(auto) with(AnyPipeline& any, F&& f) {
+  return any.visit([&](auto& p) -> decltype(auto) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(p)>, std::monostate>) {
+      std::abort();
+    } else {
+      return f(p);
+    }
+  });
+}
+
+std::string side_name(std::size_t workers) {
+  return workers == 0 ? "serial" : "W=" + std::to_string(workers);
+}
+
+void expect_same_position(const core::StreamPosition& got,
+                          const core::StreamPosition& want) {
+  EXPECT_EQ(got.started, want.started);
+  EXPECT_EQ(got.interval_index, want.interval_index);
+  EXPECT_EQ(got.next_interval_start_s, want.next_interval_start_s);
+  EXPECT_EQ(got.high_water_s, want.high_water_s);
+}
+
+TEST(CheckpointProperty, SnapshotsMoveBetweenSerialAndShardedPipelines) {
+  // Both pipelines save the serial engine's stream, so a snapshot taken by
+  // either restores into either at any worker count: serial->serial,
+  // serial->sharded, sharded->serial and sharded->sharded. The feed has
+  // late records and closes triggered past the boundary, so the late
+  // count and the high-water mark must both travel in the snapshot.
+  const std::vector<Item> stream = make_late_stream();
+  const std::size_t sides[] = {0, 1, 2, 4};
+  const std::size_t snapshot_at[] = {3, 8, 11};  // 8: mid double close
+  struct Leg {
+    const char* name;
+    core::RecoveryMode recovery;
+    core::KeyReplayMode replay;
+  };
+  const Leg legs[] = {
+      {"replay-current", core::RecoveryMode::kReplay,
+       core::KeyReplayMode::kCurrentInterval},
+      {"replay-next", core::RecoveryMode::kReplay,
+       core::KeyReplayMode::kNextInterval},
+      {"invertible", core::RecoveryMode::kInvertible,
+       core::KeyReplayMode::kCurrentInterval},
+  };
+  std::size_t continued = 0;
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.name);
+    core::PipelineConfig config = property_config();
+    config.recovery = leg.recovery;
+    config.replay = leg.replay;
+    const bool invertible = leg.recovery == core::RecoveryMode::kInvertible;
+
+    // The uninterrupted serial run, and where it stood at each snapshot
+    // close: the index of the record that triggered it (the resumed feed
+    // starts there), the position and the late count.
+    struct Cut {
+      std::size_t next_item = 0;
+      core::StreamPosition position;
+      std::uint64_t out_of_order = 0;
+    };
+    std::map<std::size_t, Cut> cuts;
+    core::ChangeDetectionPipeline reference(config);
+    std::size_t item_index = 0;
+    reference.set_interval_close_callback([&](std::size_t closed) {
+      cuts[closed] = {item_index, reference.position(),
+                      reference.stats().out_of_order_records};
+    });
+    for (; item_index < stream.size(); ++item_index) {
+      const Item& item = stream[item_index];
+      reference.add(item.key, item.update, item.time_s);
+    }
+    reference.flush();
+    if (!invertible) expect_some_alarms(reference.reports());
+    ASSERT_GT(reference.stats().out_of_order_records, 0u);
+    ASSERT_EQ(cuts[8].next_item, cuts[9].next_item);  // the double close
+
+    for (const std::size_t source : sides) {
+      std::map<std::size_t, std::vector<std::uint8_t>> snapshots;
+      {
+        AnyPipeline writer(config, source);
+        with(writer, [&](auto& p) {
+          p.set_interval_close_callback([&](std::size_t closed) {
+            for (const std::size_t at : snapshot_at) {
+              if (closed == at) snapshots[at] = p.save_state();
+            }
+          });
+          for (const Item& item : stream) {
+            p.add(item.key, item.update, item.time_s);
+          }
+          p.flush();
+        });
+      }
+      ASSERT_EQ(snapshots.size(), std::size(snapshot_at));
+      for (const auto& [at, snapshot] : snapshots) {
+        const Cut& cut = cuts.at(at);
+        for (const std::size_t target : sides) {
+          SCOPED_TRACE(side_name(source) + " -> " + side_name(target) +
+                       " at close " + std::to_string(at));
+          AnyPipeline resumed(config, target);
+          with(resumed, [&](auto& p) {
+            p.restore_state(snapshot);
+            expect_same_position(p.position(), cut.position);
+            EXPECT_EQ(p.stats().out_of_order_records, cut.out_of_order);
+            if (invertible) {
+              // Votes depend on the shard layout; the stream must still be
+              // accepted and re-save byte for byte.
+              EXPECT_EQ(p.save_state(), snapshot);
+              return;
+            }
+            for (std::size_t i = cut.next_item; i < stream.size(); ++i) {
+              p.add(stream[i].key, stream[i].update, stream[i].time_s);
+            }
+            p.flush();
+            expect_reports_bit_identical(p.reports(), reference.reports(),
+                                         "continued");
+            EXPECT_EQ(p.stats().out_of_order_records,
+                      reference.stats().out_of_order_records);
+            EXPECT_EQ(p.stats().records, reference.stats().records);
+            expect_same_position(p.position(), reference.position());
+            ++continued;
+          });
+        }
+      }
+    }
+  }
+  EXPECT_EQ(continued, 2u * 4u * 3u * 4u);
+}
+
 /// 32 intervals of 10 s over 48 noisy keys, with three keys ramping up for
 /// (doubling) for five intervals each, so the same key trips in consecutive intervals and
 /// the hysteresis streaks are live at every snapshot point.
@@ -364,10 +557,7 @@ TEST(CheckpointProperty, EveryModelKindAndKnobRoundTripsBitIdentical) {
   EXPECT_GT(suppressed_streaks, 0u);
 }
 
-/// Restoring a serial snapshot into the sharded front-end and vice versa is
-/// rejected, but serial state restored serially after being written by the
-/// parallel writer's cadence still matches — cross-checked above. Here:
-/// checkpoint-every-k writes exactly floor(intervals / k) files (retention
+/// Checkpoint-every-k writes exactly floor(intervals / k) files (retention
 /// aside), i.e. cadence is honored.
 TEST(CheckpointProperty, CadenceWritesExpectedCheckpoints) {
   const std::vector<Item> stream = make_stream();

@@ -253,28 +253,48 @@ TEST(Recover, ConfigMismatchIsTypedError) {
   }
 }
 
-TEST(Recover, PayloadKindMismatchIsTypedError) {
+TEST(Recover, EitherPipelineRestoresTheOthersCheckpoint) {
+  // Both pipelines write the serial engine's stream, so a directory written
+  // by one recovers into the other, at the same stream position.
   const core::PipelineConfig config = small_config();
-  const auto dir = fresh_dir("ckpt_kind_mismatch");
+  ingest::ParallelConfig parallel;
+  parallel.workers = 2;
+  const auto serial_dir = fresh_dir("ckpt_cross_serial");
+  const auto sharded_dir = fresh_dir("ckpt_cross_sharded");
+  CheckpointWriterOptions options;
+  options.metrics = false;
   {
     core::ChangeDetectionPipeline pipeline(config);
-    CheckpointWriterOptions options;
-    options.directory = dir;
-    options.metrics = false;
+    options.directory = serial_dir;
     CheckpointWriter writer(options, config);
     writer.attach(pipeline);
     feed_stream(pipeline, 0.0, 45.0);
   }
-  // A parallel pipeline must refuse a serial snapshot outright.
-  ingest::ParallelConfig parallel;
-  parallel.workers = 2;
-  ingest::ParallelPipeline pipeline(config, parallel);
-  try {
-    (void)recover(dir, pipeline);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.checkpoint_kind(), CheckpointErrorKind::kConfigMismatch);
+  {
+    ingest::ParallelPipeline pipeline(config, parallel);
+    options.directory = sharded_dir;
+    CheckpointWriter writer(options, config);
+    writer.attach(pipeline);
+    for (double t = 1.0; t < 45.0; t += 10.0) {
+      for (std::uint64_t key = 0; key < 40; ++key) {
+        pipeline.add(key, 100.0 + static_cast<double>(key % 7), t);
+      }
+    }
   }
+  ingest::ParallelPipeline sharded(config, parallel);
+  const RecoverResult into_sharded = recover(serial_dir, sharded);
+  core::ChangeDetectionPipeline serial(config);
+  const RecoverResult into_serial = recover(sharded_dir, serial);
+  ASSERT_TRUE(into_sharded.restored);
+  ASSERT_TRUE(into_serial.restored);
+  EXPECT_EQ(into_sharded.skipped, 0u);
+  EXPECT_EQ(into_serial.skipped, 0u);
+  EXPECT_EQ(into_sharded.interval_index, into_serial.interval_index);
+  EXPECT_EQ(sharded.position().interval_index,
+            serial.position().interval_index);
+  EXPECT_EQ(sharded.position().next_interval_start_s,
+            serial.position().next_interval_start_s);
+  EXPECT_EQ(sharded.stats().records, serial.stats().records);
 }
 
 }  // namespace

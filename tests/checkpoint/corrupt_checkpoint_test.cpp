@@ -15,10 +15,12 @@
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
+#include "checkpoint/checkpoint_metrics.h"
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "core/pipeline.h"
 #include "ingest/parallel_pipeline.h"
+#include "obs/metrics.h"
 #include "sketch/serialize.h"
 
 namespace scd::checkpoint {
@@ -225,24 +227,60 @@ TEST(CorruptCheckpoint, RestoreRejectsAnInvalidStreamClock) {
   core::ChangeDetectionPipeline untouched(config);
   EXPECT_NO_THROW(untouched.restore_state(state));
 
-  // Front-end state: version, started, then start_s at 16 and
-  // high_water_s at 24.
+  // The sharded front end restores the same stream into its engine, and
+  // refuses the same clocks.
   ingest::ParallelConfig parallel;
   parallel.workers = 2;
-  ingest::ParallelPipeline sharded(config, parallel);
-  for (double t = 1.0; t < 45.0; t += 10.0) {
-    for (std::uint64_t key = 0; key < 20; ++key) sharded.add(key, 300.0, t);
-  }
-  sharded.flush();
-  const std::vector<std::uint8_t> frontend = sharded.save_state();
-  for (const std::size_t offset : {16u, 24u}) {
-    SCOPED_TRACE("front-end offset " + std::to_string(offset));
+  for (const auto& c : engine_cases) {
+    SCOPED_TRACE("sharded, offset " + std::to_string(c.offset) + " value " +
+                 std::to_string(c.value));
     ingest::ParallelPipeline restored(config, parallel);
-    EXPECT_THROW(restored.restore_state(patch_f64(frontend, offset, nan)),
+    EXPECT_THROW(restored.restore_state(patch_f64(state, c.offset, c.value)),
                  sketch::SerializeError);
   }
   ingest::ParallelPipeline untouched_sharded(config, parallel);
-  EXPECT_NO_THROW(untouched_sharded.restore_state(frontend));
+  EXPECT_NO_THROW(untouched_sharded.restore_state(state));
+}
+
+TEST(CorruptCheckpoint, RetiredShardedKindIsSkippedAsBadPayload) {
+  // Payload kind 2 held the sharded front end's own state stream, which is
+  // gone: both pipelines now write the engine stream as kind 1. A kind-2
+  // file fails frame validation, and recover() skips and counts it rather
+  // than refusing to run.
+  core::PipelineConfig config = corpus_config();
+  config.metrics = true;  // recover() counts the skip
+  const std::filesystem::path dir = fresh_dir("corrupt_retired_kind2");
+  std::filesystem::create_directories(dir);
+  write_file(dir / checkpoint_filename(4),
+             encode_checkpoint_frame(static_cast<PayloadKind>(2),
+                                     checkpoint::config_fingerprint(config), 4,
+                                     {0x01, 0x02, 0x03}));
+  try {
+    (void)decode_checkpoint_frame(read_file(dir / checkpoint_filename(4)));
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.checkpoint_kind(), CheckpointErrorKind::kBadPayload);
+  }
+  obs::Counter& skipped = CheckpointInstruments::global().restore_skipped;
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "serial");
+    LogCapture capture;
+    const std::uint64_t skipped_before = skipped.value();
+    RecoverResult result;
+    if (sharded) {
+      ingest::ParallelPipeline pipeline(config, ingest::ParallelConfig{});
+      result = recover(dir, pipeline);
+      EXPECT_FALSE(pipeline.position().started);
+    } else {
+      core::ChangeDetectionPipeline pipeline(config);
+      result = recover(dir, pipeline);
+      EXPECT_FALSE(pipeline.position().started);
+    }
+    EXPECT_FALSE(result.restored);
+    EXPECT_EQ(result.skipped, 1u);
+    EXPECT_EQ(skipped.value() - skipped_before, 1u);
+    EXPECT_TRUE(capture.contains("unknown kind 2"));
+  }
 }
 
 TEST(CheckpointListing, OrdersByNumericIntervalNotLexicographically) {

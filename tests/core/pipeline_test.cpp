@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -451,6 +452,51 @@ TEST(Pipeline, OnlineRefitUpdatesModelParameters) {
   }
   pipeline.flush();
   EXPECT_NE(pipeline.active_model().alpha, 0.05);
+}
+
+TEST(Pipeline, SeasonalRefitKeepsThePeriodAndKeepsDetecting) {
+  // The refit searches seasonal Holt-Winters at the configured period, and
+  // a candidate that forecasts no interval of the refit window cannot win:
+  // it would score 0 and switch detection off for good. With an 8-interval
+  // window no m=4 candidate warms up in time, so the model stays; with 16
+  // the refit moves the smoothing weights but keeps m=4.
+  for (const std::size_t window : {8u, 16u}) {
+    SCOPED_TRACE("refit_window " + std::to_string(window));
+    auto config = base_config();
+    config.model.kind = forecast::ModelKind::kSeasonalHoltWinters;
+    config.model.alpha = 0.5;
+    config.model.beta = 0.2;
+    config.model.gamma = 0.3;
+    config.model.period = 4;
+    config.h = 3;
+    config.k = 64;  // a small sketch keeps the 2000-candidate searches fast
+    config.refit_every = 5;
+    config.refit_window = window;
+    ChangeDetectionPipeline pipeline(config);
+    for (std::size_t t = 0; t < 32; ++t) {
+      const double season = 100.0 * static_cast<double>(1 + t % 4);
+      for (std::uint64_t key = 1; key <= 20; ++key) {
+        pipeline.add(key, season + static_cast<double>(key),
+                     static_cast<double>(t) * 10.0 + 1.0);
+      }
+    }
+    pipeline.flush();
+    EXPECT_GE(pipeline.stats().refits, 1u);
+    EXPECT_EQ(pipeline.active_model().period, 4u);
+    const std::vector<IntervalReport>& reports = pipeline.reports();
+    ASSERT_EQ(reports.size(), 32u);
+    EXPECT_TRUE(reports.back().detection_ran);
+    std::size_t first_detection = reports.size();
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      if (reports[i].detection_ran) {
+        first_detection = std::min(first_detection, i);
+      } else {
+        EXPECT_EQ(first_detection, reports.size())
+            << "detection stopped at interval " << i;
+      }
+    }
+    EXPECT_LT(first_detection, 12u);
+  }
 }
 
 TEST(Pipeline, FlushIsIdempotent) {

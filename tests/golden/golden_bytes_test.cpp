@@ -1,5 +1,5 @@
 // Golden-bytes tests: every byte format that crosses the process boundary —
-// checkpoint files (serial, parallel, invertible), wire frames carrying an
+// checkpoint files (serial, sharded, invertible), wire frames carrying an
 // IntervalPayload, sketch packets of every FamilyKind, .scdt traces — and
 // config_fingerprint are pinned to exact values. A codec refactor that
 // changes a single output byte orphans existing checkpoints, breaks wire
@@ -123,8 +123,6 @@ void feed(Pipeline& pipeline) {
 /// five per-stage totals.
 constexpr std::size_t kStatsRecordsOffset = 304;
 constexpr std::size_t kTimingOffsets[] = {376, 392, 400, 408, 416, 424};
-/// The parallel front-end prefix before the nested serial engine blob.
-constexpr std::size_t kFrontendBytes = 64;
 
 std::uint64_t u64_at(const Bytes& bytes, std::size_t offset) {
   std::uint64_t v = 0;
@@ -134,13 +132,11 @@ std::uint64_t u64_at(const Bytes& bytes, std::size_t offset) {
   return v;
 }
 
-void mask_timings(Bytes& state, std::size_t engine_offset,
-                  std::uint64_t expected_records) {
-  ASSERT_EQ(u64_at(state, engine_offset + kStatsRecordsOffset),
-            expected_records)
+void mask_timings(Bytes& state, std::uint64_t expected_records) {
+  ASSERT_EQ(u64_at(state, kStatsRecordsOffset), expected_records)
       << "engine-state layout moved; update the golden offsets";
   for (const std::size_t off : kTimingOffsets) {
-    for (std::size_t i = 0; i < 8; ++i) state.at(engine_offset + off + i) = 0;
+    for (std::size_t i = 0; i < 8; ++i) state.at(off + i) = 0;
   }
 }
 
@@ -175,8 +171,7 @@ struct Pinned {
   std::string header_hex;
 };
 
-void expect_checkpoint_file(checkpoint::PayloadKind kind,
-                            const core::PipelineConfig& config,
+void expect_checkpoint_file(const core::PipelineConfig& config,
                             const Bytes& state, const std::string& dir_name,
                             const Pinned& pinned) {
   const auto dir = fresh_dir(dir_name);
@@ -184,7 +179,7 @@ void expect_checkpoint_file(checkpoint::PayloadKind kind,
   options.directory = dir;
   options.metrics = false;
   checkpoint::CheckpointWriter writer(options, config);
-  const auto path = writer.write(kind, 6, state);
+  const auto path = writer.write(checkpoint::PayloadKind::kSerial, 6, state);
   const Bytes file = read_file(path);
   EXPECT_EQ(file.size(), pinned.size);
   EXPECT_EQ(crc_of(file), pinned.crc);
@@ -196,14 +191,14 @@ void expect_checkpoint_file(checkpoint::PayloadKind kind,
 TEST(GoldenBytes, SerialCheckpointFile) {
   const auto config = golden_config(core::RecoveryMode::kReplay);
   Bytes state = serial_state(config);
-  mask_timings(state, 0, 241);
+  mask_timings(state, 241);
   core::ChangeDetectionPipeline restored(config);
   restored.restore_state(state);
   EXPECT_EQ(restored.save_state(), state);
   EXPECT_EQ(state.size(), 2016u);
   EXPECT_EQ(crc_of(state), 1359682534u);
   expect_checkpoint_file(
-      checkpoint::PayloadKind::kSerial, config, state, "golden_serial",
+      config, state, "golden_serial",
       {2064, 3459665199u,
        "53434450010000000100000000000000e6d94e4ddbc0645b0600000000000000"
        "e007000000000000e61b0b51f8a50a7a"});
@@ -212,32 +207,34 @@ TEST(GoldenBytes, SerialCheckpointFile) {
 TEST(GoldenBytes, ParallelCheckpointFile) {
   const auto config = golden_config(core::RecoveryMode::kReplay);
   Bytes state = parallel_state(config);
-  mask_timings(state, kFrontendBytes, 241);
+  mask_timings(state, 241);
   ingest::ParallelConfig parallel;
   parallel.workers = 2;
   ingest::ParallelPipeline restored(config, parallel);
   restored.restore_state(state);
   EXPECT_EQ(restored.save_state(), state);
-  EXPECT_EQ(state.size(), 2080u);
-  EXPECT_EQ(crc_of(state), 3092071623u);
+  // The sharded front end saves the serial engine's own stream, so it pins
+  // to the serial bytes.
+  EXPECT_EQ(state.size(), 2016u);
+  EXPECT_EQ(crc_of(state), 1359682534u);
   expect_checkpoint_file(
-      checkpoint::PayloadKind::kParallel, config, state, "golden_parallel",
-      {2128, 3663223046u,
-       "53434450010000000200000000000000e6d94e4ddbc0645b0600000000000000"
-       "2008000000000000c7444db859e12ddd"});
+      config, state, "golden_parallel",
+      {2064, 3459665199u,
+       "53434450010000000100000000000000e6d94e4ddbc0645b0600000000000000"
+       "e007000000000000e61b0b51f8a50a7a"});
 }
 
 TEST(GoldenBytes, InvertibleCheckpointFile) {
   const auto config = golden_config(core::RecoveryMode::kInvertible);
   Bytes state = serial_state(config);
-  mask_timings(state, 0, 241);
+  mask_timings(state, 241);
   core::ChangeDetectionPipeline restored(config);
   restored.restore_state(state);
   EXPECT_EQ(restored.save_state(), state);
   EXPECT_EQ(state.size(), 5096u);
   EXPECT_EQ(crc_of(state), 415180303u);
   expect_checkpoint_file(
-      checkpoint::PayloadKind::kSerial, config, state, "golden_invertible",
+      config, state, "golden_invertible",
       {5144, 3934926535u,
        "5343445001000000010000000000000064fe0116c2664c090600000000000000"
        "e8130000000000000f26bf186fc2e4cc"});
