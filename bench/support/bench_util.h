@@ -49,8 +49,9 @@ const eval::IntervalizedStream& stream_for(const std::string& router,
 
 // ---- model parameters -----------------------------------------------------
 
-/// The §3.4.2 objective: estimated total energy of the forecast-error
-/// sketches at H=1, K=8192 (the paper's grid-search configuration).
+/// The §3.4.2 objective, forecast::estimated_total_f2, over the intervals
+/// from `warmup` on at H=1, K=8192 (the paper's grid-search configuration).
+/// The stream's sketches are built once per process, like truth_for's.
 [[nodiscard]] double estimated_total_energy_objective(
     const eval::IntervalizedStream& stream,
     const forecast::ModelConfig& config, std::size_t warmup);

@@ -2,33 +2,19 @@
 
 #include <cmath>
 #include <map>
-#include <memory>
-#include <sstream>
 
 #include "eval/metrics.h"
 
 namespace scd::bench {
 
-namespace {
-std::string model_key(const forecast::ModelConfig& model) {
-  return model.to_string();
-}
-}  // namespace
-
 const eval::PerFlowTruth& truth_for(const eval::IntervalizedStream& stream,
                                     const forecast::ModelConfig& model) {
   static std::map<std::pair<const eval::IntervalizedStream*, std::string>,
-                  std::unique_ptr<eval::PerFlowTruth>>
+                  eval::PerFlowTruth>
       cache;
-  const auto key = std::make_pair(&stream, model_key(model));
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    it = cache
-             .emplace(key, std::make_unique<eval::PerFlowTruth>(
-                               eval::compute_perflow_truth(stream, model)))
-             .first;
-  }
-  return *it->second;
+  auto [it, fresh] = cache.try_emplace({&stream, model.to_string()});
+  if (fresh) it->second = eval::compute_perflow_truth(stream, model);
+  return it->second;
 }
 
 double energy_relative_difference(const eval::IntervalizedStream& stream,
@@ -40,7 +26,7 @@ double energy_relative_difference(const eval::IntervalizedStream& stream,
   static std::map<std::pair<const eval::IntervalizedStream*, std::string>,
                   double>
       energy_cache;
-  const auto key = std::make_pair(&stream, model_key(model) + "#" +
+  const auto key = std::make_pair(&stream, model.to_string() + "#" +
                                                std::to_string(warmup));
   auto it = energy_cache.find(key);
   if (it == energy_cache.end()) {

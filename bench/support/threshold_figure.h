@@ -4,13 +4,10 @@
 // (c) mean false-positive ratio vs K.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <vector>
 
-#include "detect/detection.h"
 #include "support/bench_util.h"
 #include "support/experiments.h"
 
@@ -39,39 +36,33 @@ inline void run_threshold_figure(const char* figure, double interval) {
   const std::vector<Config> configs{
       {8192, 1}, {8192, 5}, {32768, 5}, {65536, 5}};
 
-  // Per-flow alarm counts (panel a reference curve).
-  {
-    std::vector<std::pair<double, double>> points;
-    for (const double threshold : thresholds) {
-      double mean = 0.0;
-      std::size_t n = 0;
-      for (std::size_t t = warmup; t < truth.intervals.size(); ++t) {
-        if (!truth.intervals[t].ready) continue;
-        const double l2 = std::sqrt(std::max(truth.intervals[t].f2, 0.0));
-        mean += static_cast<double>(
-            detect::above_threshold(truth.intervals[t].ranked, threshold, l2)
-                .size());
-        ++n;
-      }
-      points.emplace_back(threshold, n ? mean / static_cast<double>(n) : 0.0);
-    }
-    print_series("alarms_pf(threshold, mean_alarms)", points);
-  }
-
   std::map<std::pair<std::size_t, std::size_t>, std::vector<ThresholdStats>>
       all_stats;
   for (const auto& config : configs) {
     const auto sketch = sketch_errors_for(stream, model, config.h, config.k);
-    std::vector<std::pair<double, double>> alarm_points;
     auto& stats_vec = all_stats[{config.k, config.h}];
     for (const double threshold : thresholds) {
-      const auto stats = threshold_stats(truth, sketch, threshold, warmup);
-      stats_vec.push_back(stats);
-      alarm_points.emplace_back(threshold, stats.mean_sk_alarms);
+      stats_vec.push_back(threshold_stats(truth, sketch, threshold, warmup));
     }
+  }
+
+  // Panel (a): mean alarms vs threshold, per-flow (the same in every
+  // configuration's stats) and for each sketch configuration.
+  const auto alarm_points = [&](const std::vector<ThresholdStats>& stats,
+                                bool perflow) {
+    std::vector<std::pair<double, double>> points;
+    for (std::size_t ti = 0; ti < thresholds.size(); ++ti) {
+      points.emplace_back(thresholds[ti], perflow ? stats[ti].mean_pf_alarms
+                                                  : stats[ti].mean_sk_alarms);
+    }
+    return points;
+  };
+  print_series("alarms_pf(threshold, mean_alarms)",
+               alarm_points(all_stats.begin()->second, true));
+  for (const auto& config : configs) {
     print_series(common::str_format("alarms_sk_K%zu_H%zu(threshold, mean)",
                                     config.k, config.h),
-                 alarm_points);
+                 alarm_points(all_stats[{config.k, config.h}], false));
   }
 
   // Panels (b) and (c): FN and FP vs K at H=5.

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -824,24 +823,12 @@ class Engine final : public EngineBase {
 
   void refit() {
     obs::ScopedTimer timer(nullptr, &tally_.refit_s, "refit", "core");
-    const Counters prototype(family_, config_.k);
-    // Every candidate steps into the same two tables.
-    StepTables trial{prototype, prototype};
+    // Candidates step into step_: scratch between closes, and the re-warm
+    // below overwrites it anyway.
     const gridsearch::Objective objective =
-        [this, &prototype, &trial](const forecast::ModelConfig& candidate) {
-          forecast::ForecastRunner<Counters> runner(candidate, prototype);
-          double total = 0.0;
-          bool forecast_any = false;
-          for (const Counters& obs : history_) {
-            if (runner.step_into(obs, trial.forecast, trial.error)) {
-              total += std::max(trial.error.estimate_f2(), 0.0);
-              forecast_any = true;
-            }
-          }
-          // A candidate that never warms up inside the window would score
-          // 0 and win, and then never detect anything.
-          return forecast_any ? total
-                              : std::numeric_limits<double>::infinity();
+        [this](const forecast::ModelConfig& candidate) {
+          return forecast::estimated_total_f2(candidate, history_, 0,
+                                              step_.forecast, step_.error);
         };
     gridsearch::GridSearchOptions options;
     options.max_window = std::max<std::size_t>(2, history_.size() / 2);

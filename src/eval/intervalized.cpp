@@ -1,7 +1,9 @@
 #include "eval/intervalized.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "traffic/flow_record.h"
@@ -15,6 +17,12 @@ IntervalizedStream::IntervalizedStream(
     : interval_s_(interval_s), key_kind_(key_kind) {
   assert(interval_s_ > 0.0);
   if (records.empty()) return;
+  // Time order keeps every bucket index below in [current, n_intervals).
+  if (!std::ranges::is_sorted(records, {},
+                              &traffic::FlowRecord::timestamp_us)) {
+    throw std::invalid_argument(
+        "IntervalizedStream: records must be in nondecreasing time order");
+  }
   // Buckets are aligned to absolute multiples of the interval length (the
   // way a router's export epoch works), not to the first record's offset.
   const double start =
@@ -44,7 +52,6 @@ IntervalizedStream::IntervalizedStream(
   for (const traffic::FlowRecord& r : records) {
     const auto t = static_cast<std::size_t>(
         (traffic::record_time_s(r) - start) / interval_s_);
-    assert(t >= current && t < n_intervals);
     while (current < t) {
       flush();
       ++current;

@@ -14,7 +14,6 @@
 
 #include "perflow/dense_vector.h"
 #include "perflow/key_dictionary.h"
-#include "sketch/kary_sketch.h"
 #include "traffic/flow_record.h"
 #include "traffic/key_extract.h"
 
@@ -28,7 +27,8 @@ struct AggregatedUpdate {
 
 class IntervalizedStream {
  public:
-  /// Records must be time-ordered (as TraceReader guarantees).
+  /// Records must be time-ordered (as TraceReader guarantees); throws
+  /// std::invalid_argument when one is earlier than the record before it.
   IntervalizedStream(std::span<const traffic::FlowRecord> records,
                      double interval_s, traffic::KeyKind key_kind,
                      traffic::UpdateKind update_kind);
@@ -53,9 +53,8 @@ class IntervalizedStream {
   [[nodiscard]] perflow::DenseVector observed_dense(std::size_t t) const;
 
   /// Adds interval t's updates into an observed sketch.
-  template <typename Family>
-  void fill_observed_sketch(std::size_t t,
-                            sketch::BasicKarySketch<Family>& s) const {
+  template <typename Sketch>
+  void fill_observed_sketch(std::size_t t, Sketch& s) const {
     for (const AggregatedUpdate& u : intervals_[t]) s.update(u.key, u.value);
   }
 

@@ -1,13 +1,11 @@
 #include "eval/sketch_path.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
-#include "detect/detection.h"
-#include "forecast/runner.h"
-#include "hash/cw_hash.h"
-#include "hash/tabulation_hash.h"
-#include "sketch/kary_sketch.h"
+#include "core/pipeline.h"
+#include "core/sketch_binding.h"
 
 namespace scd::eval {
 
@@ -25,48 +23,50 @@ double SketchPathResult::total_f2(std::size_t warmup_intervals) const {
   return sum;
 }
 
-namespace {
-
-template <typename Family>
-SketchPathResult run_path(const IntervalizedStream& stream,
-                          const forecast::ModelConfig& config,
-                          const SketchPathOptions& options) {
-  using Sketch = sketch::BasicKarySketch<Family>;
-  const auto family = std::make_shared<const Family>(options.seed, options.h);
-  const Sketch prototype(family, options.k);
-  forecast::ForecastRunner<Sketch> runner(config, prototype);
-
-  SketchPathResult result;
-  result.intervals.resize(stream.num_intervals());
-  for (std::size_t t = 0; t < stream.num_intervals(); ++t) {
-    Sketch observed = prototype;
-    stream.fill_observed_sketch(t, observed);
-    const auto step = runner.step(observed);
-    SketchIntervalErrors& out = result.intervals[t];
-    if (!step.has_value()) continue;
-    out.ready = true;
-    out.est_f2 = step->error.estimate_f2();
-    if (options.collect_errors) {
-      const auto updates = stream.interval(t);
-      out.ranked.reserve(updates.size());
-      for (const AggregatedUpdate& u : updates) {
-        out.ranked.push_back({u.key, step->error.estimate(u.key)});
-      }
-      detect::sort_by_abs_error(out.ranked);
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
 SketchPathResult compute_sketch_errors(const IntervalizedStream& stream,
                                        const forecast::ModelConfig& config,
                                        const SketchPathOptions& options) {
-  if (traffic::key_fits_32bit(stream.key_kind())) {
-    return run_path<hash::TabulationHashFamily>(stream, config, options);
-  }
-  return run_path<hash::CwHashFamily>(stream, config, options);
+  core::PipelineConfig engine;
+  engine.interval_s = stream.interval_seconds();
+  engine.h = options.h;
+  engine.k = options.k;
+  engine.seed = options.seed;
+  engine.key_kind = stream.key_kind();
+  engine.model = config;
+  // Every replayed key is an alarm, so the alarms are the whole ranking.
+  engine.threshold = 0.0;
+  engine.max_alarms_per_interval = std::numeric_limits<std::size_t>::max();
+  engine.metrics = false;
+  core::ChangeDetectionPipeline pipeline(engine);
+
+  SketchPathResult result;
+  pipeline.set_report_callback([&result](const core::IntervalReport& report) {
+    SketchIntervalErrors& out = result.intervals.emplace_back();
+    out.ready = report.detection_ran;
+    out.est_f2 = report.estimated_error_f2;
+    for (const detect::Alarm& alarm : report.alarms) {
+      out.ranked.push_back({alarm.key, alarm.error});
+    }
+  });
+  core::IntervalBatch batch;
+  batch.registers.assign(options.h * options.k, 0.0);
+  batch.len_s = engine.interval_s;
+  core::with_sketch_type(engine.recovery, engine.key_kind, [&]<class Sketch>() {
+    using Family = typename Sketch::FamilyType;
+    Sketch observed(std::make_shared<const Family>(options.seed, options.h),
+                    options.k);
+    for (std::size_t t = 0; t < stream.num_intervals(); ++t) {
+      // observed is zero: it holds the table the engine handed back last.
+      stream.fill_observed_sketch(t, observed);
+      observed.swap_registers(batch.registers);
+      batch.start_s = static_cast<double>(t) * batch.len_s;
+      if (options.collect_errors) batch.keys = stream.interval_keys(t);
+      pipeline.ingest_interval(std::move(batch));
+      // NOLINTNEXTLINE(bugprone-use-after-move): swapped, not moved from.
+      observed.swap_registers(batch.registers);
+    }
+  });
+  return result;
 }
 
 }  // namespace scd::eval

@@ -1,6 +1,9 @@
-// Sketch-side evaluation path: builds the observed sketch per interval,
-// runs the forecasting model at the sketch level, and reconstructs forecast
-// errors for the interval's candidate keys via two-pass replay (§3.3).
+// Sketch-side evaluation path: the paper's offline two-pass detection
+// (§3.3), run by the detection engine. Each interval's observed sketch goes
+// to a core::ChangeDetectionPipeline as an IntervalBatch; at threshold 0
+// and with no alarm cap, its alarms rank every key of the interval by
+// estimated error. An interval whose ESTIMATEF2 is <= 0 ranks no keys: the
+// engine has no threshold to rank them against.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +20,7 @@ struct SketchPathOptions {
   std::size_t k = 32768;
   std::uint64_t seed = 0x5eedc0de;  // hash-family seed
   /// When false, only the ESTIMATEF2 series is produced (sufficient for the
-  /// energy experiments and the grid-search objective).
+  /// energy experiments) and no key is replayed.
   bool collect_errors = true;
 };
 
@@ -25,7 +28,8 @@ struct SketchIntervalErrors {
   bool ready = false;
   /// ESTIMATEF2(S_e(t)) — the estimated second moment of the error signal.
   double est_f2 = 0.0;
-  /// Candidate keys' estimated errors, sorted by |error| descending.
+  /// Candidate keys' estimated errors, sorted by |error| descending (ties by
+  /// key). Empty when collect_errors is false or est_f2 <= 0.
   std::vector<detect::KeyError> ranked;
 };
 

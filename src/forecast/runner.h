@@ -1,10 +1,15 @@
-// ForecastRunner: the per-interval driver loop shared by the sketch path and
+// ForecastRunner: the per-interval driver loop of the detection engine and
 // the per-flow path. Feeds observations to a model and hands back the error
-// signal S_e(t) = S_o(t) - S_f(t) once the model is warmed up (§2.2).
+// signal S_e(t) = S_o(t) - S_f(t) once the model is warmed up (§2.2). Also
+// the one model-fit objective (§3.4.2), estimated_total_f2.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <utility>
 
 #include "forecast/linear_space.h"
@@ -76,5 +81,29 @@ class ForecastRunner {
  private:
   std::unique_ptr<ForecastModel<V>> model_;
 };
+
+/// §3.4.2's objective: the sum of max(ESTIMATEF2(S_e(t)), 0) over the
+/// intervals t >= skip of the observed sketches (ESTIMATEF2 is unbiased, not
+/// nonnegative). The candidate steps over every sketch, into `forecast` and
+/// `error`, which must have their shape; kept across candidates, they are
+/// not reallocated. +infinity when no interval from `skip` on was forecast:
+/// such a candidate would otherwise score 0, win, and never detect anything.
+template <LinearSignal V, std::ranges::input_range R>
+[[nodiscard]] double estimated_total_f2(const ModelConfig& candidate,
+                                        const R& observed, std::size_t skip,
+                                        V& forecast, V& error) {
+  ForecastRunner<V> runner(candidate, forecast);  // forecast gives the shape
+  double total = 0.0;
+  bool forecast_any = false;
+  std::size_t t = 0;
+  for (const V& obs : observed) {
+    if (runner.step_into(obs, forecast, error) && t >= skip) {
+      total += std::max(error.estimate_f2(), 0.0);
+      forecast_any = true;
+    }
+    ++t;
+  }
+  return forecast_any ? total : std::numeric_limits<double>::infinity();
+}
 
 }  // namespace scd::forecast

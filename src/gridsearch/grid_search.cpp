@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <limits>
 #include <vector>
 
@@ -18,188 +17,150 @@ struct Range {
   double hi;
 };
 
+/// Every ARIMA order with p, q <= 2 and at least one coefficient.
+constexpr std::array<std::pair<int, int>, 8> kArimaOrders{
+    {{1, 0}, {0, 1}, {1, 1}, {2, 0}, {0, 2}, {2, 1}, {1, 2}, {2, 2}}};
+
+/// The first candidate offered, then any with a strictly lower objective.
+struct Best {
+  bool found = false;
+  double value = std::numeric_limits<double>::infinity();
+  ModelConfig config;
+  std::vector<double> point;
+
+  void offer(double v, const ModelConfig& c, const std::vector<double>& p) {
+    if (found && !(v < value)) return;
+    found = true;
+    value = v;
+    config = c;
+    point = p;
+  }
+};
+
 /// Builds a ModelConfig from a point in coefficient space; returns false if
 /// the point is invalid (e.g. non-stationary ARIMA).
 using PointBuilder =
     std::function<bool(const std::vector<double>&, ModelConfig&)>;
 
-/// Evaluates every point of the Cartesian grid over `ranges` with
-/// `divisions` points per dimension, tracking the best (valid) point.
-void sweep_grid(const std::vector<Range>& ranges, int divisions,
-                const PointBuilder& builder, const Objective& objective,
-                std::vector<double>& point, std::size_t dim,
-                std::vector<double>& best_point, double& best_value,
-                bool& found, std::size_t& evaluations) {
-  if (dim == ranges.size()) {
-    ModelConfig config;
-    if (!builder(point, config)) return;
-    const double value = objective(config);
-    ++evaluations;
-    if (!found || value < best_value) {
-      found = true;
-      best_value = value;
-      best_point = point;
-    }
-    return;
-  }
-  const Range& r = ranges[dim];
-  for (int i = 0; i < divisions; ++i) {
-    point[dim] =
-        divisions == 1
-            ? 0.5 * (r.lo + r.hi)
-            : r.lo + (r.hi - r.lo) * static_cast<double>(i) /
-                         static_cast<double>(divisions - 1);
-    sweep_grid(ranges, divisions, builder, objective, point, dim + 1,
-               best_point, best_value, found, evaluations);
-  }
-}
+/// Grid search over one coefficient space, counting evaluations.
+struct Sweep {
+  const Objective& objective;
+  const PointBuilder& builder;
+  int divisions;
+  std::size_t evaluations = 0;
 
-/// Multi-pass refinement: after each pass, each dimension's range shrinks to
-/// +/- one grid step around the best point (clipped to the outer bounds),
-/// mirroring the paper's [a0 - 0.1, a0 + 0.1] second pass.
-bool refine_search(std::vector<Range> ranges, const std::vector<Range>& bounds,
-                   int divisions, int passes, const PointBuilder& builder,
-                   const Objective& objective, std::vector<double>& best_point,
-                   double& best_value, std::size_t& evaluations) {
-  bool found = false;
-  std::vector<double> point(ranges.size(), 0.0);
-  for (int pass = 0; pass < passes; ++pass) {
-    bool pass_found = false;
-    double pass_best = std::numeric_limits<double>::infinity();
-    std::vector<double> pass_point(ranges.size(), 0.0);
-    sweep_grid(ranges, divisions, builder, objective, point, 0, pass_point,
-               pass_best, pass_found, evaluations);
-    if (!pass_found) return found;
-    if (!found || pass_best < best_value) {
-      found = true;
-      best_value = pass_best;
-      best_point = pass_point;
+  /// Evaluates every valid point of the Cartesian grid over `ranges`, with
+  /// `divisions` points per dimension, the first dimension outermost.
+  void grid(const std::vector<Range>& ranges, std::vector<double>& point,
+            std::size_t dim, Best& best) {
+    if (dim == ranges.size()) {
+      ModelConfig config;
+      if (!builder(point, config)) return;
+      best.offer(objective(config), config, point);
+      ++evaluations;
+      return;
     }
-    // Narrow every dimension around this pass's best point.
-    for (std::size_t d = 0; d < ranges.size(); ++d) {
-      const double step =
-          divisions > 1 ? (ranges[d].hi - ranges[d].lo) /
-                              static_cast<double>(divisions - 1)
-                        : (ranges[d].hi - ranges[d].lo);
-      ranges[d].lo = std::max(bounds[d].lo, pass_point[d] - step);
-      ranges[d].hi = std::min(bounds[d].hi, pass_point[d] + step);
+    const Range& r = ranges[dim];
+    for (int i = 0; i < divisions; ++i) {
+      point[dim] =
+          divisions == 1
+              ? 0.5 * (r.lo + r.hi)
+              : r.lo + (r.hi - r.lo) * static_cast<double>(i) /
+                           static_cast<double>(divisions - 1);
+      grid(ranges, point, dim + 1, best);
     }
   }
-  return found;
-}
 
-GridSearchResult search_window_model(ModelKind kind, const Objective& objective,
-                                     const GridSearchOptions& options) {
-  GridSearchResult result;
-  result.best_objective = std::numeric_limits<double>::infinity();
-  for (std::size_t w = 1; w <= options.max_window; ++w) {
-    ModelConfig config;
-    config.kind = kind;
-    config.window = w;
-    const double value = objective(config);
-    ++result.evaluations;
-    if (value < result.best_objective) {
-      result.best_objective = value;
-      result.best = config;
-    }
-  }
-  return result;
-}
-
-GridSearchResult search_smoothing_model(ModelKind kind,
-                                        const Objective& objective,
-                                        const GridSearchOptions& options) {
-  std::size_t dims = 1;
-  if (kind == ModelKind::kHoltWinters) dims = 2;
-  if (kind == ModelKind::kSeasonalHoltWinters) dims = 3;
-  const std::vector<Range> bounds(dims, Range{0.0, 1.0});
-  const PointBuilder builder = [kind, &options](const std::vector<double>& p,
-                                                ModelConfig& config) {
-    config.kind = kind;
-    config.alpha = p[0];
-    if (p.size() > 1) config.beta = p[1];
-    if (p.size() > 2) {
-      config.gamma = p[2];
-      config.period = options.season_period;
-    }
-    return config.valid();
-  };
-  GridSearchResult result;
-  std::vector<double> best_point;
-  double best_value = std::numeric_limits<double>::infinity();
-  const bool found =
-      refine_search(bounds, bounds, options.smoothing_divisions, options.passes,
-                    builder, objective, best_point, best_value,
-                    result.evaluations);
-  assert(found);
-  (void)found;
-  ModelConfig config;
-  builder(best_point, config);
-  result.best = config;
-  result.best_objective = best_value;
-  return result;
-}
-
-GridSearchResult search_arima_model(ModelKind kind, const Objective& objective,
-                                    const GridSearchOptions& options) {
-  const int d = kind == ModelKind::kArima1 ? 1 : 0;
-  // Every order with p, q <= 2 and at least one coefficient.
-  constexpr std::array<std::pair<int, int>, 8> kOrders{
-      {{1, 0}, {0, 1}, {1, 1}, {2, 0}, {0, 2}, {2, 1}, {1, 2}, {2, 2}}};
-  GridSearchResult result;
-  result.best_objective = std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (const auto& [p, q] : kOrders) {
-    const std::size_t dims = static_cast<std::size_t>(p + q);
-    const std::vector<Range> bounds(dims, Range{-2.0, 2.0});
-    const PointBuilder builder = [kind, d, p = p, q = q](
-                                     const std::vector<double>& point,
-                                     ModelConfig& config) {
-      config.kind = kind;
-      config.arima.p = p;
-      config.arima.d = d;
-      config.arima.q = q;
-      const auto pu = static_cast<std::size_t>(p);
-      const auto qu = static_cast<std::size_t>(q);
-      for (std::size_t j = 0; j < pu; ++j) config.arima.ar[j] = point[j];
-      for (std::size_t i = 0; i < qu; ++i) config.arima.ma[i] = point[pu + i];
-      return config.valid();
-    };
-    std::vector<double> best_point;
-    double best_value = std::numeric_limits<double>::infinity();
-    if (refine_search(bounds, bounds, options.arima_divisions, options.passes,
-                      builder, objective, best_point, best_value,
-                      result.evaluations)) {
-      if (!any || best_value < result.best_objective) {
-        any = true;
-        result.best_objective = best_value;
-        ModelConfig config;
-        builder(best_point, config);
-        result.best = config;
+  /// Multi-pass refinement: after each pass, each dimension's range shrinks
+  /// to +/- one grid step around that pass's best point (clipped to the
+  /// outer bounds), mirroring the paper's [a0 - 0.1, a0 + 0.1] second pass.
+  Best refine(const std::vector<Range>& bounds, int passes) {
+    Best best;
+    std::vector<Range> ranges = bounds;
+    std::vector<double> point(ranges.size(), 0.0);
+    for (int pass = 0; pass < passes; ++pass) {
+      Best pass_best;
+      grid(ranges, point, 0, pass_best);
+      if (!pass_best.found) break;
+      best.offer(pass_best.value, pass_best.config, pass_best.point);
+      for (std::size_t d = 0; d < ranges.size(); ++d) {
+        const double step =
+            divisions > 1 ? (ranges[d].hi - ranges[d].lo) /
+                                static_cast<double>(divisions - 1)
+                          : (ranges[d].hi - ranges[d].lo);
+        ranges[d].lo = std::max(bounds[d].lo, pass_best.point[d] - step);
+        ranges[d].hi = std::min(bounds[d].hi, pass_best.point[d] + step);
       }
     }
+    return best;
   }
-  assert(any);
-  return result;
-}
+};
 
 }  // namespace
 
 GridSearchResult grid_search(ModelKind kind, const Objective& objective,
                              const GridSearchOptions& options) {
+  Best best;
+  std::size_t evaluations = 0;
+  // One refined grid over `dims` coefficients, each ranging over `range`.
+  const auto search = [&](std::size_t dims, Range range, int divisions,
+                          int passes, const PointBuilder& builder) {
+    Sweep sweep{objective, builder, divisions};
+    const Best found = sweep.refine(std::vector<Range>(dims, range), passes);
+    evaluations += sweep.evaluations;
+    if (found.found) best.offer(found.value, found.config, {});
+  };
   switch (kind) {
     case ModelKind::kMovingAverage:
-    case ModelKind::kSShapedMA:
-      return search_window_model(kind, objective, options);
+    case ModelKind::kSShapedMA: {
+      // Every window in [1, max_window]: one pass, one grid point per window.
+      const auto max_window = static_cast<int>(options.max_window);
+      search(1, Range{1.0, static_cast<double>(max_window)}, max_window, 1,
+             [kind](const std::vector<double>& p, ModelConfig& config) {
+               config.kind = kind;
+               config.window = static_cast<std::size_t>(p[0]);
+               return true;
+             });
+      break;
+    }
     case ModelKind::kEwma:
     case ModelKind::kHoltWinters:
     case ModelKind::kSeasonalHoltWinters:
-      return search_smoothing_model(kind, objective, options);
+      search(kind == ModelKind::kEwma          ? 1
+             : kind == ModelKind::kHoltWinters ? 2
+                                               : 3,
+             Range{0.0, 1.0}, options.smoothing_divisions, options.passes,
+             [kind, &options](const std::vector<double>& p,
+                              ModelConfig& config) {
+               config.kind = kind;
+               config.alpha = p[0];
+               if (p.size() > 1) config.beta = p[1];
+               if (p.size() > 2) {
+                 config.gamma = p[2];
+                 config.period = options.season_period;
+               }
+               return config.valid();
+             });
+      break;
     case ModelKind::kArima0:
     case ModelKind::kArima1:
-      return search_arima_model(kind, objective, options);
+      for (const auto& [p, q] : kArimaOrders) {
+        search(static_cast<std::size_t>(p + q), Range{-2.0, 2.0},
+               options.arima_divisions, options.passes,
+               [kind, p = p, q = q](const std::vector<double>& point,
+                                    ModelConfig& config) {
+                 config.kind = kind;
+                 config.arima.p = p;
+                 config.arima.d = kind == ModelKind::kArima1 ? 1 : 0;
+                 config.arima.q = q;
+                 std::copy_n(point.begin(), p, config.arima.ar.begin());
+                 std::copy_n(point.begin() + p, q, config.arima.ma.begin());
+                 return config.valid();
+               });
+      }
+      break;
   }
-  return {};
+  return {best.config, best.value, evaluations};
 }
 
 }  // namespace scd::gridsearch

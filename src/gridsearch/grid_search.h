@@ -1,8 +1,8 @@
 // Multi-pass grid search for forecast-model parameters (§3.4.2, §4.2).
 //
-// The objective is supplied by the caller — in the paper (and in our eval
-// drivers) it is the estimated total energy of the forecast-error sketches,
-// sum_t ESTIMATEF2(S_e(t)), computed with H=1, K=8192. The search:
+// The objective is supplied by the caller — in the paper, and in the engine's
+// refit and the benches, forecast::estimated_total_f2: the estimated total
+// energy sum_t ESTIMATEF2(S_e(t)) of the forecast errors. The search:
 //   * integral windows (MA, SMA): exhaustive sweep of W in [1, max_window];
 //   * continuous parameters (EWMA, NSHW): `passes` passes, each dividing the
 //     current range into `smoothing_divisions` parts and re-centering on the

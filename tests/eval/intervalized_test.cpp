@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+
+#include "sketch/kary_sketch.h"
 
 namespace scd::eval {
 namespace {
@@ -121,6 +124,20 @@ TEST(IntervalizedStream, EmptyRecordsProduceNoIntervals) {
                             traffic::UpdateKind::kBytes);
   EXPECT_EQ(stream.num_intervals(), 0u);
   EXPECT_EQ(stream.dictionary().size(), 0u);
+}
+
+TEST(IntervalizedStream, RejectsTimeDisorderedRecords) {
+  // A middle record later than the last would be binned past the final
+  // interval; one earlier than the first, before interval 0.
+  const std::vector<FlowRecord> late_middle{
+      record(1.0, 10, 100), record(35.0, 11, 200), record(12.0, 12, 300)};
+  const std::vector<FlowRecord> early_last{
+      record(15.0, 10, 100), record(21.0, 11, 200), record(3.0, 12, 300)};
+  for (const auto* records : {&late_middle, &early_last}) {
+    EXPECT_THROW(IntervalizedStream(*records, 10.0, traffic::KeyKind::kDstIp,
+                                    traffic::UpdateKind::kBytes),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

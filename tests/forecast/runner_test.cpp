@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <deque>
 #include <vector>
 
 #include "common/random.h"
@@ -133,6 +135,64 @@ TEST(ForecastRunner, StepIntoEqualsStepByteForByte) {
     EXPECT_GT(ready_steps, 0u);
     EXPECT_LT(ready_steps, 12u);  // every model has a warm-up
   }
+}
+
+/// `n` observed sketches of random updates, some negative.
+std::deque<sketch::KarySketch> random_tables(
+    const sketch::KarySketch& prototype, int n) {
+  scd::common::Rng rng(9);
+  std::deque<sketch::KarySketch> tables;
+  for (int t = 0; t < n; ++t) {
+    sketch::KarySketch& observed = tables.emplace_back(prototype);
+    for (int i = 0; i < 200; ++i) {
+      observed.update(rng.next_below(5000), rng.uniform(-50.0, 150.0));
+    }
+  }
+  return tables;
+}
+
+TEST(EstimatedTotalF2, EqualsTheHandSummedLoop) {
+  const auto family = sketch::make_tabulation_family(4, 1);
+  const sketch::KarySketch prototype(family, 64);
+  const auto tables = random_tables(prototype, 12);
+  sketch::KarySketch forecast = prototype;
+  sketch::KarySketch error = prototype;
+  for (const ModelConfig& config : six_models()) {
+    for (const std::size_t skip : {std::size_t{0}, std::size_t{5}}) {
+      SCOPED_TRACE(config.to_string() + " skip=" + std::to_string(skip));
+      ForecastRunner<sketch::KarySketch> runner(config, prototype);
+      double want = 0.0;
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        const auto step = runner.step(tables[t]);
+        if (step.has_value() && t >= skip) {
+          want += std::max(step->error.estimate_f2(), 0.0);
+        }
+      }
+      EXPECT_GT(want, 0.0);
+      EXPECT_EQ(estimated_total_f2(config, tables, skip, forecast, error),
+                want);
+    }
+  }
+}
+
+TEST(EstimatedTotalF2, IsInfiniteWhenNoIntervalFromSkipOnIsForecast) {
+  const auto family = sketch::make_tabulation_family(4, 1);
+  const sketch::KarySketch prototype(family, 64);
+  const auto tables = random_tables(prototype, 6);
+  sketch::KarySketch forecast = prototype;
+  sketch::KarySketch error = prototype;
+  // Seasonal Holt-Winters with an 8-interval season never warms up on six.
+  ModelConfig shw;
+  shw.kind = ModelKind::kSeasonalHoltWinters;
+  shw.period = 8;
+  EXPECT_TRUE(std::isinf(estimated_total_f2(shw, tables, 0, forecast, error)));
+  // EWMA forecasts intervals 1..5: finite up to skip 5, infinite past it.
+  EXPECT_TRUE(
+      std::isfinite(estimated_total_f2(ewma(), tables, 5, forecast, error)));
+  EXPECT_TRUE(
+      std::isinf(estimated_total_f2(ewma(), tables, 6, forecast, error)));
+  const std::deque<sketch::KarySketch> none;
+  EXPECT_TRUE(std::isinf(estimated_total_f2(ewma(), none, 0, forecast, error)));
 }
 
 }  // namespace
