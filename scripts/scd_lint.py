@@ -25,8 +25,8 @@ THIS codebase's contracts, not C++ in general:
                      transitive include.
 
   simd-isolation     Only src/simd itself may include the per-ISA kernel
-                     headers (simd/kernels_scalar.h, simd/kernels_avx2.h,
-                     simd/kernels_avx512.h).
+                     files (simd/kernels_scalar.h, simd/kernels_avx2.h,
+                     simd/kernels_avx512.h, simd/kernels_body.inc).
                      Everyone else goes through the dispatching
                      simd/kernels.h, so ISA selection stays a single
                      process-wide decision and no caller can bypass the

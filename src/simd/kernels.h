@@ -7,11 +7,11 @@
 // 0, and the batched UPDATE's row sweep extracts bucket indices with
 // index_shift_mask. This header is the ONLY entry point the rest of the tree
 // may use (enforced by the scd_lint `simd-isolation` rule): it exposes the
-// seven kernels (scale, axpy, dot, sum_squares, hsum, index_shift_mask,
-// mv_fold) behind function pointers that are resolved exactly once, before
-// main() touches them, to one of three backends: AVX-512F
-// (kernels_avx512.cpp), AVX2+FMA (kernels_avx2.cpp) or the portable scalar
-// reference (kernels_scalar.h).
+// seven kernels behind function pointers resolved exactly once, on first
+// use, to one of three legs: the portable scalar reference
+// (kernels_scalar.h), or one vector body (kernels_body.inc) instantiated
+// over the AVX2+FMA lane set (kernels_avx2.cpp) or the AVX-512F one
+// (kernels_avx512.cpp).
 //
 // Dispatch policy (decided once, process-wide):
 //   * SCD_SIMD=scalar forces the scalar reference — the knob the equivalence
@@ -29,8 +29,9 @@
 //     The simd library is built with -ffp-contract=off so the compiler
 //     cannot fuse either path (kernels_test.cpp verifies bit-equality);
 //   * dot, sum_squares and hsum reassociate the reduction across vector
-//     lanes, so implementations agree only to ULP-level tolerance. Callers
-//     needing run-to-run determinism must pin the dispatch via SCD_SIMD.
+//     lanes, so legs agree only to ULP-level tolerance; each leg's order is
+//     fixed (kernels_test.cpp pins its output bits), so callers needing the
+//     same bits on every host pin the dispatch via SCD_SIMD.
 #pragma once
 
 #include <cstddef>
