@@ -7,10 +7,12 @@
 // bit-flipped variants — so coverage starts inside the parsers' deep paths
 // instead of dying at the magic check, and the gcc corpus-replay smoke
 // exercises both accept and every typed-reject branch.
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -77,6 +79,20 @@ std::vector<std::uint8_t> snapshot_of(const Args&... args) {
     }
   }
   pipeline.flush();
+  return state;
+}
+
+/// `state` with the cell just before the trailing 8-byte sentinel set to
+/// `value`: the last register of the refit history (key replay) or the last
+/// vote of the previous interval (invertible). A NaN there must be a typed
+/// reject.
+std::vector<std::uint8_t> patch_last_cell(std::vector<std::uint8_t> state,
+                                          double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const std::size_t at = state.size() - 16;
+  for (std::size_t i = 0; i < 8; ++i) {
+    state[at + i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
   return state;
 }
 
@@ -168,13 +184,21 @@ int main(int argc, char** argv) {
                      0xfeedface12345678ull, 43, {0x01, 0x02, 0x03}));
 
   // Engine-state seeds: real snapshots of each pipeline the harness
-  // restores into.
-  write_variants(engine_dir, "seed-replay",
-                 snapshot_of<scd::core::ChangeDetectionPipeline>(
-                     scd_fuzz::replay_config()));
-  write_variants(engine_dir, "seed-invertible",
-                 snapshot_of<scd::core::ChangeDetectionPipeline>(
-                     scd_fuzz::invertible_config()));
+  // restores into, and two with a non-finite table cell, which the
+  // restore must reject.
+  const std::vector<std::uint8_t> replay_state =
+      snapshot_of<scd::core::ChangeDetectionPipeline>(
+          scd_fuzz::replay_config());
+  const std::vector<std::uint8_t> invertible_state =
+      snapshot_of<scd::core::ChangeDetectionPipeline>(
+          scd_fuzz::invertible_config());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  write_variants(engine_dir, "seed-replay", replay_state);
+  write_seed(engine_dir, "seed-replay-nan-register.bin",
+             patch_last_cell(replay_state, nan));
+  write_variants(engine_dir, "seed-invertible", invertible_state);
+  write_seed(engine_dir, "seed-invertible-nan-vote.bin",
+             patch_last_cell(invertible_state, nan));
   write_variants(engine_dir, "seed-parallel",
                  snapshot_of<scd::ingest::ParallelPipeline>(
                      scd_fuzz::replay_config(), scd_fuzz::parallel_config()));

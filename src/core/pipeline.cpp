@@ -504,14 +504,6 @@ class Engine final : public EngineBase {
     if constexpr (kRecovers) {
       if constexpr (Ar::kReads) self.previous_->set_zero();
       Sketch::transfer_votes(ar, *self.previous_);
-      if constexpr (Ar::kReads) {
-        for (const double v : self.previous_->votes()) {
-          if (!std::isfinite(v) || v < 0.0) {
-            reject(SerializeErrorKind::kCorruptRegisters,
-                   "vote table holds an invalid vote value");
-          }
-        }
-      }
     }
     ar.pinned(kEngineStateSentinel, [](std::uint64_t) {
       reject(SerializeErrorKind::kCorruptRegisters,

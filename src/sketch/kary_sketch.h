@@ -47,6 +47,7 @@
 #include "hash/hash_family.h"
 #include "hash/tabulation_hash.h"
 #include "sketch/median.h"
+#include "sketch/serialize_error.h"
 #include "simd/kernels.h"
 
 namespace scd::sketch {
@@ -481,7 +482,8 @@ class BasicKarySketch {
   }
 
   /// The register table as one field (common/bytes.h): its size, then the
-  /// registers. The reader's table must already have the writer's shape.
+  /// registers. The reader's table must already have the writer's shape;
+  /// a non-finite register throws SerializeError(kCorruptRegisters).
   template <class Ar, class Self>
   static void transfer(Ar& ar, Self& self) {
     ar.pinned(self.table_.size(), [](std::uint64_t n) {
@@ -489,8 +491,11 @@ class BasicKarySketch {
                                " registers has another shape");
     });
     ar.array(std::span(self.table_));
-    // mo: cache invalidation on the single-mutator path (see update()).
-    if constexpr (Ar::kReads) self.sum_valid_.store(false, std::memory_order_relaxed);
+    if constexpr (Ar::kReads) {
+      check_registers(self.table_);
+      // mo: cache invalidation on the single-mutator path (see update()).
+      self.sum_valid_.store(false, std::memory_order_relaxed);
+    }
   }
 
   /// Raw register access for tests and serialization.

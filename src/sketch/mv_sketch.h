@@ -60,6 +60,7 @@
 #include "hash/tabulation_hash.h"
 #include "simd/kernels.h"
 #include "sketch/kary_sketch.h"
+#include "sketch/serialize_error.h"
 
 namespace scd::sketch {
 
@@ -209,8 +210,8 @@ class BasicMvSketch {
 
   /// Replaces the candidate/vote state wholesale. Both spans must have
   /// H * K entries; throws std::invalid_argument otherwise. Content
-  /// validation (finite, nonnegative votes) is the serializer's job — this
-  /// is the same division of labour as load_registers.
+  /// validation is the readers' job (check_votes, sketch/serialize_error.h)
+  /// — the same division of labour as load_registers.
   void load_aux(std::span<const std::uint64_t> cand,
                 std::span<const double> vote_counts) {
     if (cand.size() != candidates_.size() ||
@@ -224,8 +225,8 @@ class BasicMvSketch {
 
   /// The candidate and vote arrays as one field list (common/bytes.h),
   /// without the counters: the cell count, the candidates, the votes. The
-  /// reader's table must have the writer's shape; validating the votes is
-  /// the caller's job, as for load_aux.
+  /// reader's table must have the writer's shape; a candidate outside the
+  /// key domain or an invalid vote throws SerializeError(kCorruptRegisters).
   template <class Ar, class Self>
   static void transfer_votes(Ar& ar, Self& self) {
     ar.pinned(self.candidates_.size(), [](std::uint64_t n) {
@@ -234,6 +235,9 @@ class BasicMvSketch {
     });
     ar.array(std::span(self.candidates_));
     ar.array(std::span(self.votes_));
+    if constexpr (Ar::kReads) {
+      check_votes(self.candidates_, self.votes_, kKeyBits);
+    }
   }
 
   /// load_registers / load_aux without the copy: exchange the tables with

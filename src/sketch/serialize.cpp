@@ -1,6 +1,5 @@
 #include "sketch/serialize.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <type_traits>
 
@@ -80,37 +79,15 @@ template <typename Sketch>
   const std::size_t cells = header.rows * header.k;
   std::vector<double> registers(cells);
   in.array(std::span(registers));
-  for (const double v : registers) {
-    if (!std::isfinite(v)) {
-      // A register can never legitimately be NaN/Inf: UPDATE adds finite
-      // deltas. Reject rather than let the poison spread through COMBINE.
-      throw SerializeError(SerializeErrorKind::kCorruptRegisters,
-                           "non-finite register value");
-    }
-  }
+  check_registers(registers);
   std::vector<std::uint64_t> candidates;
   std::vector<double> votes;
   if constexpr (requires(const Sketch& s) { s.candidates(); }) {
     candidates.resize(cells);
     in.array(std::span(candidates));
-    if constexpr (Sketch::kKeyBits < 64) {
-      for (const std::uint64_t c : candidates) {
-        if ((c >> Sketch::kKeyBits) != 0) {
-          throw SerializeError(SerializeErrorKind::kCorruptRegisters,
-                               "candidate key exceeds the family key domain");
-        }
-      }
-    }
     votes.resize(cells);
     in.array(std::span(votes));
-    for (const double v : votes) {
-      // A vote is an accumulated absolute mass: finite and nonnegative by
-      // construction. Anything else is corruption or a hostile packet.
-      if (!std::isfinite(v) || v < 0.0) {
-        throw SerializeError(SerializeErrorKind::kCorruptRegisters,
-                             "invalid vote value");
-      }
-    }
+    check_votes(candidates, votes, Sketch::kKeyBits);
   }
   typename Sketch::FamilyPtr family;
   if constexpr (std::is_same_v<typename Sketch::FamilyType,

@@ -30,6 +30,7 @@
 
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
+#include "sketch/serialize_error.h"
 
 namespace scd::sketch {
 
@@ -41,35 +42,6 @@ enum class FamilyKind : std::uint8_t {
   kCarterWegman = 1,
   kMvTabulation = 2,    // invertible, 32-bit keys (MvSketch)
   kMvCarterWegman = 3,  // invertible, 64-bit keys (MvSketch64)
-};
-
-/// Why a dump was rejected. Sketch dumps cross the network from untrusted
-/// exporters, so every reject path is typed: collectors can distinguish a
-/// short read (retry) from a corrupt or hostile packet (drop and count).
-enum class SerializeErrorKind {
-  kTruncated,         ///< input ended inside the header or register payload
-  kBadMagic,          ///< leading bytes are not "SCDK"
-  kBadVersion,        ///< unknown format version
-  kBadFamilyKind,     ///< family-kind byte is not a known FamilyKind
-  kBadDimensions,     ///< rows/k outside the valid sketch envelope
-  kCorruptRegisters,  ///< register/vote payload decodes to invalid values
-  kFamilyMismatch,    ///< dump's family kind does not match the reader used
-  kTrailingBytes,     ///< byte-buffer parse left unconsumed bytes
-  kWriteFailed,       ///< output stream failed mid-write
-};
-
-/// Thrown by every (de)serialization failure path. Derives from
-/// std::runtime_error so legacy catch sites keep working; new code should
-/// switch on kind().
-class SerializeError : public std::runtime_error {
- public:
-  SerializeError(SerializeErrorKind kind, const std::string& message)
-      : std::runtime_error("sketch serialization: " + message), kind_(kind) {}
-
-  [[nodiscard]] SerializeErrorKind kind() const noexcept { return kind_; }
-
- private:
-  SerializeErrorKind kind_;
 };
 
 /// Shares hash families across deserialized sketches so that sketches

@@ -242,6 +242,87 @@ TEST(CorruptCheckpoint, RestoreRejectsAnInvalidStreamClock) {
   EXPECT_NO_THROW(untouched_sharded.restore_state(state));
 }
 
+TEST(CorruptCheckpoint, RestoreRejectsNonFiniteRegisters) {
+  // A CRC-valid snapshot whose sketch registers were patched to NaN or
+  // infinity. Accepted, it poisons every later ESTIMATEF2 (each report reads
+  // NaN and detection stays dead), so the restore must refuse it as the
+  // packet decoder does. EWMA with alpha 1: after two closes the model state
+  // is interval 1's sketch, whose only key puts 12345 in one register per
+  // row.
+  core::PipelineConfig config = corpus_config();
+  config.model.alpha = 1.0;
+  core::ChangeDetectionPipeline source(config);
+  std::vector<std::uint8_t> older;
+  std::vector<std::uint8_t> state;
+  source.set_interval_close_callback([&](std::size_t closed) {
+    if (closed == 1) older = source.save_state();
+    if (closed == 2) state = source.save_state();
+  });
+  for (int t = 0; t < 4; ++t) {
+    const double time = 10.0 * t + 1.0;
+    if (t == 1) {
+      source.add(7, 12345.0, time);
+      continue;
+    }
+    for (std::uint64_t key = 0; key < 20; ++key) source.add(key, 300.0, time);
+  }
+  ASSERT_FALSE(older.empty());
+  ASSERT_FALSE(state.empty());
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = 0; at + 8 <= state.size(); ++at) {
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      bits |= static_cast<std::uint64_t>(state[at + i]) << (8 * i);
+    }
+    if (std::bit_cast<double>(bits) == 12345.0) offsets.push_back(at);
+  }
+  ASSERT_EQ(offsets.size(), config.h);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::uint8_t> poisoned = state;
+  for (const std::size_t at : offsets) poisoned = patch_f64(poisoned, at, nan);
+  std::vector<std::vector<std::uint8_t>> cases = {
+      poisoned, patch_f64(state, offsets[0], inf),
+      patch_f64(state, offsets[0], -inf)};
+  ingest::ParallelConfig parallel;
+  parallel.workers = 2;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const auto expect_corrupt = [&](auto& pipeline) {
+      try {
+        pipeline.restore_state(cases[c]);
+        ADD_FAILURE() << "restore accepted non-finite registers";
+      } catch (const sketch::SerializeError& e) {
+        EXPECT_EQ(e.kind(), sketch::SerializeErrorKind::kCorruptRegisters);
+      }
+    };
+    core::ChangeDetectionPipeline serial(config);
+    expect_corrupt(serial);
+    ingest::ParallelPipeline sharded(config, parallel);
+    expect_corrupt(sharded);
+  }
+
+  // recover() skips and counts the poisoned file and falls back to the
+  // older snapshot.
+  const std::filesystem::path dir = fresh_dir("ckpt_nonfinite_registers");
+  std::filesystem::create_directories(dir);
+  const std::uint64_t fingerprint = core::config_fingerprint(config);
+  write_file(dir / checkpoint_filename(1),
+             encode_checkpoint_frame(PayloadKind::kSerial, fingerprint, 1,
+                                     older));
+  write_file(dir / checkpoint_filename(2),
+             encode_checkpoint_frame(PayloadKind::kSerial, fingerprint, 2,
+                                     poisoned));
+  LogCapture capture;
+  core::ChangeDetectionPipeline restored(config);
+  const RecoverResult result = recover(dir, restored);
+  EXPECT_TRUE(result.restored);
+  EXPECT_EQ(result.interval_index, 1u);
+  EXPECT_EQ(result.skipped, 1u);
+  EXPECT_TRUE(capture.contains("non-finite register"));
+}
+
 TEST(CorruptCheckpoint, RetiredShardedKindIsSkippedAsBadPayload) {
   // Payload kind 2 held the sharded front end's own state stream, which is
   // gone: both pipelines now write the engine stream as kind 1. A kind-2
@@ -253,7 +334,7 @@ TEST(CorruptCheckpoint, RetiredShardedKindIsSkippedAsBadPayload) {
   std::filesystem::create_directories(dir);
   write_file(dir / checkpoint_filename(4),
              encode_checkpoint_frame(static_cast<PayloadKind>(2),
-                                     checkpoint::config_fingerprint(config), 4,
+                                     core::config_fingerprint(config), 4,
                                      {0x01, 0x02, 0x03}));
   try {
     (void)decode_checkpoint_frame(read_file(dir / checkpoint_filename(4)));
