@@ -115,8 +115,13 @@ class ParallelPipeline::Impl {
   void start_at(double time_s) { cutter_.start_at(time_s); }
 
   void flush() {
-    if (!cutter_.position().started) return;
-    close_interval();
+    const core::IntervalCutter::Position& clock = cutter_.position();
+    if (!clock.started) return;
+    // Close only an interval that holds records, as the serial engine does,
+    // so a restored or already flushed pipeline reports no phantom interval.
+    // A start_at-anchored interval 0 still closes: a quiet aggregation node
+    // ships its empty first interval.
+    if (clock.records != 0 || clock.index == 0) close_interval();
     // Wait for the merger to consume every closed epoch: after drain() the
     // serial stages have ingested all intervals and the merger is idle, so
     // touching serial_ from this thread is ordered (via the drain lock).

@@ -100,8 +100,9 @@ class ParallelPipeline {
   /// the stream has started.
   void start_at(double time_s);
 
-  /// Closes the interval in progress, waits for every outstanding epoch to
-  /// be merged and ingested, and flushes the serial stages. Call once at
+  /// Closes the interval in progress if it holds records (or is interval 0
+  /// anchored by start_at), waits for every outstanding epoch to be merged
+  /// and ingested, and flushes the serial stages. Call once at
   /// end of stream. Also the synchronization point for the accessors below:
   /// reports()/stats()/position()/save_state() are safe after flush() (or
   /// from inside an interval callback), not concurrently with merging.

@@ -337,6 +337,64 @@ TEST(ParallelPipeline, RestoreStateFromAnIntervalCallbackIsRefused) {
   EXPECT_EQ(pipeline.stats().records, 4u * 50u);
 }
 
+TEST(ParallelPipeline, FlushClosesNoEmptyIntervalAfterARestore) {
+  // A snapshot at the 3rd close, restored into both pipelines and flushed
+  // before any new record: like the serial engine, the sharded pipeline
+  // reports and ships nothing, since the open interval holds no record.
+  ParallelConfig parallel;
+  parallel.workers = 2;
+  std::vector<std::uint8_t> snapshot;
+  {
+    ParallelPipeline source(base_config(), parallel);
+    source.set_interval_close_callback([&](std::size_t closed) {
+      if (closed == 3) snapshot = source.save_state();
+    });
+    feed_stream(source, 4);
+  }
+  ASSERT_FALSE(snapshot.empty());
+
+  core::ChangeDetectionPipeline serial(base_config());
+  serial.restore_state(snapshot);
+  serial.flush();
+  ParallelPipeline pipeline(base_config(), parallel);
+  std::size_t shipped = 0;
+  pipeline.set_interval_batch_callback(
+      [&](std::uint64_t, const core::IntervalBatch&) { ++shipped; });
+  pipeline.restore_state(snapshot);
+  pipeline.flush();
+  EXPECT_EQ(serial.reports().size(), 0u);
+  EXPECT_EQ(pipeline.reports().size(), serial.reports().size());
+  EXPECT_EQ(shipped, 0u);
+  EXPECT_EQ(pipeline.position().interval_index,
+            serial.position().interval_index);
+
+  // A second flush of a fed stream adds no interval either.
+  ParallelPipeline fed(base_config(), parallel);
+  feed_stream(fed, 4);
+  fed.flush();
+  EXPECT_EQ(fed.reports().size(), 4u);
+}
+
+TEST(ParallelPipeline, FlushClosesAStartAtAnchoredEmptyIntervalZero) {
+  // The one empty interval flush() closes: interval 0 anchored by start_at,
+  // which a quiet aggregation node ships so the aggregator hears from it.
+  ParallelConfig parallel;
+  parallel.workers = 2;
+  ParallelPipeline pipeline(base_config(), parallel);
+  std::vector<std::uint64_t> shipped;
+  pipeline.set_interval_batch_callback(
+      [&](std::uint64_t index, const core::IntervalBatch& batch) {
+        shipped.push_back(index);
+        EXPECT_EQ(batch.records, 0u);
+      });
+  pipeline.start_at(100.0);
+  pipeline.flush();
+  ASSERT_EQ(pipeline.reports().size(), 1u);
+  EXPECT_EQ(pipeline.reports()[0].index, 0u);
+  EXPECT_EQ(pipeline.reports()[0].records, 0u);
+  EXPECT_EQ(shipped, std::vector<std::uint64_t>{0});
+}
+
 TEST(ParallelPipeline, PendingEpochsGaugeTracksTheTrailingMerger) {
   ParallelConfig parallel;
   parallel.workers = 2;
