@@ -127,12 +127,8 @@ class Aggregator::Impl {
       pending_it->second.start_s = payload.start_s;
       pending_it->second.len_s = payload.len_s;
     }
-    Part part;
-    part.registers.assign(sketch.registers().begin(),
-                          sketch.registers().end());
-    part.keys = payload.keys;
-    part.records = payload.records;
-    pending_it->second.parts.emplace(node_id, std::move(part));
+    pending_it->second.parts.emplace(
+        node_id, Part{std::move(sketch), payload.keys, payload.records});
     node.next_expected = std::max(node.next_expected, interval_index + 1);
     ++stats_.contributions;
     if (instruments_) instruments_->contributions.inc();
@@ -210,7 +206,7 @@ class Aggregator::Impl {
 
  private:
   struct Part {
-    std::vector<double> registers;
+    sketch::KarySketch sketch;
     std::vector<std::uint64_t> keys;
     std::uint64_t records = 0;
   };
@@ -229,14 +225,19 @@ class Aggregator::Impl {
     batch.start_s = pending.start_s;
     batch.len_s = pending.len_s;
     batch.high_water_s = pending.start_s + pending.len_s;
-    batch.registers.assign(config_.pipeline.h * config_.pipeline.k, 0.0);
+    // COMBINE with unit coefficients into a zero sketch, in node-id order:
+    // axpy's multiply by 1.0 is exact and never fused, so each register is
+    // the plain left-to-right sum of the contributions on every SIMD leg.
+    sketch::KarySketch sum(
+        registry_.tabulation(config_.pipeline.seed, config_.pipeline.h),
+        config_.pipeline.k);
     for (const auto& [node_id, part] : pending.parts) {
-      for (std::size_t i = 0; i < batch.registers.size(); ++i) {
-        batch.registers[i] += part.registers[i];
-      }
+      sum.add_scaled(part.sketch, 1.0);
       batch.records += part.records;
       batch.keys.insert(batch.keys.end(), part.keys.begin(), part.keys.end());
     }
+    batch.registers.resize(sum.registers().size());
+    sum.swap_registers(batch.registers);
     if (pending.parts.size() < config_.nodes.size()) {
       ++stats_.straggler_closes;
       stats_.missing_contributions +=
