@@ -77,12 +77,6 @@ CheckpointError::CheckpointError(CheckpointErrorKind kind,
                                message),
       kind_(kind) {}
 
-std::uint64_t config_fingerprint(const core::PipelineConfig& config) noexcept {
-  // The fingerprint moved to core so provenance records and flight-recorder
-  // dumps share it; this alias keeps existing checkpoint call sites working.
-  return core::config_fingerprint(config);
-}
-
 // ---------------------------------------------------------------------------
 // Real file ops
 
@@ -281,7 +275,7 @@ std::vector<std::filesystem::path> list_checkpoints(
 CheckpointWriter::CheckpointWriter(CheckpointWriterOptions options,
                                    const core::PipelineConfig& config)
     : options_(std::move(options)),
-      fingerprint_(checkpoint::config_fingerprint(config)),
+      fingerprint_(core::config_fingerprint(config)),
       ops_(options_.file_ops != nullptr ? options_.file_ops
                                         : &real_file_ops()) {
   if (options_.every < 1 || options_.keep < 1) {
@@ -426,7 +420,7 @@ RecoverResult recover_scan(const std::filesystem::path& directory,
                            Pipeline& pipeline, const Extra&... extra) {
   const core::PipelineConfig& config = pipeline.config();
   const std::uint64_t expected_fingerprint =
-      checkpoint::config_fingerprint(config);
+      core::config_fingerprint(config);
   RecoverResult result;
   CheckpointInstruments* obs =
       config.metrics ? &CheckpointInstruments::global() : nullptr;

@@ -81,14 +81,6 @@ class CheckpointError : public sketch::SerializeError {
   CheckpointErrorKind kind_;
 };
 
-/// 64-bit FNV-1a fingerprint over every state-determining PipelineConfig
-/// field — sketch geometry, seed, key/update kinds, model parameters,
-/// detection thresholds, replay and refit settings. `metrics` is excluded
-/// (observability does not alter results), as is any ParallelConfig (worker
-/// count does not change the serial-equivalent state).
-[[nodiscard]] std::uint64_t config_fingerprint(
-    const core::PipelineConfig& config) noexcept;
-
 /// The file-system primitives the writer uses, as a seam: production code
 /// uses real_file_ops(); tests substitute an ScdFaultInjector
 /// (fault_injection.h) to simulate partial writes, torn renames, and bit

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "common/bytes.h"
 #include "common/mutex.h"
 #include "common/strutil.h"
 #include "obs/metrics.h"
@@ -25,20 +24,6 @@ namespace {
 }
 
 }  // namespace
-
-void SpanContext::encode(
-    std::array<std::uint8_t, kWireBytes>& out) const noexcept {
-  common::store_le(out.data(), trace_id);
-  common::store_le(out.data() + 8, span_id);
-  common::store_le(out.data() + 16, parent_span_id);
-}
-
-SpanContext SpanContext::decode(
-    const std::array<std::uint8_t, kWireBytes>& in) noexcept {
-  return SpanContext{common::load_le<std::uint64_t>(in.data()),
-                     common::load_le<std::uint64_t>(in.data() + 8),
-                     common::load_le<std::uint64_t>(in.data() + 16)};
-}
 
 std::uint64_t trace_now_ns() noexcept {
   static const std::uint64_t anchor = steady_ns();

@@ -23,11 +23,6 @@
 //     span the same clock reading it records (obs/scoped_timer.h); TraceSpan
 //     and the macros below serve scopes that are traced but not timed.
 //
-// SpanContext is the wire-serializable trace identity (24 bytes, explicit
-// little-endian): the planned distributed aggregation tier (ROADMAP open
-// item 1) forwards it across nodes so per-interval causality survives the
-// hop; in-process tracing does not need it yet.
-//
 // Span names and categories must be string literals (or otherwise have
 // static storage duration): the ring stores the pointers, not copies.
 #pragma once
@@ -45,23 +40,6 @@
 #include "obs/metrics.h"
 
 namespace scd::obs {
-
-/// Wire-serializable trace identity for one span: which trace it belongs to,
-/// its own id, and its parent's id (0 = root). Encoded little-endian so a
-/// context produced on one host parses identically on any other.
-struct SpanContext {
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_span_id = 0;
-
-  static constexpr std::size_t kWireBytes = 24;
-
-  void encode(std::array<std::uint8_t, kWireBytes>& out) const noexcept;
-  [[nodiscard]] static SpanContext decode(
-      const std::array<std::uint8_t, kWireBytes>& in) noexcept;
-
-  [[nodiscard]] bool operator==(const SpanContext&) const noexcept = default;
-};
 
 /// One recorded event. `start_ns`/`dur_ns` are nanoseconds on the process
 /// monotonic clock (trace_now_ns); `arg` is a free-form per-span payload
@@ -174,12 +152,6 @@ class TraceController {
   /// a registry was supplied) syncs the scd_trace_* metrics by delta.
   [[nodiscard]] Snapshot snapshot() SCD_EXCLUDES(mutex_);
 
-  /// Fresh process-unique trace id (never 0) for SpanContext propagation.
-  [[nodiscard]] std::uint64_t new_trace_id() noexcept {
-    // mo: uniqueness needs only the atomic increment, not ordering.
-    return next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
  private:
   struct TraceInstruments {
     Counter& spans;
@@ -188,7 +160,6 @@ class TraceController {
   };
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> next_trace_id_{1};
   const std::uint64_t epoch_;  // invalidates thread-local ring caches
   MetricsRegistry* registry_;
 

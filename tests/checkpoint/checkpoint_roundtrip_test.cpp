@@ -113,19 +113,19 @@ TEST(CheckpointWriterTest, RetentionKeepsNewest) {
 
 TEST(ConfigFingerprint, SensitiveToStateAffectingFields) {
   const core::PipelineConfig base = small_config();
-  const std::uint64_t fp = checkpoint::config_fingerprint(base);
+  const std::uint64_t fp = core::config_fingerprint(base);
   core::PipelineConfig changed = base;
   changed.threshold = 0.06;
-  EXPECT_NE(checkpoint::config_fingerprint(changed), fp);
+  EXPECT_NE(core::config_fingerprint(changed), fp);
   changed = base;
   changed.k = 128;
-  EXPECT_NE(checkpoint::config_fingerprint(changed), fp);
+  EXPECT_NE(core::config_fingerprint(changed), fp);
   changed = base;
   changed.model.alpha = 0.25;
-  EXPECT_NE(checkpoint::config_fingerprint(changed), fp);
+  EXPECT_NE(core::config_fingerprint(changed), fp);
   changed = base;
   changed.seed = 99;
-  EXPECT_NE(checkpoint::config_fingerprint(changed), fp);
+  EXPECT_NE(core::config_fingerprint(changed), fp);
 }
 
 TEST(ConfigFingerprint, IgnoresMetricsFlag) {
@@ -133,7 +133,7 @@ TEST(ConfigFingerprint, IgnoresMetricsFlag) {
   core::PipelineConfig b = small_config();
   a.metrics = false;
   b.metrics = true;
-  EXPECT_EQ(checkpoint::config_fingerprint(a), checkpoint::config_fingerprint(b));
+  EXPECT_EQ(core::config_fingerprint(a), core::config_fingerprint(b));
 }
 
 TEST(SaveState, ThrowsMidInterval) {

@@ -17,18 +17,6 @@
 namespace scd::obs {
 namespace {
 
-TEST(SpanContext, WireRoundTripIsExact) {
-  const SpanContext context{0x0123456789abcdefULL, 0xfedcba9876543210ULL,
-                            0x00ff00ff00ff00ffULL};
-  std::array<std::uint8_t, SpanContext::kWireBytes> wire{};
-  context.encode(wire);
-  EXPECT_EQ(SpanContext::decode(wire), context);
-  // Explicit little-endian layout: byte 0 is the low byte of trace_id.
-  EXPECT_EQ(wire[0], 0xef);
-  EXPECT_EQ(wire[7], 0x01);
-  EXPECT_EQ(wire[8], 0x10);
-}
-
 TEST(TraceRing, RetainsEmittedEventsInOrder) {
   TraceRing ring(16, 3);
   for (std::uint64_t i = 0; i < 10; ++i) {
