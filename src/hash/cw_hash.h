@@ -37,12 +37,13 @@ class CwHashFamily {
                                      std::uint64_t key) const noexcept {
     const Coeffs& c = coeffs_[row];
     const std::uint64_t x = reduce61(key);
-    // Horner: ((a3*x + a2)*x + a1)*x + a0
-    std::uint64_t acc = c.a3;
-    acc = add_mod61(mul_mod61(acc, x), c.a2);
-    acc = add_mod61(mul_mod61(acc, x), c.a1);
-    acc = add_mod61(mul_mod61(acc, x), c.a0);
-    return acc;
+    // Horner, ((a3*x + a2)*x + a1)*x + a0, with lazy reduction: with every
+    // coefficient below 2^61 the partial sums stay below 3, 5 and 7 * 2^61,
+    // and one reduce61 at the end yields the canonical value.
+    std::uint64_t acc = mul_add_lazy61(c.a3, x, c.a2);
+    acc = mul_add_lazy61(acc, x, c.a1);
+    acc = mul_add_lazy61(acc, x, c.a0);
+    return reduce61(acc);
   }
 
   [[nodiscard]] std::size_t rows() const noexcept { return coeffs_.size(); }

@@ -16,23 +16,16 @@ inline constexpr std::uint64_t kMersenne61 = (1ULL << 61) - 1;
   return x;
 }
 
-/// (a + b) mod p for a, b < p.
-[[nodiscard]] constexpr std::uint64_t add_mod61(std::uint64_t a,
-                                                std::uint64_t b) noexcept {
-  std::uint64_t s = a + b;  // < 2^62, no overflow
-  if (s >= kMersenne61) s -= kMersenne61;
-  return s;
-}
-
-/// (a * b) mod p for a, b < p, via 128-bit intermediate.
-[[nodiscard]] constexpr std::uint64_t mul_mod61(std::uint64_t a,
-                                                std::uint64_t b) noexcept {
-  const unsigned __int128 z = static_cast<unsigned __int128>(a) * b;
-  const auto lo = static_cast<std::uint64_t>(z & kMersenne61);
-  const auto hi = static_cast<std::uint64_t>(z >> 61);
-  // lo < 2^61, hi < 2^67/2^61... hi < 2^61 as well since a,b < 2^61 implies
-  // z < 2^122 so hi < 2^61. Their sum fits in 64 bits.
-  return add_mod61(lo, reduce61(hi));
+/// a * x + b, reduced only partly: congruent to it mod p, and below
+/// 2^61 + a + b for x < p (the part of a * x above bit 61 is below a).
+/// Horner steps chain it while that bound stays under 2^64; reduce61 then
+/// gives the canonical value. No conditional subtract sits on the chain.
+[[nodiscard]] constexpr std::uint64_t mul_add_lazy61(std::uint64_t a,
+                                                     std::uint64_t x,
+                                                     std::uint64_t b) noexcept {
+  const unsigned __int128 z = static_cast<unsigned __int128>(a) * x;
+  return (static_cast<std::uint64_t>(z) & kMersenne61) +
+         static_cast<std::uint64_t>(z >> 61) + b;
 }
 
 }  // namespace scd::hash
