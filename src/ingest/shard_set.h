@@ -511,6 +511,7 @@ class ShardSet final : public ShardSetBase {
                              "ingest", msg->records.size());
       // Batched UPDATE (docs/PERFORMANCE.md): hash-batch + per-row sweep,
       // bit-identical to per-record update() on this shard's subsequence.
+      // The MV sketch runs the same sweep and votes each cell it adds to.
       sketch.update_batch(msg->records);
       if constexpr (!kRecovers) {
         for (const Record& r : msg->records) keys.insert(r.key);
