@@ -3,7 +3,9 @@
 // on hosts (or under SCD_SIMD=scalar) where AVX2 is unavailable.
 //
 // Do not include this header outside src/simd and the test tree: callers go
-// through simd/kernels.h (scd_lint `simd-isolation`). The loops are written
+// through simd/kernels.h (scd_lint `simd-isolation`). The one waived
+// includer is sketch/mv_sketch.h, whose UPDATE votes with mv_vote_cell, a
+// single cell's rule with no ISA to dispatch. The loops are written
 // one-element-at-a-time on purpose — sequential order IS the reference
 // semantics the reductions are specified against.
 #pragma once
