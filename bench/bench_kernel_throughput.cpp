@@ -75,8 +75,7 @@ struct Backend {
   double (*sum_squares)(const double*, std::size_t) noexcept;
   double (*hsum)(const double*, std::size_t) noexcept;
   void (*mv_fold)(const scd::simd::MvCells&, const scd::simd::MvConstCells&,
-                  std::size_t, double, bool,
-                  const scd::simd::MvCells*) noexcept;
+                  std::size_t, double) noexcept;
 };
 
 volatile double g_sink = 0.0;
@@ -159,8 +158,8 @@ std::vector<KernelResult> bench_kernels(const Backend& backend, bool quick) {
   return out;
 }
 
-/// mv_fold in add_scaled's form (no clear, no drain): reads both sides'
-/// counters, candidates and votes and writes dst's — 72 bytes a cell.
+/// mv_fold as add_scaled runs it: reads both sides' counters, candidates
+/// and votes and writes dst's — 72 bytes a cell.
 /// Candidates come from 16 keys, so every vote outcome occurs; c alternates
 /// +-0.5 to keep the counters bounded. Run after bench_kernels, so the
 /// earlier rows see the heap they always saw.
@@ -191,8 +190,7 @@ std::vector<KernelResult> bench_mv_fold(const Backend& backend, bool quick) {
                                       src_votes.data()};
     const double seconds = best_seconds(reps, [&] {
       for (std::size_t i = 0; i < iters; ++i) {
-        backend.mv_fold(dst, src, n, (i & 1) != 0 ? -0.5 : 0.5, false,
-                        nullptr);
+        backend.mv_fold(dst, src, n, (i & 1) != 0 ? -0.5 : 0.5);
       }
     });
     const double gbs = 72.0 * static_cast<double>(n) *

@@ -1,11 +1,11 @@
 // Parallel ingestion: the sharded multi-threaded front-end over the same
 // detection pipeline as examples/quickstart.cpp.
 //
-// W worker threads each maintain a private k-ary sketch over their share of
-// the stream (records are routed by key); at every interval boundary the
-// shard sketches are COMBINE-merged — exactly, thanks to sketch linearity —
-// and the merged interval flows through the ordinary forecast/detect stages.
-// The alarm output is the same as the single-threaded pipeline's; only the
+// W worker threads each own a contiguous range of the sketch's H hash rows
+// and apply every record to those rows of one shared table; at every
+// interval boundary that table — the serial pipeline's, bit for bit, since
+// the rows are independent — flows through the ordinary forecast/detect
+// stages. The reports are the single-threaded pipeline's; only the
 // per-record UPDATE work is spread across cores. Build & run:
 //
 //   cmake -B build -G Ninja && cmake --build build
@@ -72,15 +72,16 @@ int main(int argc, char** argv) {
   config.model.alpha = 0.5;
   config.threshold = 0.1;
 
-  // 2. The parallel front-end: 4 shard workers, bounded queues (a full
+  // 2. The parallel front-end: 4 row workers, bounded queues (a full
   //    queue blocks the producer — backpressure, never dropped records).
   ingest::ParallelConfig parallel;
   parallel.workers = 4;
-  parallel.queue_capacity = 1 << 16;  // records per shard queue
+  parallel.queue_capacity = 1 << 16;  // records per worker queue
   parallel.batch_size = 512;          // records handed off per queue push
 
-  // Tracing must be live before the shard workers run: the spans of interest
-  // (ingest_dequeue, shard_update_batch, barrier_combine) are theirs.
+  // Tracing must be live before the row workers run: the spans of interest
+  // are theirs (ingest_dequeue, shard_update_batch) and the producer's
+  // (interval_close_barrier).
   if (!trace_out.empty() || !flightrec_dir.empty()) {
     obs::TraceController::global().set_enabled(true);
   }
@@ -182,11 +183,11 @@ int main(int argc, char** argv) {
     total_alarms += report.alarms.size();
   }
   const auto stats = pipeline.parallel_stats();
-  std::printf("\n%zu intervals, %zu alarms, %llu records through %zu shards\n",
+  std::printf("\n%zu intervals, %zu alarms, %llu records through %zu workers\n",
               pipeline.reports().size(), total_alarms,
               static_cast<unsigned long long>(stats.records),
               parallel.workers);
-  std::printf("barrier merges: %zu   backpressure waits: %llu\n",
+  std::printf("interval closes: %zu   backpressure waits: %llu\n",
               stats.barriers,
               static_cast<unsigned long long>(stats.backpressure_waits));
 

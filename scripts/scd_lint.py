@@ -210,18 +210,29 @@ ANNOTATION_CONTRACT = {
          "closed_ must be declared SCD_GUARDED_BY(mutex_)"),
     ],
     "src/ingest/shard_set.h": [
+        # The epoch ledger, the merge error and the epoch-table ring share
+        # the set's one lock; workers reach a ring slot only through the
+        # locked helpers.
         ("closes_",
          r"\bcloses_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
          "closes_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
         ("merge_error_",
          r"\bmerge_error_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
          "merge_error_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
-        ("pool_", r"\bpool_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
-         "pool_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
-        ("publish_handoff_locked",
-         r"\bpublish_handoff_locked\s*\([^;{]*?"
+        ("ring_", r"\bring_\s+SCD_GUARDED_BY\(epoch_mutex_\)",
+         "ring_ must be declared SCD_GUARDED_BY(epoch_mutex_)"),
+        ("epoch_table_locked",
+         r"\bepoch_table_locked\s*\([^;{]*?"
          r"SCD_REQUIRES\(epoch_mutex_\)",
-         "publish_handoff_locked must declare SCD_REQUIRES(epoch_mutex_)"),
+         "epoch_table_locked must declare SCD_REQUIRES(epoch_mutex_)"),
+        ("finish_epoch_locked",
+         r"\bfinish_epoch_locked\s*\([^;{]*?"
+         r"SCD_REQUIRES\(epoch_mutex_\)",
+         "finish_epoch_locked must declare SCD_REQUIRES(epoch_mutex_)"),
+        ("epoch_ready_locked",
+         r"\bepoch_ready_locked\s*\([^;{]*?"
+         r"SCD_REQUIRES\(epoch_mutex_\)",
+         "epoch_ready_locked must declare SCD_REQUIRES(epoch_mutex_)"),
         ("take_epoch_locked",
          r"\btake_epoch_locked\s*\([^;{]*?"
          r"SCD_REQUIRES\(epoch_mutex_\)",

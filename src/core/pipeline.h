@@ -133,8 +133,8 @@ using StageTimings = obs::StageTimings;
 using PipelineStats = obs::PipelineStats;
 
 /// One pre-aggregated interval produced by an external ingestion front-end
-/// (src/ingest): the COMBINE-merged register table of the observed sketch,
-/// the distinct keys seen, and the record count. The registers must come
+/// (src/ingest): the register table of the observed sketch, the distinct
+/// keys seen, and the record count. The registers must come
 /// from sketches built with the pipeline's (seed, h, k) — the same hash
 /// family parameters — or every downstream ESTIMATE is garbage.
 ///
@@ -143,18 +143,18 @@ using PipelineStats = obs::PipelineStats;
 /// an invertible (kInvertible) pipeline, `mv_candidates` and `mv_votes` —
 /// hold the pipeline's previous tables: all zeros, same h x k shape. The
 /// other fields keep their values. A rejected batch (the call throws) is
-/// left untouched. The sharded front end hands these zeroed tables back to
-/// its shard pool (ShardSetBase::recycle), so in steady state no h x k
-/// table is allocated or copied per interval.
+/// left untouched. The sharded front end puts these zeroed tables back into
+/// its epoch-table ring, so in steady state no h x k table is allocated or
+/// copied per interval.
 struct IntervalBatch {
   double start_s = 0.0;
   double len_s = 0.0;
   std::uint64_t records = 0;
   /// Row-major h x k register table.
   std::vector<double> registers;
-  std::vector<std::uint64_t> keys;  // distinct keys (shard-concatenated)
-  /// kInvertible only: the merged sketch's per-bucket majority-vote state
-  /// (h x k each). Empty in every other mode.
+  std::vector<std::uint64_t> keys;  // distinct keys, in no fixed order
+  /// kInvertible only: the sketch's per-bucket majority-vote state (h x k
+  /// each). Empty in every other mode.
   std::vector<std::uint64_t> mv_candidates;
   std::vector<double> mv_votes;
   /// The front end's stream clock at the close: the late records it binned
@@ -235,7 +235,7 @@ class ChangeDetectionPipeline {
   /// add_record.
   void add(std::uint64_t key, double update, double time_s);
 
-  /// Feeds one pre-aggregated interval (a sharded front-end's COMBINE merge,
+  /// Feeds one pre-aggregated interval (a sharded front end's epoch table,
   /// see src/ingest) and closes it immediately: the forecast/detect stages
   /// run exactly as if the batch's records had been add()ed one by one.
   /// The tables are adopted by swap; see IntervalBatch for what the batch

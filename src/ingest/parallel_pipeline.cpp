@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "core/interval_cutter.h"
 #include "core/pipeline.h"
 #include "core/sketch_binding.h"
@@ -59,8 +58,10 @@ void ParallelConfig::validate(const core::PipelineConfig& pipeline) const {
   }
   if (pipeline.key_sample_rate < 1.0) {
     throw std::invalid_argument(
-        "ParallelConfig: key_sample_rate < 1 would make shard key buffers "
-        "depend on record arrival order; sample keys in the caller instead");
+        "ParallelConfig: key_sample_rate < 1 is not supported by sharded "
+        "ingestion (the serial engine draws the key sample as records "
+        "arrive, which the front end's workers bypass); sample keys in the "
+        "caller instead");
   }
 }
 
@@ -73,13 +74,15 @@ class ParallelPipeline::Impl {
         cutter_(config_, out_of_order_metric(config_)) {
     parallel_.validate(config_);
     if (config_.metrics) {
-      instruments_ = std::make_unique<IngestInstruments>(IngestInstruments::
-          create(obs::MetricsRegistry::global(), parallel_.workers));
+      instruments_ = std::make_unique<IngestInstruments>(
+          IngestInstruments::create(
+              obs::MetricsRegistry::global(),
+              row_worker_count(parallel_.workers, config_.h)));
     }
     const std::size_t queue_chunks = std::max<std::size_t>(
         1, parallel_.queue_capacity / parallel_.batch_size);
-    // The workers accumulate the sketch type the serial engine consumes;
-    // the merger delivers every closed interval, in order, to handle_merged
+    // The workers fill the sketch type the serial engine consumes; the
+    // merger delivers every closed interval, in order, to handle_merged
     // (docs/PERFORMANCE.md).
     core::with_sketch_type(
         config_.recovery, config_.key_kind, [&]<typename SketchT>() {
@@ -88,12 +91,11 @@ class ParallelPipeline::Impl {
               queue_chunks, instruments_.get(),
               parallel_.max_pending_intervals,
               [this](const ShardSetBase::Close& close,
-                     core::IntervalBatch&& batch) {
-                handle_merged(close, std::move(batch));
+                     core::IntervalBatch& batch) {
+                handle_merged(close, batch);
               });
         });
-    pending_.resize(parallel_.workers);
-    for (Chunk& chunk : pending_) chunk.reserve(parallel_.batch_size);
+    pending_.reserve(parallel_.batch_size);
   }
 
   ~Impl() { shards_->stop(); }
@@ -104,11 +106,8 @@ class ParallelPipeline::Impl {
           "ParallelPipeline: update must be finite");
     }
     cutter_.place(time_s, [this] { close_interval(); });
-    Chunk& chunk = pending_[shard_of(key)];
-    chunk.push_back({key, update});
-    if (chunk.size() >= parallel_.batch_size) {
-      flush_chunk(shard_of(key));
-    }
+    pending_.push_back({key, update});
+    if (pending_.size() >= parallel_.batch_size) flush_chunk();
     ++records_;
   }
 
@@ -122,7 +121,7 @@ class ParallelPipeline::Impl {
     // A start_at-anchored interval 0 still closes: a quiet aggregation node
     // ships its empty first interval.
     if (clock.records != 0 || clock.index == 0) close_interval();
-    // Wait for the merger to consume every closed epoch: after drain() the
+    // Wait for the merger to deliver every closed epoch: after drain() the
     // serial stages have ingested all intervals and the merger is idle, so
     // touching serial_ from this thread is ordered (via the drain lock).
     shards_->drain();
@@ -182,40 +181,34 @@ class ParallelPipeline::Impl {
   std::unique_ptr<ShardSetBase> shards_;
 
  private:
-  [[nodiscard]] std::size_t shard_of(std::uint64_t key) const noexcept {
-    // Fixed key->shard routing: deterministic shard contents regardless of
-    // thread scheduling, and disjoint per-shard key buffers.
-    return static_cast<std::size_t>(common::mix64(key) % parallel_.workers);
-  }
-
-  void flush_chunk(std::size_t shard) {
-    if (pending_[shard].empty()) return;
-    shards_->submit(shard, std::move(pending_[shard]));
-    pending_[shard] = Chunk{};
-    pending_[shard].reserve(parallel_.batch_size);
+  void flush_chunk() {
+    if (pending_.empty()) return;
+    shards_->submit(std::move(pending_));
+    pending_ = Chunk{};
+    pending_.reserve(parallel_.batch_size);
   }
 
   void close_interval() {
-    // The span covers only the epoch stamp, not the merge: a wide
-    // "interval_close_barrier" next to a short "barrier_combine" reads as
-    // producer-side backpressure (max_pending_intervals reached).
+    // The span covers only the epoch stamp, not the delivery: a wide
+    // "interval_close_barrier" next to short "ingest_interval" spans reads
+    // as producer-side backpressure (max_pending_intervals reached).
     SCD_TRACE_SPAN("interval_close_barrier", "ingest");
-    for (std::size_t i = 0; i < pending_.size(); ++i) flush_chunk(i);
+    flush_chunk();
     // The close rides the epoch: the merger hands this position back with
-    // the merged batch. May block on max_pending_intervals; rethrows a
-    // pending merge failure. The cutter's index survives
+    // the epoch's batch. May block on max_pending_intervals; rethrows a
+    // pending delivery failure. The cutter's index survives
     // save_state/restore_state, so a restored node keeps numbering where
     // the snapshot left off.
     shards_->close_epoch(cutter_.position());
     cutter_.next();
   }
 
-  /// Merger-thread consumer of one merged epoch and the close it rode on.
+  /// Merger-thread consumer of one epoch's batch and the close it rode on.
   /// Runs the aggregation-tier ordering contract sequentially: ship
   /// (interval-batch tap) → serial ingest → checkpoint (interval-close
   /// callback) — docs/DISTRIBUTED.md.
   void handle_merged(const ShardSetBase::Close& close,
-                     core::IntervalBatch&& batch) {
+                     core::IntervalBatch& batch) {
     batch.start_s = close.start_s;
     batch.len_s = close.len_s;
     batch.high_water_s = close.high_water_s;
@@ -227,11 +220,9 @@ class ParallelPipeline::Impl {
     // while it is still intact, and ship-then-ingest-then-checkpoint is the
     // ordering the rejoin protocol relies on (docs/DISTRIBUTED.md).
     if (on_interval_batch_) on_interval_batch_(close.index, batch);
-    // The engine adopts the merged tables and leaves its zeroed ones in
-    // the batch; they go back to the shards for the next merge.
+    // The engine adopts the epoch's tables and leaves its zeroed ones in
+    // the batch; they go back into the workers' table ring.
     serial_.ingest_interval(std::move(batch));
-    // NOLINTNEXTLINE(bugprone-use-after-move): swapped, not moved from.
-    shards_->recycle(std::move(batch));
     // Fires with this interval fully ingested: save_state() from the
     // callback captures serial-equivalent state for the closed interval.
     if (on_interval_close_) {
@@ -240,12 +231,12 @@ class ParallelPipeline::Impl {
   }
 
   /// save_state's boundary rule off the merger thread: no closed interval
-  /// still merging and no record accepted since the last close.
+  /// still in flight and no record accepted since the last close.
   void require_boundary(const char* caller) const {
     if (shards_->pending_epochs() != 0) {
       throw std::logic_error(
           std::string(caller) +
-          ": closed intervals are still being merged; call it from the "
+          ": closed intervals are still in flight; call it from the "
           "interval-close callback or after flush()");
     }
     if (cutter_.position().records != 0) {
@@ -257,7 +248,7 @@ class ParallelPipeline::Impl {
   }
 
   core::IntervalCutter cutter_;  // producer-side stream clock
-  std::vector<Chunk> pending_;   // per-shard producer-side batches
+  Chunk pending_;                // the producer-side chunk being filled
   std::uint64_t records_ = 0;    // records accepted by add()
   std::function<void(std::size_t)> on_interval_close_;
   std::function<void(std::uint64_t, const core::IntervalBatch&)>

@@ -1,32 +1,30 @@
-// ParallelPipeline — sharded multi-threaded ingestion in front of the
-// unchanged forecast/detect stages (docs/PARALLEL_INGEST.md).
+// ParallelPipeline — multi-threaded ingestion in front of the unchanged
+// forecast/detect stages (docs/PARALLEL_INGEST.md).
 //
-// The paper's COMBINE operation (§3.1) makes the observed sketch S_o(t)
-// shardable: W workers update private sketches drawn from one shared hash
-// family, and at each interval boundary the per-shard sketches are merged
-// with an exact linear combination. The serial ChangeDetectionPipeline then
-// consumes the merged interval via ingest_interval(), so forecasting,
-// thresholding, key replay, hysteresis and online re-fitting all run
-// unmodified — the parallel front-end only parallelizes UPDATE, the per-
-// record hot path that dominates at line rate.
+// The paper's H hash rows are independent (§3.1), so the observed sketch
+// S_o(t) shards by row: W row workers each own a contiguous range of the
+// rows of one shared table and apply every record to those rows, in stream
+// order. No worker keeps a sketch of its own and nothing is combined; the
+// serial ChangeDetectionPipeline consumes each interval's table via
+// ingest_interval(), so forecasting, thresholding, key replay, hysteresis
+// and online re-fitting all run unmodified — the front end parallelizes
+// UPDATE, the per-record hot path that dominates at line rate.
 //
 // Interval close is asynchronous (docs/PERFORMANCE.md): closing an interval
-// stamps an epoch token through the shard queues and returns; workers
-// publish their finished sketches and immediately start the next epoch on a
-// pooled sketch, and a dedicated merger thread COMBINE-merges each epoch
-// and drives the serial stages — so the producer and the workers never
-// stall on the merge. All interval-granularity callbacks (report, alarm
-// provenance, interval batch, interval close) therefore run on the merger
-// thread, strictly in interval order, never concurrently with each other.
-// At most ParallelConfig::max_pending_intervals closed intervals may be
-// outstanding before the producer blocks (bounded memory).
+// stamps an epoch token through the worker queues and returns; workers
+// finish the epoch's rows and move on to the next epoch's table, and a
+// dedicated merger thread hands each finished table to the serial stages —
+// so the producer and the workers never stall on the close. All
+// interval-granularity callbacks (report, alarm provenance, interval batch,
+// interval close) therefore run on the merger thread, strictly in interval
+// order, never concurrently with each other. At most
+// ParallelConfig::max_pending_intervals closed intervals may be outstanding
+// before the producer blocks (bounded memory).
 //
-// Determinism: records are routed to shards by key, each shard queue is
-// FIFO with a single producer, the merge folds shards in index order, and
-// epochs are merged in order. On the same input the alarm set
-// (interval, key) equals the serial pipeline's; register values agree up to
-// floating-point addition order within each register (bit-exact when
-// updates are integer-valued).
+// Determinism: every register, candidate and vote receives the serial
+// pipeline's updates in the serial order, so for any finite updates the
+// reports and save_state() bytes equal the serial pipeline's bit for bit,
+// at every worker count.
 #pragma once
 
 #include <cstdint>
@@ -40,27 +38,30 @@
 namespace scd::ingest {
 
 struct ParallelConfig {
-  /// Shard workers. One queue, one private sketch and one key buffer each.
-  /// More workers than physical cores just adds merge and memory cost.
+  /// Row workers. Each owns one queue and a contiguous range of the H hash
+  /// rows (sizes differ by at most one); a value above H runs H workers.
+  /// More workers than physical cores just adds hashing and memory traffic.
   std::size_t workers = 4;
-  /// Per-shard queue capacity in RECORDS. Full queue = producer blocks
-  /// (backpressure, never drop).
+  /// Per-worker queue capacity in RECORDS; a chunk is shared by all the
+  /// queues, not copied. Full queue = producer blocks (backpressure, never
+  /// drop).
   std::size_t queue_capacity = 1 << 16;
   /// Records per producer-side chunk. The queue lock is taken once per
   /// chunk, so the per-record overhead is ~lock_cost / batch_size.
   std::size_t batch_size = 512;
-  /// Upper bound on intervals that are closed but not yet merged and
+  /// Upper bound on intervals that are closed but not yet delivered and
   /// ingested. Closing one more blocks the producer until the merger
-  /// catches up — the backpressure that bounds pooled-sketch memory at
-  /// (max_pending_intervals + 1) sketch sets. 1 ≈ the old synchronous
-  /// barrier; 2 (default) double-buffers a full interval of merge latency.
+  /// catches up — the backpressure that bounds the front end's tables at
+  /// (max_pending_intervals + 2) sketch tables: the epoch ring and the one
+  /// being delivered. 1 ≈ a synchronous barrier; 2 (default)
+  /// double-buffers a full interval of delivery latency.
   std::size_t max_pending_intervals = 2;
 
   /// Throws std::invalid_argument when out of range or when the pipeline
   /// config asks for what the sharded front end does not support:
   /// randomize_intervals (the producer's interval-length generator is in no
   /// snapshot, so a restore could not resume the cut) and
-  /// key_sample_rate < 1 (shard key buffers would depend on arrival order).
+  /// key_sample_rate < 1 (the engine draws the key sample per record).
   void validate(const core::PipelineConfig& pipeline) const;
 };
 
@@ -69,8 +70,8 @@ struct ParallelStats {
   std::uint64_t records = 0;             // records accepted by add()
   std::uint64_t out_of_order_records = 0;
   std::uint64_t backpressure_waits = 0;  // chunk pushes that blocked
-  std::size_t barriers = 0;              // interval-close merges
-  /// Records lost because shutdown closed a shard queue while a push was
+  std::size_t barriers = 0;              // intervals closed
+  /// Records lost because shutdown closed a worker queue while a push was
   /// blocked on capacity. Zero in any run that flush()es before destruction.
   std::uint64_t shutdown_dropped_records = 0;
 };
@@ -86,7 +87,7 @@ class ParallelPipeline {
   ParallelPipeline& operator=(ParallelPipeline&&) noexcept;
 
   /// Same contract as ChangeDetectionPipeline::add — including the
-  /// out-of-order clamp — but the sketch UPDATE happens on a shard worker.
+  /// out-of-order clamp — but the sketch UPDATE happens on the row workers.
   void add(std::uint64_t key, double update, double time_s);
   void add_record(const traffic::FlowRecord& record);
 
@@ -101,18 +102,18 @@ class ParallelPipeline {
   void start_at(double time_s);
 
   /// Closes the interval in progress if it holds records (or is interval 0
-  /// anchored by start_at), waits for every outstanding epoch to be merged
-  /// and ingested, and flushes the serial stages. Call once at
+  /// anchored by start_at), waits for every outstanding epoch to be
+  /// delivered and ingested, and flushes the serial stages. Call once at
   /// end of stream. Also the synchronization point for the accessors below:
   /// reports()/stats()/position()/save_state() are safe after flush() (or
-  /// from inside an interval callback), not concurrently with merging.
+  /// from inside an interval callback), not concurrently with delivery.
   void flush();
 
-  /// Blocks until every interval closed so far has been merged, ingested,
+  /// Blocks until every interval closed so far has been delivered, ingested,
   /// and had its callbacks run, WITHOUT closing the open interval. After
   /// drain() the merger is idle, so replacing or detaching callbacks is
   /// safe; Shipper and CheckpointWriter drain-and-detach automatically in
-  /// their destructors. Rethrows a pending merge/callback failure.
+  /// their destructors. Rethrows a pending delivery/callback failure.
   void drain();
 
   [[nodiscard]] const std::vector<core::IntervalReport>& reports()
@@ -122,12 +123,12 @@ class ParallelPipeline {
 
   /// Forwards to the serial engine's alarm-provenance hook: one record per
   /// alarm with the full evidence chain (see core pipeline docs). Runs on
-  /// the merger thread while the interval's merge is consumed.
+  /// the merger thread while the interval's batch is consumed.
   void set_alarm_provenance_callback(
       std::function<void(const detect::AlarmProvenance&)> callback);
 
   /// Invoked for every closed interval with the 0-based interval index and
-  /// the COMBINE-merged batch (registers, distinct keys, record count),
+  /// its batch (registers, distinct keys, record count, votes),
   /// BEFORE the serial stages consume it. This is the export tap of the
   /// aggregation tier: a node-side shipper serializes the batch and ships
   /// it, and because shipping completes before the serial ingest and the
@@ -139,7 +140,7 @@ class ParallelPipeline {
   void set_interval_batch_callback(
       std::function<void(std::uint64_t, const core::IntervalBatch&)> callback);
 
-  /// Invoked once per closed interval, after the merged batch has been
+  /// Invoked once per closed interval, after the interval's batch has been
   /// ingested by the serial stages — the point where the pipeline state
   /// visible to save_state() is serial-equivalent for that interval.
   /// Checkpointing layers hook here; the argument is the number of
@@ -151,12 +152,12 @@ class ParallelPipeline {
   /// The serial engine's own snapshot (ChangeDetectionPipeline::
   /// save_state): the engine holds the stream clock, the late-record count
   /// and the high-water mark, because every close hands them over with the
-  /// merged batch. Only legal at an interval boundary: from the
+  /// interval's batch. Only legal at an interval boundary: from the
   /// interval-close callback (where it captures exactly the just-ingested
   /// interval, even though the producer may already be filling later
   /// epochs), after flush(), or before the first record. Throws
   /// std::logic_error when records have been accepted since the last close
-  /// or closed intervals are still being merged. Worker count and queue
+  /// or closed intervals are still in flight. Worker count and queue
   /// sizing are NOT part of the state, so a snapshot restores into a
   /// ParallelPipeline with any ParallelConfig or into a
   /// ChangeDetectionPipeline of the same PipelineConfig, and either's
@@ -172,7 +173,7 @@ class ParallelPipeline {
   /// after; throws sketch::SerializeError on malformed input or config
   /// mismatch. Applies save_state()'s boundary rule before it touches any
   /// state: throws std::logic_error when records have been accepted since
-  /// the last close or closed intervals are still being merged (restoring
+  /// the last close or closed intervals are still in flight (restoring
   /// under a running merger would pair its in-flight intervals with the
   /// restored clock), and when called from an interval callback.
   void restore_state(const std::vector<std::uint8_t>& bytes);

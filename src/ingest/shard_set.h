@@ -1,49 +1,50 @@
-// Shard workers for parallel ingestion (docs/PARALLEL_INGEST.md).
+// Row workers for parallel ingestion (docs/PARALLEL_INGEST.md).
 //
-// W workers each own a private k-ary sketch drawn from ONE shared hash
-// family — the precondition for COMBINE (§3.1): linear combination is only
-// meaningful between sketches with identical hash functions. Records are
-// routed to a fixed shard by key, so
-//   * each shard's registers accumulate a deterministic subsequence of the
-//     stream (single producer per queue, FIFO), and
-//   * the per-shard distinct-key buffers are disjoint — concatenating them
-//     at the epoch boundary reproduces the serial pipeline's key set exactly.
+// The paper's H rows are independent hash functions (§3.1), and a register
+// — like the invertible sketch's candidate and vote — depends only on the
+// updates that hash into it, in record order. So the front end shards the
+// sketch by ROW: worker w owns a contiguous range of rows of the epoch's one
+// table and applies every record of the stream to those rows with the row
+// sweep (BasicKarySketch::update_rows), in stream order. The workers write
+// disjoint cells of one shared table and nothing is merged: every register
+// receives exactly the serial pipeline's additions in the serial order, so
+// an epoch's table is the serial table bit for bit, votes included, for any
+// finite updates. W workers split the H rows into contiguous ranges whose
+// sizes differ by at most one (H=5: 3/2 at W=2, 2/1/1/1 at W=4); a W above
+// H runs H workers.
 //
-// Interval close is epoch-based and asynchronous (docs/PERFORMANCE.md): the
-// producer records the close on the epoch ledger, stamps one barrier token
-// per queue after the interval's records and returns immediately; each
-// worker, on seeing the token, publishes its finished sketch and key buffer
-// and starts the next epoch on a zeroed sketch drawn from the recycle pool.
-// A dedicated merger thread waits until all W shards have published the
-// oldest epoch, folds shards 1..W-1 into shard 0's tables in shard order
-// (COMBINE, §3.1, in place), moves the folded tables into the IntervalBatch
-// and hands it back to the owner together with the close it recorded —
-// epochs are merged and delivered strictly in order, off the ingest hot
-// path. Workers therefore never stall at an interval boundary; the only
-// producer-side wait is the max_outstanding backpressure cap. Sketch
-// linearity makes the merge exact — the merged table equals the serial
-// pipeline's table up to floating-point addition order within each
-// register, and the fixed shard order keeps it bit-identical run to run.
-// There is one merge path: tests and the pipeline both close with
-// close_epoch() and wait with drain().
+// The producer broadcasts each chunk, shared and not copied, to every
+// worker's queue. Interval close is epoch-based and asynchronous: the
+// producer records the close on the epoch ledger and stamps one barrier
+// token per queue after the interval's chunks; each worker, on its token,
+// marks the epoch done and moves on to the next epoch's table. Once every
+// worker is done with the oldest epoch, the merger thread hands its table
+// to the owner with the close it recorded — epochs are delivered strictly
+// in order, off the ingest hot path. Workers never stall at an interval
+// boundary; the only producer-side wait is the max_outstanding
+// backpressure cap. In replay mode the worker with the fewest rows also
+// collects the epoch's distinct keys.
 //
-// Tables circulate; none is copied (docs/PERFORMANCE.md). The engine adopts
-// the batch's tables by swap and leaves its own zeroed ones in the batch;
-// recycle() takes those back, and the next merge swaps them into shard 0's
-// sketch, which rejoins the pool already zeroed. The merger zeroes only
-// shards 1..W-1 — for the invertible sketch inside the fold pass itself
-// (BasicMvSketch::fold_in) — and after the first epochs nothing is
-// allocated.
+// Tables circulate; none is copied or allocated after construction
+// (docs/PERFORMANCE.md). Epoch e fills ring slot e mod (max_outstanding +
+// 1): with at most max_outstanding epochs closed but undelivered, a slot is
+// free again before the producer opens the epoch that reuses it. The merger
+// swaps a done slot's tables into its batch, whose tables the owner left
+// zeroed (ChangeDetectionPipeline::ingest_interval adopts a batch's tables
+// by swap and leaves zeroed ones), so the slot rejoins the ring zeroed.
 //
 // Locking contract (docs/CONCURRENCY.md): epoch_mutex_ is the set's one
-// lock (the per-shard queues keep their own). It guards the epoch ledger
-// (closes_), the per-shard publish deques, the recycle pool and the
-// returned tables; publish and collect go through the
-// SCD_REQUIRES(epoch_mutex_) helpers so a clang -Wthread-safety build
-// rejects an unlocked handoff access. The stats counters are relaxed
-// atomics: written by the producer thread, readable from any thread.
+// lock (the worker queues keep their own). It guards the epoch ledger
+// (closes_), the merge error and the ring's per-epoch state; workers reach
+// a slot's table only through the SCD_REQUIRES(epoch_mutex_) helpers, so a
+// clang -Wthread-safety build rejects an unlocked handoff. A worker then
+// writes its rows of the table it was handed without the lock: no other
+// thread touches that table until every worker has passed the epoch's
+// barrier. The stats counters are relaxed atomics: written by the producer
+// thread, readable from any thread.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -71,58 +72,53 @@
 namespace scd::ingest {
 
 /// One (key, update) stream item. Alias of the sketch layer's batch-record
-/// type so a dequeued chunk feeds BasicKarySketch::update_batch directly.
+/// type so a dequeued chunk feeds BasicKarySketch::update_rows directly.
 using Record = sketch::Record;
 
 /// Producer-side batch: the queue is locked once per chunk, not per record.
 using Chunk = std::vector<Record>;
 
 struct ShardMessage {
-  Chunk records;
-  /// Closes the shard's current epoch. FIFO order puts it after every chunk
-  /// of the interval, so the worker has applied them all when it publishes.
-  bool barrier = false;
+  /// The chunk every worker applies to its rows; null is the barrier token
+  /// that closes the worker's current epoch. FIFO order puts the token after
+  /// every chunk of the interval.
+  std::shared_ptr<const Chunk> records;
 };
 
-/// Type-erased interface so ParallelPipeline can hold either family's shard
-/// set behind one pointer (mirroring the core pipeline's engine dispatch).
+/// Type-erased interface so ParallelPipeline can hold either family's row
+/// workers behind one pointer (mirroring the core pipeline's engine
+/// dispatch).
 class ShardSetBase {
  public:
   /// What close_epoch() records for an epoch and the merger hands back with
-  /// its merged batch: the cutter position of the interval being closed.
+  /// its table: the cutter position of the interval being closed.
   using Close = core::IntervalCutter::Position;
-  /// Merged-epoch delivery: (close, batch), invoked on the merger thread in
-  /// strict epoch order.
+  /// Epoch delivery: (close, batch), invoked on the merger thread in strict
+  /// epoch order. The callback must leave zeroed tables of the batch's
+  /// shape in it (ChangeDetectionPipeline::ingest_interval does): they
+  /// become a later epoch's table.
   using MergedBatchCallback =
-      std::function<void(const Close&, core::IntervalBatch&&)>;
+      std::function<void(const Close&, core::IntervalBatch&)>;
 
   virtual ~ShardSetBase() = default;
-  /// Enqueues a chunk for `shard` (blocking when the queue is full).
-  virtual void submit(std::size_t shard, Chunk&& chunk) = 0;
-  /// Closes the current epoch without waiting for the merge: appends
-  /// `close` to the epoch ledger, stamps one barrier token per shard queue
+  /// Hands `chunk` to every worker (blocking while a queue is full).
+  virtual void submit(Chunk&& chunk) = 0;
+  /// Closes the current epoch without waiting for its delivery: appends
+  /// `close` to the epoch ledger, stamps one barrier token per worker queue
   /// and returns. All of the epoch's chunks must have been submitted first.
   /// Blocks while max_outstanding epochs are closed but not yet delivered
-  /// (the bound on pooled-sketch memory). Rethrows a pending merger failure
-  /// (a callback throw) on the calling thread.
+  /// (the bound on the table ring). Rethrows a pending merger failure (a
+  /// callback throw) on the calling thread.
   virtual void close_epoch(const Close& close) = 0;
-  /// Blocks until every closed epoch has been merged and delivered.
-  /// Rethrows a pending merger failure.
+  /// Blocks until every closed epoch has been delivered. Rethrows a pending
+  /// merger failure.
   virtual void drain() = 0;
   /// Closes all queues and joins the workers and the merger, which first
-  /// delivers every epoch the workers published. Idempotent.
+  /// delivers every epoch the workers finished. Idempotent.
   virtual void stop() = 0;
-  /// Hands a delivered batch's tables back to the pool once its consumer
-  /// has left zeroed tables in it (ChangeDetectionPipeline::ingest_interval
-  /// does): the next merge moves its folded tables out through them instead
-  /// of allocating. Throws std::invalid_argument unless the tables have
-  /// this set's h x k shape (for the invertible family, the vote arrays
-  /// too).
-  virtual void recycle(core::IntervalBatch&& batch) = 0;
-  /// Epochs closed but not yet merged and delivered, callbacks included.
+  /// Epochs closed but not yet delivered, callbacks included.
   [[nodiscard]] virtual std::size_t pending_epochs() const = 0;
-  /// True on the merger thread: the caller runs inside the merged-batch
-  /// callback.
+  /// True on the merger thread: the caller runs inside the epoch callback.
   [[nodiscard]] virtual bool on_merger_thread() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t backpressure_waits() const noexcept = 0;
   /// Records lost because close() raced a blocked push during shutdown.
@@ -130,73 +126,112 @@ class ShardSetBase {
   [[nodiscard]] virtual std::uint64_t dropped_records() const noexcept = 0;
 };
 
+/// The workers that `workers` requested run over `rows` hash rows: one per
+/// row at most.
+[[nodiscard]] inline std::size_t row_worker_count(std::size_t workers,
+                                                  std::size_t rows) noexcept {
+  return std::min(workers, rows);
+}
+
 /// Templated on the sketch type (not the hash family) so the parallel path
 /// covers every engine the core pipeline can run: plain k-ary (either
 /// family) and the invertible majority-vote sketch. Sketches that recover
-/// keys from their own state (`recover_heavy_keys`) skip the per-shard
-/// distinct-key buffers entirely — that is the single-pass win — and
-/// publish their merged candidate/vote arrays through
-/// IntervalBatch::mv_candidates / mv_votes.
+/// keys from their own state (`recover_heavy_keys`) collect no distinct
+/// keys — that is the single-pass win — and deliver their candidate and
+/// vote arrays through IntervalBatch::mv_candidates / mv_votes.
 template <typename SketchT>
 class ShardSet final : public ShardSetBase {
  public:
   using Sketch = SketchT;
   using Family = typename SketchT::FamilyType;
 
-  /// The sketch enumerates heavy keys from its majority-vote state, so
-  /// workers collect no distinct keys and the candidate/vote arrays ride
-  /// along with the merged registers.
+  /// The sketch enumerates heavy keys from its majority-vote state, so no
+  /// worker collects keys and the candidate/vote arrays ride along with the
+  /// registers.
   static constexpr bool kRecovers =
       requires(const SketchT& s) { s.recover_heavy_keys(0.0); };
 
-  /// Starts the W workers and the merger. `queue_chunks` is the per-shard
-  /// queue capacity in chunks; `instruments` may be null (metrics
-  /// disabled). `on_merged` receives every closed epoch, in order, on the
-  /// merger thread; at most `max_outstanding` epochs may be closed but
-  /// undelivered before close_epoch() blocks.
+  /// Starts row_worker_count(worker_count, h) workers and the merger.
+  /// `queue_chunks` is the per-worker queue capacity in chunks;
+  /// `instruments` may be null (metrics disabled). `on_merged` receives
+  /// every closed epoch, in order, on the merger thread; at most
+  /// `max_outstanding` epochs may be closed but undelivered before
+  /// close_epoch() blocks.
   ShardSet(std::uint64_t seed, std::size_t h, std::size_t k,
            std::size_t worker_count, std::size_t queue_chunks,
            IngestInstruments* instruments, std::size_t max_outstanding,
            MergedBatchCallback on_merged)
-      : family_(std::make_shared<const Family>(seed, h)),
-        k_(k),
+      : cells_(h * k),
         instruments_(instruments),
         max_outstanding_(max_outstanding),
         on_merged_(std::move(on_merged)) {
-    shards_.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) {
-      shards_.push_back(std::make_unique<Shard>(queue_chunks));
+    const auto family = std::make_shared<const Family>(seed, h);
+    {
+      common::MutexLock lock(epoch_mutex_);
+      ring_.reserve(max_outstanding + 1);
+      for (std::size_t i = 0; i <= max_outstanding; ++i) {
+        ring_.emplace_back(family, k);
+      }
     }
-    for (std::size_t i = 0; i < worker_count; ++i) {
-      shards_[i]->thread = std::thread([this, i] { run_worker(i); });
+    // The merger's batch starts with zeroed tables, which the first
+    // delivery swaps into the ring.
+    batch_.registers.assign(cells_, 0.0);
+    if constexpr (kRecovers) {
+      batch_.mv_candidates.assign(cells_, 0);
+      batch_.mv_votes.assign(cells_, 0.0);
+    }
+    const std::size_t workers = row_worker_count(worker_count, h);
+    workers_.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      // Contiguous ranges; the first h % workers take one extra row.
+      const std::size_t base = h / workers;
+      const std::size_t extra = h % workers;
+      const std::size_t begin = w * base + std::min(w, extra);
+      workers_.push_back(std::make_unique<Worker>(
+          queue_chunks, begin, begin + base + (w < extra ? 1 : 0)));
+    }
+    for (std::size_t w = 0; w < workers; ++w) {
+      workers_[w]->thread = std::thread([this, w] { run_worker(w); });
     }
     merger_ = std::thread([this] { run_merger(); });
   }
 
   ~ShardSet() override { stop(); }
 
-  void submit(std::size_t shard, Chunk&& chunk) override {
-    BoundedQueue<ShardMessage>& queue = shards_[shard]->queue;
-    const auto n = static_cast<double>(chunk.size());
-    ShardMessage msg{std::move(chunk), false};
-    if (instruments_ != nullptr) instruments_->queue_records.add(n);
-    if (!queue.try_push(msg)) {
+  void submit(Chunk&& chunk) override {
+    const std::size_t n = chunk.size();
+    const ShardMessage msg{std::make_shared<const Chunk>(std::move(chunk))};
+    if (instruments_ != nullptr) {
+      instruments_->batch_size.observe(static_cast<double>(n));
+      instruments_->batch_records.inc(n);
+    }
+    bool dropped = false;
+    for (auto& worker : workers_) {
+      ShardMessage copy = msg;
+      if (instruments_ != nullptr) {
+        instruments_->queue_records.add(static_cast<double>(n));
+      }
+      if (worker->queue.try_push(copy)) continue;
       // mo: stats counter — single producer writes, any thread may read
       // via backpressure_waits(); no ordering ties it to other state.
       backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
       if (instruments_ != nullptr) instruments_->backpressure_waits.inc();
-      if (!queue.push(msg)) {
-        // Closed mid-shutdown. The chunk is still intact (push leaves its
-        // argument alone on failure), so the loss is counted instead of
-        // vanishing: every dropped record biases the interval's sketch, and
-        // an operator must be able to see that the stream was cut short.
-        // mo: stats counter — same single-writer/any-reader contract.
-        dropped_records_.fetch_add(msg.records.size(),
-                                   std::memory_order_relaxed);
+      if (!worker->queue.push(copy)) {
+        // Closed mid-shutdown: this worker's rows miss the chunk. The loss
+        // is counted instead of vanishing, since every dropped record
+        // biases the interval's sketch and an operator must be able to see
+        // that the stream was cut short.
+        dropped = true;
         if (instruments_ != nullptr) {
-          instruments_->queue_records.add(-n);
-          instruments_->shutdown_dropped_records.inc(msg.records.size());
+          instruments_->queue_records.add(-static_cast<double>(n));
         }
+      }
+    }
+    if (dropped) {
+      // mo: stats counter — same single-writer/any-reader contract.
+      dropped_records_.fetch_add(n, std::memory_order_relaxed);
+      if (instruments_ != nullptr) {
+        instruments_->shutdown_dropped_records.inc(n);
       }
     }
   }
@@ -204,8 +239,8 @@ class ShardSet final : public ShardSetBase {
   void close_epoch(const Close& close) SCD_EXCLUDES(epoch_mutex_) override {
     {
       common::MutexLock lock(epoch_mutex_);
-      // Backpressure: bound the closed-but-undelivered window so pooled-
-      // sketch memory stays at max_outstanding_ + 1 sketch sets per shard.
+      // Backpressure: bound the closed-but-undelivered window, which is
+      // what lets max_outstanding + 1 ring slots serve every epoch.
       while (closes_.size() >= max_outstanding_ && merge_error_ == nullptr) {
         epoch_cv_.wait(epoch_mutex_);
       }
@@ -213,9 +248,9 @@ class ShardSet final : public ShardSetBase {
       closes_.push_back(close);
       export_pending_locked();
     }
-    for (auto& shard : shards_) {
-      ShardMessage token{{}, true};
-      shard->queue.push(token);
+    for (auto& worker : workers_) {
+      ShardMessage token;
+      worker->queue.push(token);
     }
   }
 
@@ -229,15 +264,13 @@ class ShardSet final : public ShardSetBase {
 
   void stop() SCD_EXCLUDES(epoch_mutex_) override {
     // Order matters: close the queues and join the workers FIRST, so every
-    // barrier token already in flight is consumed and its handoff
-    // published (close() lets consumers drain remaining items). Only then
-    // tell the merger to finish — it merges and delivers every fully-
-    // published epoch before exiting, so a closed interval is never
-    // silently lost: an unflushed destructor drops only records of the
-    // still-open interval.
-    for (auto& shard : shards_) shard->queue.close();
-    for (auto& shard : shards_) {
-      if (shard->thread.joinable()) shard->thread.join();
+    // barrier token already in flight is consumed. Only then tell the
+    // merger to finish — it delivers every epoch all workers finished
+    // before exiting, so a closed interval is never silently lost: an
+    // unflushed destructor drops only records of the still-open interval.
+    for (auto& worker : workers_) worker->queue.close();
+    for (auto& worker : workers_) {
+      if (worker->thread.joinable()) worker->thread.join();
     }
     {
       common::MutexLock lock(epoch_mutex_);
@@ -245,28 +278,6 @@ class ShardSet final : public ShardSetBase {
     }
     epoch_cv_.notify_all();
     if (merger_.joinable()) merger_.join();
-  }
-
-  void recycle(core::IntervalBatch&& batch)
-      SCD_EXCLUDES(epoch_mutex_) override {
-    const std::size_t cells = family_->rows() * k_;
-    bool shaped = batch.registers.size() == cells;
-    if constexpr (kRecovers) {
-      shaped = shaped && batch.mv_candidates.size() == cells &&
-               batch.mv_votes.size() == cells;
-    }
-    if (!shaped) {
-      throw std::invalid_argument(
-          "ShardSet::recycle: the batch's tables do not have the shard "
-          "sketches' h x k shape");
-    }
-    // Only the tables are reused; the key buffer keeps its capacity.
-    batch.start_s = 0.0;
-    batch.len_s = 0.0;
-    batch.records = 0;
-    batch.keys.clear();
-    common::MutexLock lock(epoch_mutex_);
-    returned_ = std::move(batch);
   }
 
   [[nodiscard]] std::size_t pending_epochs() const
@@ -287,58 +298,76 @@ class ShardSet final : public ShardSetBase {
   }
 
  private:
-  /// One finished epoch from one shard: the worker's parked sketch, the
-  /// interval's distinct keys, and the record count.
-  struct EpochHandoff {
-    std::optional<Sketch> sketch;
-    std::vector<std::uint64_t> keys;
-    std::uint64_t records = 0;
+  /// One ring slot: the table of every epoch e with e mod ring size equal
+  /// to its index.
+  struct Epoch {
+    Epoch(std::shared_ptr<const Family> family, std::size_t k)
+        : table(std::move(family), k) {}
+    Sketch table;
+    std::vector<std::uint64_t> keys;  // replay mode: the epoch's keys
+    std::size_t done = 0;             // workers past the epoch's barrier
   };
 
-  struct Shard {
-    explicit Shard(std::size_t queue_chunks) : queue(queue_chunks) {}
+  struct Worker {
+    Worker(std::size_t queue_chunks, std::size_t begin, std::size_t end)
+        : queue(queue_chunks), row_begin(begin), row_end(end) {}
     BoundedQueue<ShardMessage> queue;
-    // Published epochs, oldest first: appended by the worker, drained in
-    // epoch order by the merger, both under the owning ShardSet's
-    // epoch_mutex_ (a nested struct cannot name the outer instance's mutex
-    // in an attribute, so the SCD_REQUIRES helpers below carry the
-    // contract).
-    std::deque<EpochHandoff> published;
+    const std::size_t row_begin;
+    const std::size_t row_end;
     std::thread thread;
   };
 
-  /// Worker side of the epoch close: parks the finished interval's sketch
-  /// and key set at the back of the shard's publish deque and, in the same
-  /// critical section, draws a zeroed recycled sketch for the next epoch
-  /// (none until the merger has returned one).
-  [[nodiscard]] std::optional<Sketch> publish_handoff_locked(
-      Shard& shard, EpochHandoff&& handoff) SCD_REQUIRES(epoch_mutex_) {
-    shard.published.push_back(std::move(handoff));
-    if (pool_.empty()) return std::nullopt;
-    std::optional<Sketch> next(std::move(pool_.back()));
-    pool_.pop_back();
-    return next;
-  }
-
-  /// True when every shard has published its oldest outstanding epoch.
-  [[nodiscard]] bool epoch_ready_locked() const SCD_REQUIRES(epoch_mutex_) {
-    for (const auto& shard : shards_) {
-      if (shard->published.empty()) return false;
-    }
-    return true;
-  }
-
-  /// Pops the oldest published epoch from every shard, in shard order.
-  /// Caller holds epoch_mutex_ and has seen epoch_ready_locked().
-  [[nodiscard]] std::vector<EpochHandoff> take_epoch_locked()
+  /// The table a worker fills for `epoch`. Handed out under the lock; the
+  /// worker then writes its rows without it.
+  [[nodiscard]] Sketch& epoch_table_locked(std::uint64_t epoch)
       SCD_REQUIRES(epoch_mutex_) {
-    std::vector<EpochHandoff> handoffs;
-    handoffs.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      handoffs.push_back(std::move(shard->published.front()));
-      shard->published.pop_front();
+    return ring_[epoch % ring_.size()].table;
+  }
+
+  /// Worker side of the barrier: marks `epoch` done for one worker (the key
+  /// collector also hands over the epoch's keys) and returns the next
+  /// epoch's table.
+  [[nodiscard]] Sketch& finish_epoch_locked(std::uint64_t epoch,
+                                            std::vector<std::uint64_t>* keys)
+      SCD_REQUIRES(epoch_mutex_) {
+    Epoch& slot = ring_[epoch % ring_.size()];
+    if (keys != nullptr) slot.keys.swap(*keys);
+    ++slot.done;
+    return epoch_table_locked(epoch + 1);
+  }
+
+  /// True when every worker has passed `epoch`'s barrier.
+  [[nodiscard]] bool epoch_ready_locked(std::uint64_t epoch) const
+      SCD_REQUIRES(epoch_mutex_) {
+    return ring_[epoch % ring_.size()].done == workers_.size();
+  }
+
+  /// Moves the ready `epoch`'s tables and keys into batch_ and its zeroed
+  /// tables into the slot, which is then free for a later epoch.
+  void take_epoch_locked(std::uint64_t epoch) SCD_REQUIRES(epoch_mutex_) {
+    Epoch& slot = ring_[epoch % ring_.size()];
+    slot.table.swap_registers(batch_.registers);
+    if constexpr (kRecovers) {
+      slot.table.swap_aux(batch_.mv_candidates, batch_.mv_votes);
     }
-    return handoffs;
+    batch_.keys.swap(slot.keys);
+    slot.keys.clear();
+    slot.done = 0;
+  }
+
+  /// The tables the callback left in batch_ become a later epoch's table:
+  /// throws std::invalid_argument unless they have the ring's shape.
+  void check_returned_tables() const {
+    bool shaped = batch_.registers.size() == cells_;
+    if constexpr (kRecovers) {
+      shaped = shaped && batch_.mv_candidates.size() == cells_ &&
+               batch_.mv_votes.size() == cells_;
+    }
+    if (!shaped) {
+      throw std::invalid_argument(
+          "ShardSet: the epoch callback left tables of another shape than "
+          "h x k in the batch");
+    }
   }
 
   void rethrow_merge_error_locked() SCD_REQUIRES(epoch_mutex_) {
@@ -352,102 +381,32 @@ class ShardSet final : public ShardSetBase {
     }
   }
 
-  /// The tables the next merged batch carries the fold out in: the ones
-  /// recycle() took back, or — until the first comes back — fresh zeroed
-  /// ones.
-  [[nodiscard]] core::IntervalBatch take_returned() SCD_EXCLUDES(epoch_mutex_) {
-    {
-      common::MutexLock lock(epoch_mutex_);
-      if (returned_.has_value()) {
-        core::IntervalBatch batch = std::move(*returned_);
-        returned_.reset();
-        return batch;
-      }
-    }
-    const std::size_t cells = family_->rows() * k_;
-    core::IntervalBatch batch;
-    batch.registers.assign(cells, 0.0);
-    if constexpr (kRecovers) {
-      batch.mv_candidates.assign(cells, 0);
-      batch.mv_votes.assign(cells, 0.0);
-    }
-    return batch;
-  }
-
-  /// Merges one epoch's W handoffs: folds shards 1..W-1 into shard 0 in
-  /// shard order, moves the folded tables into the batch and concatenates
-  /// the key buffers; returns every handoff sketch to the pool zeroed. Runs
-  /// with no lock held — the handoffs were moved out under epoch_mutex_ —
-  /// except to exchange tables with the pool.
-  [[nodiscard]] core::IntervalBatch merge_epoch(
-      std::vector<EpochHandoff> handoffs) SCD_EXCLUDES(epoch_mutex_) {
-    obs::ScopedTimer timer(
-        instruments_ != nullptr ? &instruments_->merge_seconds : nullptr,
-        nullptr, "barrier_combine", "ingest");
-    // S_0 += S_1, ..., += S_{W-1}: the additions of COMBINE(1, S_0, ...,
-    // 1, S_{W-1}) in the same order, so the result is byte-identical to
-    // it. COMBINE starts from a zero sketch: 0 + S_0 is S_0 exactly (shard
-    // registers start at +0.0 and take only finite adds, so none is -0.0),
-    // and a zero-vote cell merged into it reads candidate 0. The invertible
-    // fold reproduces that in the first fold_in pass (clear_stale_candidates
-    // when there is nothing to fold) and zeroes each folded shard in the
-    // same pass; the k-ary fold is an AXPY, then a zeroing.
-    Sketch& merged = *handoffs.front().sketch;
-    if constexpr (kRecovers) {
-      if (handoffs.size() == 1) merged.clear_stale_candidates();
-    }
-    for (std::size_t i = 1; i < handoffs.size(); ++i) {
-      Sketch& shard = *handoffs[i].sketch;
-      if constexpr (kRecovers) {
-        merged.fold_in(shard, /*first=*/i == 1);
-      } else {
-        merged.add_scaled(shard, 1.0);
-        shard.set_zero();
-      }
-    }
-    // The batch's zeroed tables go into shard 0's sketch, its folded
-    // tables into the batch.
-    core::IntervalBatch batch = take_returned();
-    merged.swap_registers(batch.registers);
-    if constexpr (kRecovers) {
-      merged.swap_aux(batch.mv_candidates, batch.mv_votes);
-    }
-    for (auto& handoff : handoffs) {
-      batch.records += handoff.records;
-      batch.keys.insert(batch.keys.end(), handoff.keys.begin(),
-                        handoff.keys.end());
-    }
-    common::MutexLock lock(epoch_mutex_);
-    for (auto& handoff : handoffs) pool_.push_back(std::move(*handoff.sketch));
-    return batch;
-  }
-
-  /// Merger thread: merges published epochs strictly in order and delivers
-  /// each batch with its recorded close to on_merged_; the close leaves the
-  /// ledger only after its callback returns. A callback throw is parked in
-  /// merge_error_ and rethrown on the producer thread (close_epoch/drain);
-  /// the merger stops — the stream is failed, exactly like a synchronous
-  /// close throw.
+  /// Merger thread: delivers finished epochs strictly in order, each with
+  /// its recorded close, to on_merged_; the close leaves the ledger only
+  /// after its callback returns. A callback throw is parked in merge_error_
+  /// and rethrown on the producer thread (close_epoch/drain); the merger
+  /// stops — the stream is failed, exactly like a synchronous close throw.
   void run_merger() {
-    for (;;) {
-      std::vector<EpochHandoff> handoffs;
+    for (std::uint64_t epoch = 0;; ++epoch) {
       Close close;
       {
         common::MutexLock lock(epoch_mutex_);
-        while (!epoch_ready_locked() && !stopping_) {
+        while (!epoch_ready_locked(epoch) && !stopping_) {
           epoch_cv_.wait(epoch_mutex_);
         }
-        // Drain-on-stop: ready epochs are still merged and delivered after
-        // stopping_ is set (the workers were joined first, so every closed
-        // epoch is fully published by now); exit only when none remain.
-        if (!epoch_ready_locked()) return;
-        handoffs = take_epoch_locked();
-        // close_epoch() appends the close before stamping the tokens, so a
-        // published epoch always finds its close at the ledger's front.
+        // Drain-on-stop: finished epochs are still delivered after
+        // stopping_ is set (the workers were joined first, so every
+        // closed epoch is finished by now); exit only when none remain.
+        if (!epoch_ready_locked(epoch)) return;
+        // close_epoch() appends the close before stamping the tokens, so
+        // a finished epoch always finds its close at the ledger's front.
         close = closes_.front();
+        take_epoch_locked(epoch);
       }
+      batch_.records = close.records;
       try {
-        on_merged_(close, merge_epoch(std::move(handoffs)));
+        on_merged_(close, batch_);
+        check_returned_tables();
       } catch (...) {
         common::MutexLock lock(epoch_mutex_);
         merge_error_ = std::current_exception();
@@ -464,16 +423,21 @@ class ShardSet final : public ShardSetBase {
   }
 
   void run_worker(std::size_t index) {
-    // Best-effort NUMA placement (common/numa.h): pin this worker to a node
-    // round-robin BEFORE allocating its sketch, so the table and every
-    // pooled sketch it later first-touches land on local memory. A no-op
-    // without libnuma or on single-node hosts.
+    // Best-effort NUMA placement (common/numa.h): spread the workers over
+    // the nodes round-robin. A no-op without libnuma or on single-node
+    // hosts.
     common::numa_bind_index(index);
-    Shard& shard = *shards_[index];
-    // Worker-local interval state; only the epoch handoff is shared.
-    Sketch sketch(family_, k_);
+    Worker& worker = *workers_[index];
+    // In replay mode the last worker, which owns the fewest rows, collects
+    // the distinct keys.
+    const bool collects_keys = !kRecovers && index + 1 == workers_.size();
     std::unordered_set<std::uint64_t> keys;
-    std::uint64_t records = 0;
+    std::uint64_t epoch = 0;
+    Sketch* table = nullptr;
+    {
+      common::MutexLock lock(epoch_mutex_);
+      table = &epoch_table_locked(epoch);
+    }
     obs::Histogram* apply_hist =
         instruments_ != nullptr ? instruments_->shard_apply_seconds[index]
                                 : nullptr;
@@ -483,57 +447,42 @@ class ShardSet final : public ShardSetBase {
         // The dequeue span covers queue wait: a long "ingest_dequeue" next
         // to short "shard_update_batch" spans reads as a starved worker.
         SCD_TRACE_SPAN("ingest_dequeue", "ingest");
-        msg = shard.queue.pop();
+        msg = worker.queue.pop();
       }
       if (!msg.has_value()) break;
-      if (msg->barrier) {
-        EpochHandoff handoff;
-        handoff.sketch.emplace(std::move(sketch));
-        if constexpr (!kRecovers) {
-          handoff.keys.assign(keys.begin(), keys.end());
-        }
-        handoff.records = records;
-        std::optional<Sketch> next;
+      if (msg->records == nullptr) {
+        std::vector<std::uint64_t> handoff(keys.begin(), keys.end());
+        keys.clear();
         {
           common::MutexLock lock(epoch_mutex_);
-          next = publish_handoff_locked(shard, std::move(handoff));
+          table = &finish_epoch_locked(epoch, collects_keys ? &handoff
+                                                            : nullptr);
         }
         epoch_cv_.notify_all();
-        // The worker starts the next epoch immediately — no wait for the
-        // merge. The pooled sketch is the async scheme's double buffer;
-        // only the first epochs allocate.
-        sketch = next.has_value() ? std::move(*next) : Sketch(family_, k_);
-        keys.clear();
-        records = 0;
+        ++epoch;
         continue;
       }
+      const Chunk& chunk = *msg->records;
       obs::ScopedTimer timer(apply_hist, nullptr, "shard_update_batch",
-                             "ingest", msg->records.size());
-      // Batched UPDATE (docs/PERFORMANCE.md): hash-batch + per-row sweep,
-      // bit-identical to per-record update() on this shard's subsequence.
-      // The MV sketch runs the same sweep and votes each cell it adds to.
-      sketch.update_batch(msg->records);
-      if constexpr (!kRecovers) {
-        for (const Record& r : msg->records) keys.insert(r.key);
+                             "ingest", chunk.size());
+      // The row sweep over this worker's rows (docs/PERFORMANCE.md): a
+      // hash pass over the chunk, then one row at a time, votes included.
+      table->update_rows(chunk, worker.row_begin, worker.row_end);
+      if (collects_keys) {
+        for (const Record& r : chunk) keys.insert(r.key);
       }
-      records += msg->records.size();
       timer.stop();
-      if (apply_hist != nullptr) {
-        instruments_->batch_size.observe(
-            static_cast<double>(msg->records.size()));
-        instruments_->batch_records.inc(msg->records.size());
-        instruments_->queue_records.add(
-            -static_cast<double>(msg->records.size()));
+      if (instruments_ != nullptr) {
+        instruments_->queue_records.add(-static_cast<double>(chunk.size()));
       }
     }
   }
 
-  std::shared_ptr<const Family> family_;
-  std::size_t k_;
+  const std::size_t cells_;  // h x k
   IngestInstruments* instruments_;
   const std::size_t max_outstanding_;
   const MergedBatchCallback on_merged_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Worker>> workers_;
   mutable common::Mutex epoch_mutex_;
   common::CondVar epoch_cv_;
   // The epoch ledger: one close per epoch that is closed but not yet
@@ -542,12 +491,11 @@ class ShardSet final : public ShardSetBase {
   std::deque<Close> closes_ SCD_GUARDED_BY(epoch_mutex_);
   bool stopping_ SCD_GUARDED_BY(epoch_mutex_) = false;
   std::exception_ptr merge_error_ SCD_GUARDED_BY(epoch_mutex_);
-  // Recycled zeroed sketches (double buffering): the merger refills,
-  // workers draw at each epoch boundary.
-  std::vector<Sketch> pool_ SCD_GUARDED_BY(epoch_mutex_);
-  // Zeroed tables recycle() took back from a delivered batch; the next
-  // merge swaps them into shard 0's sketch.
-  std::optional<core::IntervalBatch> returned_ SCD_GUARDED_BY(epoch_mutex_);
+  // The epoch-table ring: max_outstanding + 1 slots, sized at construction.
+  std::vector<Epoch> ring_ SCD_GUARDED_BY(epoch_mutex_);
+  // The merger's batch: the delivered epoch's tables while its callback
+  // runs, zeroed tables between deliveries. Merger thread only.
+  core::IntervalBatch batch_;
   std::thread merger_;
   // Stats counters: producer thread writes, stats() may be called from any
   // thread (monitoring), so plain integers here were a data race.

@@ -28,8 +28,8 @@ struct KernelTable {
   double (*hsum)(const double*, std::size_t) noexcept;
   void (*index_shift_mask)(const std::uint64_t*, std::size_t, unsigned,
                            std::uint64_t, std::uint32_t*) noexcept;
-  void (*mv_fold)(const MvCells&, const MvConstCells&, std::size_t, double,
-                  bool, const MvCells*) noexcept;
+  void (*mv_fold)(const MvCells&, const MvConstCells&, std::size_t,
+                  double) noexcept;
 };
 
 constexpr KernelTable kScalarTable{IsaLevel::kScalar,    scalar::scale,
@@ -133,8 +133,8 @@ void index_shift_mask(const std::uint64_t* packed, std::size_t n,
 }
 
 void mv_fold(const MvCells& dst, const MvConstCells& src, std::size_t n,
-             double c, bool clear_stale, const MvCells* drain) noexcept {
-  table().mv_fold(dst, src, n, c, clear_stale, drain);
+             double c) noexcept {
+  table().mv_fold(dst, src, n, c);
 }
 
 }  // namespace scd::simd

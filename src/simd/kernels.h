@@ -105,15 +105,9 @@ struct MvConstCells {
 /// dst's (candidate, vote) pair takes src's candidate with weight
 /// w = |c| * src.votes[i] by the weighted Boyer-Moore rule (w == 0: no
 /// change; zero vote: adopt it with vote w; same candidate: vote + w; vote
-/// >= w: vote - w; otherwise adopt it with vote w - vote).
-///   * clear_stale: first give every zero-vote cell of dst candidate 0, the
-///     state a merge into a zero sketch starts from (combine()'s first
-///     operand);
-///   * drain: null, or src's own tables, writable: each source cell is
-///     zeroed once read, so src ends all zero (the shard fold hands the
-///     folded shard back ready for the next epoch).
-/// dst and src must not partially overlap.
+/// >= w: vote - w; otherwise adopt it with vote w - vote). dst and src
+/// must not partially overlap.
 void mv_fold(const MvCells& dst, const MvConstCells& src, std::size_t n,
-             double c, bool clear_stale, const MvCells* drain) noexcept;
+             double c) noexcept;
 
 }  // namespace scd::simd

@@ -60,7 +60,6 @@ struct Lanes {
   SCD_LANE K set1_keys(std::uint64_t v) {
     return _mm256_set1_epi64x(static_cast<long long>(v));
   }
-  SCD_LANE K zero_keys() { return _mm256_setzero_si256(); }
   SCD_LANE M keys_eq(K a, K b) {
     return _mm256_castsi256_pd(_mm256_cmpeq_epi64(a, b));
   }

@@ -63,7 +63,6 @@ struct Lanes {
   SCD_LANE K set1_keys(std::uint64_t v) {
     return _mm512_set1_epi64(static_cast<long long>(v));
   }
-  SCD_LANE K zero_keys() { return _mm512_setzero_si512(); }
   SCD_LANE M keys_eq(K a, K b) { return _mm512_cmpeq_epi64_mask(a, b); }
   SCD_LANE K select_keys(M m, K a, K b) {
     return _mm512_mask_blend_epi64(m, a, b);

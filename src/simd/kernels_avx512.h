@@ -31,6 +31,6 @@ void index_shift_mask(const std::uint64_t* packed, std::size_t n,
                       unsigned shift, std::uint64_t mask,
                       std::uint32_t* out) noexcept;
 void mv_fold(const MvCells& dst, const MvConstCells& src, std::size_t n,
-             double c, bool clear_stale, const MvCells* drain) noexcept;
+             double c) noexcept;
 
 }  // namespace scd::simd::avx512

@@ -78,29 +78,22 @@ inline void mv_vote_cell(std::uint64_t& cand, double& vote, std::uint64_t key,
 /// mv_fold over cells [begin, end): the reference loop, and the vector
 /// backends' tail.
 inline void mv_fold_cells(const MvCells& dst, const MvConstCells& src,
-                          std::size_t begin, std::size_t end, double c,
-                          bool clear_stale, const MvCells* drain) noexcept {
+                          std::size_t begin, std::size_t end,
+                          double c) noexcept {
   const double abs_c = std::abs(c);
   for (std::size_t i = begin; i < end; ++i) {
     dst.counts[i] += c * src.counts[i];
     std::uint64_t cand = dst.candidates[i];
     double vote = dst.votes[i];
-    if (clear_stale && vote == 0.0) cand = 0;
     mv_vote_cell(cand, vote, src.candidates[i], abs_c * src.votes[i]);
     dst.candidates[i] = cand;
     dst.votes[i] = vote;
-    if (drain != nullptr) {
-      drain->counts[i] = 0.0;
-      drain->candidates[i] = 0;
-      drain->votes[i] = 0.0;
-    }
   }
 }
 
 inline void mv_fold(const MvCells& dst, const MvConstCells& src,
-                    std::size_t n, double c, bool clear_stale,
-                    const MvCells* drain) noexcept {
-  mv_fold_cells(dst, src, 0, n, c, clear_stale, drain);
+                    std::size_t n, double c) noexcept {
+  mv_fold_cells(dst, src, 0, n, c);
 }
 
 }  // namespace scd::simd::scalar

@@ -55,8 +55,8 @@ namespace scd::sketch {
 inline constexpr std::size_t kMaxRows = 32;  // paper uses H <= 25
 
 /// One (key, update) stream item — the unit of batched UPDATE. Shared with
-/// the ingest front-end (ingest::Record is an alias) so shard workers can
-/// hand whole dequeued chunks to update_batch without copying.
+/// the ingest front-end (ingest::Record is an alias) so row workers can
+/// hand whole dequeued chunks to update_rows without copying.
 struct Record {
   std::uint64_t key = 0;
   double update = 0.0;
@@ -191,7 +191,21 @@ class BasicKarySketch {
   /// adds. Grows a thread-local hash scratch on first use (an allocation
   /// failure there terminates, as this path is noexcept).
   void update_batch(std::span<const Record> records) noexcept {
-    sweep_rows(records, [](std::size_t, const Record&) noexcept {},
+    sweep_rows(records, 0, depth(), [](std::size_t, const Record&) noexcept {},
+               [](std::size_t) noexcept {});
+  }
+
+  /// update_batch restricted to rows [row_begin, row_end): the same hash
+  /// pass and row sweep over those rows only. Applying every range of a
+  /// contiguous split of [0, depth()) leaves the table update_batch would,
+  /// and calls on disjoint ranges of one sketch may run concurrently — the
+  /// sharded front end's row workers do (docs/PARALLEL_INGEST.md). Throws
+  /// std::invalid_argument unless row_begin <= row_end <= depth().
+  void update_rows(std::span<const Record> records, std::size_t row_begin,
+                   std::size_t row_end) {
+    check_row_range(row_begin, row_end);
+    sweep_rows(records, row_begin, row_end,
+               [](std::size_t, const Record&) noexcept {},
                [](std::size_t) noexcept {});
   }
 
@@ -345,7 +359,7 @@ class BasicKarySketch {
     return out;
   }
 
-  /// Replaces the register table wholesale (deserialization, shard merge).
+  /// Replaces the register table wholesale (deserialization).
   /// The data must have been produced by a sketch with the same family and
   /// width; throws std::invalid_argument on a wrong-sized span (unchecked,
   /// that is a heap overflow in release builds).
@@ -361,8 +375,8 @@ class BasicKarySketch {
   }
 
   /// Exchanges the register table with `values` — load_registers without
-  /// the copy: the shard merge moves its folded table into the batch, and
-  /// the engine adopts the batch's table, this way. Same contract as
+  /// the copy: the sharded front end moves an epoch's table into the
+  /// batch, and the engine adopts the batch's table, this way. Same contract as
   /// load_registers: throws std::invalid_argument unless `values` holds
   /// exactly H * K registers.
   void swap_registers(std::vector<double>& values) {
@@ -410,17 +424,25 @@ class BasicKarySketch {
  private:
   // The majority-vote sketch merges its counters and votes in one kernel
   // pass (simd::mv_fold), which writes this table through
-  // registers_for_write().
+  // registers_for_write(), and sweeps its rows with sweep_rows.
   friend class BasicMvSketch<Family>;
 
-  /// update_batch with per-cell hooks, the batch counterpart of
-  /// update_cells: on_cell(idx, record) runs right after each add, with the
-  /// register's flat index (row * K + bucket), in record order within a
-  /// row; prefetch_cell(idx) runs beside the large-K sweep's prefetch.
+  void check_row_range(std::size_t row_begin, std::size_t row_end) const {
+    if (row_begin > row_end || row_end > depth()) {
+      throw std::invalid_argument(
+          "BasicKarySketch::update_rows: row range outside [0, depth()]");
+    }
+  }
+
+  /// The batched UPDATE of rows [row_begin, row_end) with per-cell hooks,
+  /// the batch counterpart of update_cells: on_cell(idx, record) runs right
+  /// after each add, with the register's flat index (row * K + bucket), in
+  /// record order within a row; prefetch_cell(idx) runs beside the large-K
+  /// sweep's prefetch. Writes only those rows' registers.
   template <typename OnCell, typename PrefetchCell>
-  void sweep_rows(std::span<const Record> records, OnCell&& on_cell,
+  void sweep_rows(std::span<const Record> records, std::size_t row_begin,
+                  std::size_t row_end, OnCell&& on_cell,
                   PrefetchCell&& prefetch_cell) noexcept {
-    const std::size_t h = depth();
     const std::uint64_t mask = k_ - 1;
     // Software-prefetch the sweep's target registers only when the row is
     // bigger than the block covers: then nearly every add lands on a cold
@@ -458,13 +480,15 @@ class BasicKarySketch {
                       { f.hash_group(std::size_t{0}, k32) };
                     }) {
         // Tabulation fast path: per key, one packed 64-bit lookup per group
-        // of 4 rows, stored group-major as-is; the row sweep shifts its own
-        // 16-bit lane out. Thread-local so the worst-case scratch
-        // (kUpdateBlock x 8 groups x 8 B) never touches the worker stacks.
-        const std::size_t groups = (h + 3) / 4;
+        // of 4 rows the range touches, stored group-major as-is; the row
+        // sweep shifts its own 16-bit lane out. Thread-local so the
+        // worst-case scratch (kUpdateBlock x 8 groups x 8 B) never touches
+        // the worker stacks.
+        const std::size_t first_group = row_begin / 4;
+        const std::size_t end_group = (row_end + 3) / 4;
         thread_local std::vector<std::uint64_t> gv_storage;
-        if (gv_storage.size() < groups * kUpdateBlock) {
-          gv_storage.resize(groups * kUpdateBlock);
+        if (gv_storage.size() < end_group * kUpdateBlock) {
+          gv_storage.resize(end_group * kUpdateBlock);
         }
         std::uint64_t* const gv = gv_storage.data();
         thread_local std::vector<std::uint32_t> idx_storage;
@@ -486,11 +510,11 @@ class BasicKarySketch {
             }
           }
           const auto key32 = static_cast<std::uint32_t>(block[j].key);
-          for (std::size_t g = 0; g < groups; ++g) {
+          for (std::size_t g = first_group; g < end_group; ++g) {
             gv[g * kUpdateBlock + j] = family.hash_group(g, key32);
           }
         }
-        for (std::size_t i = 0; i < h; ++i) {
+        for (std::size_t i = row_begin; i < row_end; ++i) {
           const std::uint64_t* const rg = &gv[(i / 4) * kUpdateBlock];
           const unsigned shift = static_cast<unsigned>((i % 4) * 16);
           if (prefetch_rows) {
@@ -511,19 +535,19 @@ class BasicKarySketch {
         }
       } else {
         thread_local std::vector<std::uint16_t> hv_storage;
-        if (hv_storage.size() < h * kUpdateBlock) {
-          hv_storage.resize(h * kUpdateBlock);
+        if (hv_storage.size() < row_end * kUpdateBlock) {
+          hv_storage.resize(row_end * kUpdateBlock);
         }
         std::uint16_t* const hv = hv_storage.data();
         // Key-outer: the key's reduction mod p, hash16's first step, is
         // loop-invariant across the rows, so it runs once per key.
         for (std::size_t j = 0; j < n; ++j) {
           assert_key_in_domain(block[j].key);
-          for (std::size_t i = 0; i < h; ++i) {
+          for (std::size_t i = row_begin; i < row_end; ++i) {
             hv[i * kUpdateBlock + j] = family.hash16(i, block[j].key);
           }
         }
-        for (std::size_t i = 0; i < h; ++i) {
+        for (std::size_t i = row_begin; i < row_end; ++i) {
           const std::uint16_t* const rhv = &hv[i * kUpdateBlock];
           sweep_row(i, [rhv, mask](std::size_t j) -> std::size_t {
             return rhv[j] & mask;

@@ -36,14 +36,14 @@
 // 8 B per cell per signal, as in replay mode.
 //
 // Linear-space operations extend to the vote state deterministically, which
-// is what the sharded front end's COMBINE of W shard sketches needs:
-// scale(c) multiplies votes by |c| (candidates unchanged), and
-// add_scaled(other, c) merges each bucket's (candidate, vote) pair with the
-// weighted majority rule using weight |c| * other.vote, in the same
-// branch-free kernel pass as the counter AXPY (simd::mv_fold). Votes are
-// order-sensitive in general, but candidate identity for strict-majority
-// keys is not — see docs/KEY_RECOVERY.md for the exact invariant the
-// serial-vs-sharded property test relies on.
+// is what COMBINE of sketches from several sources needs: scale(c)
+// multiplies votes by |c| (candidates unchanged), and add_scaled(other, c)
+// merges each bucket's (candidate, vote) pair with the weighted majority
+// rule using weight |c| * other.vote, in the same branch-free kernel pass as
+// the counter AXPY (simd::mv_fold). Votes are order-sensitive in general,
+// but candidate identity for strict-majority keys is not — see
+// docs/KEY_RECOVERY.md. The sharded front end needs no merge: its workers
+// own whole rows (update_rows), so its votes are the serial votes.
 //
 // Structural misuse (null family, bad shape, mismatched spans, combining
 // incompatible sketches) throws std::invalid_argument in all build types,
@@ -120,18 +120,17 @@ class BasicMvSketch {
   /// and vote depend only on the updates that land in it, in record order).
   /// The large-K sweep also prefetches each cell's candidate and vote.
   void update_batch(std::span<const Record> records) noexcept {
-    std::uint64_t* const cand = candidates_.data();
-    double* const votes = votes_.data();
-    counters_.sweep_rows(
-        records,
-        [cand, votes](std::size_t idx, const Record& r) noexcept {
-          simd::scalar::mv_vote_cell(cand[idx], votes[idx], r.key,
-                                     std::abs(r.update));
-        },
-        [cand, votes](std::size_t idx) noexcept {
-          __builtin_prefetch(&cand[idx], 1);
-          __builtin_prefetch(&votes[idx], 1);
-        });
+    sweep_rows(records, 0, depth());
+  }
+
+  /// update_batch restricted to rows [row_begin, row_end), counters and
+  /// votes together (BasicKarySketch::update_rows): calls on disjoint
+  /// ranges of one sketch may run concurrently. Throws
+  /// std::invalid_argument unless row_begin <= row_end <= depth().
+  void update_rows(std::span<const Record> records, std::size_t row_begin,
+                   std::size_t row_end) {
+    counters_.check_row_range(row_begin, row_end);
+    sweep_rows(records, row_begin, row_end);
   }
 
   /// ESTIMATEF2 of the counter table (counters().estimate_f2()); callers
@@ -175,32 +174,12 @@ class BasicMvSketch {
   /// family and width.
   void add_scaled(const BasicMvSketch& other, double c) {
     check_compatible(other, "add_scaled");
-    simd::mv_fold(cells(), other.const_cells(), votes_.size(), c,
-                  /*clear_stale=*/false, nullptr);
-  }
-
-  /// The shard merge's fold: add_scaled(other, 1.0), after which `other` is
-  /// all zero, in the same single pass. With `first`, every zero-vote cell
-  /// of *this reads candidate 0 before the merge, as in combine(), whose
-  /// first operand merges into a zero sketch: folding S_1 into S_0 with
-  /// `first`, then S_2, ... without it, is byte-identical to
-  /// combine(1, S_0, 1, S_1, ...). Throws std::invalid_argument unless the
-  /// sketches share family and width, or when `other` is *this.
-  void fold_in(BasicMvSketch& other, bool first) {
-    check_compatible(other, "fold_in");
-    if (&other == this) {
-      throw std::invalid_argument(
-          "BasicMvSketch::fold_in: cannot fold a sketch into itself");
-    }
-    const simd::MvCells drain = other.cells();
-    simd::mv_fold(cells(), other.const_cells(), votes_.size(), 1.0, first,
-                  &drain);
+    simd::mv_fold(cells(), other.const_cells(), votes_.size(), c);
   }
 
   /// COMBINE(c_1, S_1, ..., c_l, S_l). Throws std::invalid_argument when
   /// empty, when coeffs and sketches differ in length, or when any sketch is
-  /// incompatible with the first. Applied in argument order, which is what
-  /// makes the shard merge deterministic.
+  /// incompatible with the first. Applied in argument order.
   [[nodiscard]] static BasicMvSketch combine(
       std::span<const double> coeffs,
       std::span<const BasicMvSketch* const> sketches) {
@@ -216,7 +195,7 @@ class BasicMvSketch {
     return out;
   }
 
-  /// Replaces the counter table wholesale (deserialization, shard merge).
+  /// Replaces the counter table wholesale (deserialization).
   /// Throws std::invalid_argument on a wrong-sized span. The vote state is
   /// untouched — pair with load_aux() when restoring a full snapshot.
   void load_registers(std::span<const double> values) {
@@ -256,9 +235,9 @@ class BasicMvSketch {
   }
 
   /// load_registers / load_aux without the copy: exchange the tables with
-  /// the caller's vectors (the shard merge's hand-off to the engine). Each
-  /// vector must hold H * K entries; throws std::invalid_argument otherwise
-  /// and then leaves both sides untouched.
+  /// the caller's vectors (the sharded front end's hand-off to the engine).
+  /// Each vector must hold H * K entries; throws std::invalid_argument
+  /// otherwise and then leaves both sides untouched.
   void swap_registers(std::vector<double>& values) {
     counters_.swap_registers(values);
   }
@@ -271,16 +250,6 @@ class BasicMvSketch {
     }
     candidates_.swap(cand);
     votes_.swap(vote_counts);
-  }
-
-  /// Resets the stale candidate of every zero-vote cell to 0 — the state
-  /// add_scaled() leaves such a cell in when it merges into a zero sketch.
-  /// A one-shard epoch has nothing to fold_in(), so the merge calls this
-  /// instead to stay byte-identical to combine() of that one sketch.
-  void clear_stale_candidates() noexcept {
-    for (std::size_t idx = 0; idx < votes_.size(); ++idx) {
-      if (votes_[idx] == 0.0) candidates_[idx] = 0;
-    }
   }
 
   /// Raw state access for tests and serialization.
@@ -303,6 +272,25 @@ class BasicMvSketch {
   }
 
  private:
+  /// The counters' row sweep over rows [row_begin, row_end) with the vote
+  /// as its per-cell hook; the large-K sweep also prefetches each cell's
+  /// candidate and vote.
+  void sweep_rows(std::span<const Record> records, std::size_t row_begin,
+                  std::size_t row_end) noexcept {
+    std::uint64_t* const cand = candidates_.data();
+    double* const votes = votes_.data();
+    counters_.sweep_rows(
+        records, row_begin, row_end,
+        [cand, votes](std::size_t idx, const Record& r) noexcept {
+          simd::scalar::mv_vote_cell(cand[idx], votes[idx], r.key,
+                                     std::abs(r.update));
+        },
+        [cand, votes](std::size_t idx) noexcept {
+          __builtin_prefetch(&cand[idx], 1);
+          __builtin_prefetch(&votes[idx], 1);
+        });
+  }
+
   void check_compatible(const BasicMvSketch& other, const char* op) const {
     if (!counters_.compatible(other.counters_)) {
       throw std::invalid_argument(

@@ -1,10 +1,10 @@
 // Golden-bytes tests: every byte format that crosses the process boundary —
-// checkpoint files (serial, sharded, invertible), wire frames carrying an
-// IntervalPayload, sketch packets of every FamilyKind, .scdt traces — and
-// config_fingerprint are pinned to exact values. A codec refactor that
-// changes a single output byte orphans existing checkpoints, breaks wire
-// protocol v1 handshakes, or makes stored traces unreadable; these tests
-// catch it before it ships.
+// checkpoint files (serial, sharded, invertible serial and sharded), wire
+// frames carrying an IntervalPayload, sketch packets of every FamilyKind,
+// .scdt traces — and config_fingerprint are pinned to exact values. A codec
+// refactor that changes a single output byte orphans existing checkpoints,
+// breaks wire protocol v1 handshakes, or makes stored traces unreadable;
+// these tests catch it before it ships.
 //
 // Each fixture is built from integer-valued updates and EWMA(0.5), so the
 // registers and forecasts are exact in binary floating point and the pinned
@@ -235,6 +235,26 @@ TEST(GoldenBytes, InvertibleCheckpointFile) {
   EXPECT_EQ(crc_of(state), 415180303u);
   expect_checkpoint_file(
       config, state, "golden_invertible",
+      {5144, 3934926535u,
+       "5343445001000000010000000000000064fe0116c2664c090600000000000000"
+       "e8130000000000000f26bf186fc2e4cc"});
+}
+
+TEST(GoldenBytes, ParallelInvertibleCheckpointFile) {
+  // The row workers fill the serial sketch's counters, candidates and votes
+  // bit for bit, so the sharded invertible state pins to the serial bytes.
+  const auto config = golden_config(core::RecoveryMode::kInvertible);
+  Bytes state = parallel_state(config);
+  mask_timings(state, 241);
+  ingest::ParallelConfig parallel;
+  parallel.workers = 2;
+  ingest::ParallelPipeline restored(config, parallel);
+  restored.restore_state(state);
+  EXPECT_EQ(restored.save_state(), state);
+  EXPECT_EQ(state.size(), 5096u);
+  EXPECT_EQ(crc_of(state), 415180303u);
+  expect_checkpoint_file(
+      config, state, "golden_parallel_invertible",
       {5144, 3934926535u,
        "5343445001000000010000000000000064fe0116c2664c090600000000000000"
        "e8130000000000000f26bf186fc2e4cc"});

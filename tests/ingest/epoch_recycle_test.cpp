@@ -1,16 +1,16 @@
-// EpochRecycle: in steady state the merged epoch travels from the shards to
-// the engine and back by swap, and the engine steps its forecast into
-// tables it keeps. No h x k table is allocated or copied per interval
-// (docs/PERFORMANCE.md, "Fold, adopt, recycle").
+// EpochRecycle: in steady state an epoch's table travels from the row
+// workers' ring to the engine and back by swap, and the engine steps its
+// forecast into tables it keeps. No h x k table is allocated or copied per
+// interval (docs/PERFORMANCE.md, "Fill, adopt, recycle").
 //
 // The pin is an allocation count. This file replaces the global operator
 // new for the whole test_ingest binary with one that counts allocations of
 // at least a given size while a LargeAllocations scope is open. Every
-// h x k table is that large; chunks, handoff deques and key buffers are
+// h x k table is that large; chunks, ledger entries and key buffers are
 // far smaller. Allocation is process-wide, so the count covers the
 // producer, the workers and the merger at once.
 //
-// Runs under the tsan preset via `ctest -L concurrency`. The merger → pool
+// Runs under the tsan preset via `ctest -L concurrency`. The merger → ring
 // → worker hand-off of recycled tables is exactly what it should watch.
 #include <gtest/gtest.h>
 
@@ -82,9 +82,9 @@ constexpr std::size_t kK = 4096;
 constexpr std::size_t kTableBytes = kH * kK * sizeof(double);
 
 /// Stands in for the engine: adopts each delivered batch's tables by swap,
-/// clears what it adopted (the engine's close does the same) and hands its
-/// zeroed tables back through recycle(). Records which tables arrived and
-/// which went back.
+/// clears what it adopted (the engine's close does the same) and leaves its
+/// zeroed tables in the batch. Records which tables arrived and which went
+/// back.
 template <typename SketchT>
 class AdoptingConsumer {
  public:
@@ -96,16 +96,13 @@ class AdoptingConsumer {
         candidates_(kVotes ? kH * kK : 0, 0),
         votes_(kVotes ? kH * kK : 0, 0.0) {}
 
-  /// Set before the first close; the merger reads it only after
-  /// close_epoch() has synchronised with it.
-  ShardSetBase* shards = nullptr;
   /// Per delivered epoch: its register table, and whether that table had
   /// been delivered or handed back before.
   std::vector<const double*> delivered;
   std::vector<bool> seen_before;
 
   [[nodiscard]] ShardSetBase::MergedBatchCallback callback() {
-    return [this](const ShardSetBase::Close&, core::IntervalBatch&& batch) {
+    return [this](const ShardSetBase::Close&, core::IntervalBatch& batch) {
       delivered.push_back(batch.registers.data());
       seen_before.push_back(known_.count(batch.registers.data()) == 1);
       known_.insert(batch.registers.data());
@@ -116,7 +113,6 @@ class AdoptingConsumer {
       std::fill(candidates_.begin(), candidates_.end(), 0);
       std::fill(votes_.begin(), votes_.end(), 0.0);
       known_.insert(batch.registers.data());
-      shards->recycle(std::move(batch));
     };
   }
 
@@ -127,18 +123,16 @@ class AdoptingConsumer {
   std::vector<double> votes_;
 };
 
-/// One epoch of 2000 records spread over every shard.
-void feed_epoch(ShardSetBase& shards, std::size_t workers,
-                std::uint64_t epoch) {
-  std::vector<Chunk> chunks(workers);
+/// One epoch of 2000 records in four chunks.
+void feed_epoch(ShardSetBase& shards, std::uint64_t epoch) {
   common::Rng rng(epoch + 1);
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t key = rng.next_below(1u << 20);
-    chunks[common::mix64(key) % workers].push_back(
-        {key, static_cast<double>(1 + rng.next_below(100))});
-  }
-  for (std::size_t w = 0; w < workers; ++w) {
-    shards.submit(w, std::move(chunks[w]));
+  for (int c = 0; c < 4; ++c) {
+    Chunk chunk;
+    for (int i = 0; i < 500; ++i) {
+      chunk.push_back({rng.next_below(1u << 20),
+                       static_cast<double>(1 + rng.next_below(100))});
+    }
+    shards.submit(std::move(chunk));
   }
   shards.close_epoch({});
 }
@@ -152,17 +146,14 @@ void expect_no_table_allocated_in_steady_state(std::size_t workers) {
   ShardSet<SketchT> shards(kSeed, kH, kK, workers, /*queue_chunks=*/64,
                            nullptr, /*max_outstanding=*/1,
                            consumer.callback());
-  consumer.shards = &shards;
-  for (std::uint64_t e = 0; e < kWarmEpochs; ++e) {
-    feed_epoch(shards, workers, e);
-  }
+  for (std::uint64_t e = 0; e < kWarmEpochs; ++e) feed_epoch(shards, e);
   shards.drain();
   std::size_t allocated = 0;
   {
     const LargeAllocations tables(kTableBytes);
     for (std::uint64_t e = kWarmEpochs; e < kWarmEpochs + kSteadyEpochs;
          ++e) {
-      feed_epoch(shards, workers, e);
+      feed_epoch(shards, e);
     }
     shards.drain();
     allocated = tables.count();
@@ -180,10 +171,9 @@ TEST(EpochRecycle, MergerAllocatesNoTableInSteadyState) {
 }
 
 TEST(EpochRecycle, WorkersFillTablesFromTheCirculatingSet) {
-  // One worker and one outstanding epoch make the circulation order fixed:
-  // each epoch's pooled sketch is the one the previous merge returned.
   // After the first epochs, every table a batch delivers is one that was
-  // delivered or handed back before — the tables go round, none is new.
+  // delivered or handed back before — the tables go round the ring and
+  // the consumer, none is new.
   constexpr std::uint64_t kWarmEpochs = 4;
   constexpr std::uint64_t kEpochs = 24;
   AdoptingConsumer<sketch::MvSketch64> consumer;
@@ -191,8 +181,7 @@ TEST(EpochRecycle, WorkersFillTablesFromTheCirculatingSet) {
                                       /*queue_chunks=*/64, nullptr,
                                       /*max_outstanding=*/1,
                                       consumer.callback());
-  consumer.shards = &shards;
-  for (std::uint64_t e = 0; e < kEpochs; ++e) feed_epoch(shards, 1, e);
+  for (std::uint64_t e = 0; e < kEpochs; ++e) feed_epoch(shards, e);
   shards.drain();
   shards.stop();
   ASSERT_EQ(consumer.delivered.size(), kEpochs);
@@ -203,23 +192,23 @@ TEST(EpochRecycle, WorkersFillTablesFromTheCirculatingSet) {
 }
 
 TEST(EpochRecycle, RecycleRejectsTablesOfTheWrongShape) {
-  ShardSet<sketch::MvSketch64> shards(
-      kSeed, kH, kK, 1, 4, nullptr, 1,
-      [](const ShardSetBase::Close&, core::IntervalBatch&&) {});
-  core::IntervalBatch batch;
-  batch.registers.assign(kH * kK, 0.0);
-  batch.mv_candidates.assign(kH * kK, 0);
-  batch.mv_votes.assign(kH * kK - 1, 0.0);
-  EXPECT_THROW(shards.recycle(std::move(batch)), std::invalid_argument);
-  core::IntervalBatch kary_only;
-  kary_only.registers.assign(kH * kK, 0.0);
-  EXPECT_THROW(shards.recycle(std::move(kary_only)), std::invalid_argument);
-  core::IntervalBatch good;
-  good.registers.assign(kH * kK, 0.0);
-  good.mv_candidates.assign(kH * kK, 0);
-  good.mv_votes.assign(kH * kK, 0.0);
-  EXPECT_NO_THROW(shards.recycle(std::move(good)));
-  shards.stop();
+  // The tables a consumer leaves in a batch become a later epoch's table,
+  // so tables of another shape fail the stream: the next close rethrows.
+  for (const bool short_votes : {true, false}) {
+    ShardSet<sketch::MvSketch64> shards(
+        kSeed, kH, kK, 2, 4, nullptr, 1,
+        [short_votes](const ShardSetBase::Close&, core::IntervalBatch& batch) {
+          if (short_votes) {
+            batch.mv_votes.pop_back();
+          } else {
+            batch.registers.clear();
+          }
+        });
+    shards.close_epoch({});
+    EXPECT_THROW(shards.drain(), std::invalid_argument);
+    EXPECT_THROW(shards.close_epoch({}), std::invalid_argument);
+    shards.stop();
+  }
 }
 
 /// Steady 40-key intervals of integer updates, interval t at [10t, 10t+10).
@@ -295,8 +284,8 @@ core::PipelineConfig steady_config() {
 
 TEST(EpochRecycle, ShardedFrontEndAddsNoTableAllocationToTheEngines) {
   // The engine steps the forecast into tables it keeps
-  // (ForecastRunner::step_into), and the sharded front end hands it the
-  // merged tables by swap and takes them back through recycle(): the
+  // (ForecastRunner::step_into), and the sharded front end hands it each
+  // epoch's tables by swap and takes zeroed ones back into its ring: the
   // invertible engine allocates no table per interval on either path.
   core::PipelineConfig config = steady_config();
   config.recovery = core::RecoveryMode::kInvertible;

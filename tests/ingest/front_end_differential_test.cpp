@@ -70,7 +70,9 @@ core::PipelineConfig config_for(Mode mode, bool wide_keys) {
   if (mode == Mode::kReplayNext) {
     config.replay = core::KeyReplayMode::kNextInterval;
   }
-  if (mode == Mode::kInvertible) config.recovery = core::RecoveryMode::kInvertible;
+  if (mode == Mode::kInvertible) {
+    config.recovery = core::RecoveryMode::kInvertible;
+  }
   return config;
 }
 
@@ -258,37 +260,6 @@ std::string diff_report(const core::IntervalReport& a,
   return out.str();
 }
 
-/// The key-sharded layout folds per-shard votes at each epoch, so its
-/// invertible votes depend on the layout: the comparisons mask the vote
-/// table and what reads it (recovery counts, alarms, keys checked).
-constexpr bool kMaskVotes = true;
-
-bool masks_votes(const core::PipelineConfig& config) {
-  return kMaskVotes && config.recovery == core::RecoveryMode::kInvertible;
-}
-
-void mask_votes(core::PipelineStats& s) {
-  s.alarms = 0;
-  s.recovery_candidates = 0;
-  s.keys_recovered = 0;
-}
-
-/// The stats block's alarms, recovery_candidates and keys_recovered, and
-/// the previous interval's vote table before the sentinel.
-void mask_votes(Bytes& state) {
-  for (const std::size_t off : {320UL, 344UL, 352UL}) {
-    std::memset(&state.at(off), 0, 8);
-  }
-  const std::size_t votes = 16 * kCells;
-  std::memset(&state.at(state.size() - 8 - votes), 0, votes);
-}
-
-void mask_votes(ReportEntry& entry) {
-  entry.report.keys_checked = 0;
-  entry.report.alarms.clear();
-  mask_votes(entry.stats);
-}
-
 // ---------------------------------------------------------------------------
 // The two pipeline types behind one interface
 
@@ -317,25 +288,18 @@ class SideOf final : public Side {
          const Bytes* state, Log& log)
       : pipeline_(make(config, workers)) {
     if (state != nullptr) pipeline_.restore_state(*state);
-    pipeline_.set_report_callback([this, &log, &config](
-                                      const core::IntervalReport& r) {
+    pipeline_.set_report_callback([this, &log](const core::IntervalReport& r) {
       ReportEntry entry{r, pipeline_.stats()};
       entry.report.timings = {};
       mask_stats(entry.stats);
-      if (masks_votes(config)) mask_votes(entry);
       log.reports.push_back(std::move(entry));
     });
-    pipeline_.set_interval_close_callback([this, &log, &config](
-                                              std::size_t closed) {
+    pipeline_.set_interval_close_callback([this, &log](std::size_t closed) {
       CloseEntry entry{closed, pipeline_.stats(), pipeline_.position(),
                        pipeline_.save_state()};
       mask_state(entry.state,
                  entry.stats.intervals_closed > log.reports.size());
       mask_stats(entry.stats);
-      if (masks_votes(config)) {
-        mask_votes(entry.state);
-        mask_votes(entry.stats);
-      }
       log.closes.push_back(std::move(entry));
     });
   }
@@ -554,10 +518,6 @@ class Run {
     Bytes b = *subject_state;
     mask_state(a, pending);
     mask_state(b, pending);
-    if (masks_votes(config_)) {
-      mask_votes(a);
-      mask_votes(b);
-    }
     if (a != b) {
       return "save_state bytes differ (" + std::to_string(a.size()) + " vs " +
              std::to_string(b.size()) + " bytes)";
@@ -615,10 +575,6 @@ class Run {
     mask_stats(oracle_now);
     core::PipelineStats subject_now = subject_->stats();
     mask_stats(subject_now);
-    if (masks_votes(config_)) {
-      mask_votes(oracle_now);
-      mask_votes(subject_now);
-    }
     if (ParallelPipeline* sharded = subject_->sharded()) {
       // The engine stands at the last close; the front end has counted
       // every record since.

@@ -1,19 +1,22 @@
-// MvShardProperty: the invertible sketch's recovery output is bit-identical
-// between a serial update pass and the W=4 sharded COMBINE-merge, and under
-// every SCD_SIMD dispatch decision (ctest reruns this suite with
-// SCD_SIMD=scalar / avx2 / avx512 pinned).
+// MvShardProperty: the invertible sketch the row workers fill is
+// bit-identical to a serial update pass — counters, candidates and vote
+// counts — at W = 4 over H = 5 rows (a 2/1/1/1 split), and under every
+// SCD_SIMD dispatch decision (ctest reruns this suite with SCD_SIMD=scalar
+// and avx512 pinned).
 //
-// Why bit-identity is demandable (docs/KEY_RECOVERY.md): updates are
-// integer-valued (< 2^53, exact in doubles) so the merged counters equal
-// the serial counters exactly, and every heavy key carries overwhelming
-// majority mass in its buckets, so its candidacy survives any update
-// order or shard merge order. Vote *counts* are order-dependent and are
-// deliberately not compared; candidate identity and the recovered
-// (key, value) list are the invariant surface.
+// Why bit-identity is demandable (docs/KEY_RECOVERY.md): each worker owns
+// whole rows and applies every record to them in stream order, so every
+// cell sees the serial sequence of counter additions and votes. That holds
+// for fractional updates too, which is why the background here is not
+// integer-valued.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,13 +35,13 @@ constexpr std::size_t kH = 5;
 constexpr std::size_t kK = 1024;
 constexpr std::size_t kWorkers = 4;
 
-/// Integer-valued stream: light background (weight 1) plus heavy keys with
-/// overwhelming per-bucket majority (weight 1e6).
+/// Light fractional background plus heavy keys with overwhelming
+/// per-bucket majority (weight 1e6).
 std::vector<Record> make_records() {
   std::vector<Record> records;
   common::Rng rng(77);
   for (int i = 0; i < 20000; ++i) {
-    records.push_back({rng.next_below(1u << 24), 1.0});
+    records.push_back({rng.next_below(1u << 24), rng.uniform(0.1, 3.0)});
   }
   for (std::uint64_t heavy = 1; heavy <= 8; ++heavy) {
     records.push_back({heavy * 1000003, 1.0e6});
@@ -46,52 +49,56 @@ std::vector<Record> make_records() {
   return records;
 }
 
-TEST(MvShardProperty, ShardedMergeRecoversBitIdenticalToSerial) {
-  const auto records = make_records();
+template <typename T>
+bool same_bytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
 
-  // Serial reference: one sketch, records in stream order.
-  const auto serial_family =
-      std::make_shared<const hash::TabulationHashFamily>(kSeed, kH);
-  sketch::MvSketch serial(serial_family, kK);
-  serial.update_batch(records);
-  const auto serial_recovered = serial.recover_heavy_keys(1000.0);
-  ASSERT_EQ(serial_recovered.size(), 8u);
-
-  // Sharded: route by the pipeline's key->shard function, close and merge
-  // the epoch, rebuild a sketch from the published batch (registers + vote
-  // state).
+/// The W-worker epoch table over `records`, fed in 512-record chunks.
+core::IntervalBatch sharded_batch(const std::vector<Record>& records) {
   BatchSink sink;
   ShardSet<sketch::MvSketch> shards(kSeed, kH, kK, kWorkers,
                                     /*queue_chunks=*/64, nullptr,
                                     /*max_outstanding=*/1, sink.callback());
-  std::vector<Chunk> chunks(kWorkers);
-  for (const Record& r : records) {
-    chunks[common::mix64(r.key) % kWorkers].push_back(r);
+  for (std::size_t at = 0; at < records.size(); at += 512) {
+    const auto end = records.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         std::min(records.size(), at + 512));
+    shards.submit(Chunk(records.begin() + static_cast<std::ptrdiff_t>(at),
+                        end));
   }
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    shards.submit(w, std::move(chunks[w]));
-  }
-  const core::IntervalBatch batch = sink.close_and_drain(shards);
+  core::IntervalBatch batch = sink.close_and_drain(shards, records.size());
   shards.stop();
+  return batch;
+}
 
-  ASSERT_EQ(batch.registers.size(), kH * kK);
-  ASSERT_EQ(batch.mv_candidates.size(), kH * kK);
-  ASSERT_EQ(batch.mv_votes.size(), kH * kK);
+TEST(MvShardProperty, ShardedMergeRecoversBitIdenticalToSerial) {
+  const auto records = make_records();
+
+  // Serial reference: one sketch, records in stream order.
+  const auto family =
+      std::make_shared<const hash::TabulationHashFamily>(kSeed, kH);
+  sketch::MvSketch serial(family, kK);
+  for (const Record& r : records) serial.update(r.key, r.update);
+  const auto serial_recovered = serial.recover_heavy_keys(1000.0);
+  ASSERT_EQ(serial_recovered.size(), 8u);
+
+  const core::IntervalBatch batch = sharded_batch(records);
+  EXPECT_EQ(batch.records, records.size());
   // Recovery sketches collect no replay keys — that is the point.
   EXPECT_TRUE(batch.keys.empty());
+  EXPECT_TRUE(same_bytes(std::span<const double>(batch.registers),
+                         serial.registers()));
+  EXPECT_TRUE(same_bytes(std::span<const std::uint64_t>(batch.mv_candidates),
+                         serial.candidates()));
+  EXPECT_TRUE(
+      same_bytes(std::span<const double>(batch.mv_votes), serial.votes()));
 
-  // Integer updates: the merged counter table is exactly the serial one.
-  const auto serial_regs = serial.registers();
-  for (std::size_t i = 0; i < serial_regs.size(); ++i) {
-    ASSERT_EQ(batch.registers[i], serial_regs[i]) << "register " << i;
-  }
-
-  sketch::MvSketch merged(
-      std::make_shared<const hash::TabulationHashFamily>(kSeed, kH), kK);
-  merged.load_registers(batch.registers);
-  merged.load_aux(batch.mv_candidates, batch.mv_votes);
-  const auto sharded_recovered = merged.recover_heavy_keys(1000.0);
-
+  sketch::MvSketch sharded(family, kK);
+  sharded.load_registers(batch.registers);
+  sharded.load_aux(batch.mv_candidates, batch.mv_votes);
+  const auto sharded_recovered = sharded.recover_heavy_keys(1000.0);
   ASSERT_EQ(sharded_recovered.size(), serial_recovered.size());
   for (std::size_t i = 0; i < serial_recovered.size(); ++i) {
     EXPECT_EQ(sharded_recovered[i].key, serial_recovered[i].key);
@@ -101,32 +108,16 @@ TEST(MvShardProperty, ShardedMergeRecoversBitIdenticalToSerial) {
 
 TEST(MvShardProperty, RepeatedShardedRunsAreBitIdentical) {
   const auto records = make_records();
-  std::vector<std::vector<sketch::RecoveredHeavyKey>> runs;
-  for (int round = 0; round < 3; ++round) {
-    BatchSink sink;
-    ShardSet<sketch::MvSketch> shards(kSeed, kH, kK, kWorkers, 64, nullptr, 1,
-                                      sink.callback());
-    std::vector<Chunk> chunks(kWorkers);
-    for (const Record& r : records) {
-      chunks[common::mix64(r.key) % kWorkers].push_back(r);
-    }
-    for (std::size_t w = 0; w < kWorkers; ++w) {
-      shards.submit(w, std::move(chunks[w]));
-    }
-    const core::IntervalBatch batch = sink.close_and_drain(shards);
-    shards.stop();
-    sketch::MvSketch merged(
-        std::make_shared<const hash::TabulationHashFamily>(kSeed, kH), kK);
-    merged.load_registers(batch.registers);
-    merged.load_aux(batch.mv_candidates, batch.mv_votes);
-    runs.push_back(merged.recover_heavy_keys(1000.0));
-  }
-  for (std::size_t round = 1; round < runs.size(); ++round) {
-    ASSERT_EQ(runs[round].size(), runs[0].size());
-    for (std::size_t i = 0; i < runs[0].size(); ++i) {
-      EXPECT_EQ(runs[round][i].key, runs[0][i].key);
-      EXPECT_EQ(runs[round][i].value, runs[0][i].value);
-    }
+  const core::IntervalBatch first = sharded_batch(records);
+  for (int round = 1; round < 3; ++round) {
+    const core::IntervalBatch again = sharded_batch(records);
+    EXPECT_TRUE(same_bytes(std::span<const double>(again.registers),
+                           std::span<const double>(first.registers)));
+    EXPECT_TRUE(
+        same_bytes(std::span<const std::uint64_t>(again.mv_candidates),
+                   std::span<const std::uint64_t>(first.mv_candidates)));
+    EXPECT_TRUE(same_bytes(std::span<const double>(again.mv_votes),
+                           std::span<const double>(first.mv_votes)));
   }
 }
 

@@ -1,9 +1,8 @@
-// ParallelPipeline: the sharded front-end must reproduce the serial
-// pipeline's alarm set exactly — same (interval, key) pairs — for any worker
-// count, because sharding by key + COMBINE-merge is algebraically the same
-// computation. Updates in these tests are integer-valued so the per-register
-// sums are exact regardless of floating-point addition order and the
-// comparison can demand bit equality, not tolerance.
+// ParallelPipeline: the sharded front end must reproduce the serial
+// pipeline's reports bit for bit for any worker count: its row workers apply
+// every record to their rows in stream order, so every register sees the
+// serial sequence of floating-point additions. The stream's updates are
+// fractional, where any other addition order would show in the bits.
 //
 // Runs under the tsan preset via `ctest -L concurrency`.
 #include "ingest/parallel_pipeline.h"
@@ -39,20 +38,44 @@ core::PipelineConfig base_config() {
   return config;
 }
 
-/// Integer-valued deterministic stream: 50 steady keys per interval plus a
-/// spike on key 999 in interval 6. Works on anything with an add() method.
-/// Leaves the last interval open.
+/// Deterministic stream of fractional updates: 50 steady keys per interval
+/// plus a spike on key 999 in interval 6. Works on anything with an add()
+/// method. Leaves the last interval open.
 template <typename Pipeline>
 void add_stream(Pipeline& pipeline, std::size_t intervals) {
   for (std::size_t t = 0; t < intervals; ++t) {
     const double start = static_cast<double>(t) * 10.0;
     for (std::uint64_t key = 1; key <= 50; ++key) {
       const double jitter =
-          static_cast<double>(common::mix64(key * 1000 + t) % 11) - 5.0;
+          static_cast<double>(common::mix64(key * 1000 + t) % 1101) / 100.0 -
+          5.5;
       pipeline.add(key, 100.0 + jitter, start + 1.0);
     }
     if (t == 6) pipeline.add(999, 5000.0, start + 2.0);
   }
+}
+
+/// The equivalence suite's stream: 1000 keys per interval, each sending
+/// two fractional records in two passes over the keys, plus the spike on
+/// key 999 in interval 6. At K=4096 many registers receive records of
+/// several keys, interleaved, so any layout that sums a register's addends
+/// in another order (per-key shards folded at the close, say) shows in the
+/// bits.
+template <typename Pipeline>
+void add_colliding_stream(Pipeline& pipeline, std::size_t intervals) {
+  for (std::size_t t = 0; t < intervals; ++t) {
+    const double start = static_cast<double>(t) * 10.0;
+    for (std::uint64_t pass = 0; pass < 2; ++pass) {
+      for (std::uint64_t key = 1; key <= 1000; ++key) {
+        const std::uint64_t draw =
+            common::mix64(key * 1000 + t * 2 + pass) % 1101;
+        pipeline.add(key, 50.0 + static_cast<double>(draw) / 100.0 - 5.5,
+                     start + 1.0);
+      }
+    }
+    if (t == 6) pipeline.add(999, 5000.0, start + 2.0);
+  }
+  pipeline.flush();
 }
 
 template <typename Pipeline>
@@ -75,7 +98,7 @@ AlarmSet alarm_set(const std::vector<core::IntervalReport>& reports) {
 
 TEST(ParallelPipeline, AlarmSetMatchesSerialForEveryWorkerCount) {
   core::ChangeDetectionPipeline serial(base_config());
-  feed_stream(serial, 10);
+  add_colliding_stream(serial, 10);
   const AlarmSet expected = alarm_set(serial.reports());
   ASSERT_FALSE(expected.empty());  // the spike must be flagged
 
@@ -84,21 +107,29 @@ TEST(ParallelPipeline, AlarmSetMatchesSerialForEveryWorkerCount) {
     parallel.workers = workers;
     parallel.batch_size = 16;  // several chunks per interval
     ParallelPipeline pipeline(base_config(), parallel);
-    feed_stream(pipeline, 10);
+    add_colliding_stream(pipeline, 10);
 
     ASSERT_EQ(pipeline.reports().size(), serial.reports().size())
         << "workers=" << workers;
     EXPECT_EQ(alarm_set(pipeline.reports()), expected)
         << "workers=" << workers;
-    // With integer updates the merged registers are bit-identical to the
-    // serial sketch, so every derived quantity matches exactly.
+    // The epoch tables are the serial sketch's bit for bit, so every
+    // derived quantity matches exactly.
     for (std::size_t i = 0; i < serial.reports().size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "workers=" << workers
+                                        << " interval=" << i);
       const auto& s = serial.reports()[i];
       const auto& p = pipeline.reports()[i];
-      EXPECT_EQ(p.records, s.records) << "workers=" << workers << " i=" << i;
+      EXPECT_EQ(p.records, s.records);
+      EXPECT_EQ(p.detection_ran, s.detection_ran);
       EXPECT_EQ(p.keys_checked, s.keys_checked);
-      EXPECT_DOUBLE_EQ(p.estimated_error_f2, s.estimated_error_f2);
-      EXPECT_DOUBLE_EQ(p.alarm_threshold, s.alarm_threshold);
+      EXPECT_EQ(p.estimated_error_f2, s.estimated_error_f2);
+      EXPECT_EQ(p.alarm_threshold, s.alarm_threshold);
+      ASSERT_EQ(p.alarms.size(), s.alarms.size());
+      for (std::size_t a = 0; a < s.alarms.size(); ++a) {
+        EXPECT_EQ(p.alarms[a].key, s.alarms[a].key);
+        EXPECT_EQ(p.alarms[a].error, s.alarms[a].error);
+      }
     }
     EXPECT_EQ(pipeline.stats().records, serial.stats().records);
     EXPECT_EQ(pipeline.stats().intervals_closed,
@@ -125,7 +156,7 @@ TEST(ParallelPipeline, RunsAreDeterministic) {
   EXPECT_EQ(alarms1, alarms2);
   ASSERT_EQ(f2_1.size(), f2_2.size());
   for (std::size_t i = 0; i < f2_1.size(); ++i) {
-    EXPECT_DOUBLE_EQ(f2_1[i], f2_2[i]) << i;  // fixed merge order => bit-exact
+    EXPECT_EQ(f2_1[i], f2_2[i]) << i;
   }
 }
 

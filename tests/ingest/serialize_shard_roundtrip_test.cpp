@@ -3,9 +3,13 @@
 // path — the distributed-collection story of serialize.h driven by the
 // actual parallel front-end instead of a single-threaded fixture.
 //
-// Updates are integer-valued so the COMBINE-merged registers equal the
-// serial sketch's registers exactly and the comparison can demand bit
-// equality. Runs under the tsan preset via `ctest -L concurrency`.
+// Two producer threads submit chunks at once, so the chunks reach the
+// workers in an order no one fixes; the updates are integer-valued, so the
+// registers equal the serial sketch's whatever that order, and the
+// comparison can demand bit equality. Runs under the tsan preset via
+// `ctest -L concurrency`.
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -42,32 +46,31 @@ std::vector<Record> make_records(std::size_t n) {
 TEST(SerializeShardRoundTrip, ParallelMergeSurvivesTheWireFormat) {
   const auto records = make_records(20000);
 
-  // Sharded ingest: two producer threads route chunks by key to kWorkers
-  // private sketches; the epoch close COMBINE-merges them.
+  // Sharded ingest: two producer threads hand chunks to kWorkers row
+  // workers, which fill the epoch's one table.
   BatchSink sink;
   ShardSet<sketch::KarySketch> shards(kSeed, kH, kK, kWorkers,
                                       /*queue_chunks=*/64,
                                       /*instruments=*/nullptr,
                                       /*max_outstanding=*/1, sink.callback());
   const auto produce = [&shards, &records](std::size_t half) {
-    std::vector<Chunk> chunks(kWorkers);
     const std::size_t begin = half * records.size() / 2;
     const std::size_t end = (half + 1) * records.size() / 2;
-    for (std::size_t i = begin; i < end; ++i) {
-      chunks[records[i].key % kWorkers].push_back(records[i]);
-    }
-    for (std::size_t s = 0; s < kWorkers; ++s) {
-      shards.submit(s, std::move(chunks[s]));
+    for (std::size_t at = begin; at < end; at += 1000) {
+      const std::size_t stop = std::min(end, at + 1000);
+      shards.submit(Chunk(records.begin() + static_cast<std::ptrdiff_t>(at),
+                          records.begin() + static_cast<std::ptrdiff_t>(stop)));
     }
   };
   std::thread first(produce, 0);
   std::thread second(produce, 1);
   first.join();
   second.join();
-  const core::IntervalBatch batch = sink.close_and_drain(shards);
+  const core::IntervalBatch batch =
+      sink.close_and_drain(shards, records.size());
   shards.stop();
 
-  // Rehydrate the merged registers into a sketch over the same family and
+  // Rehydrate the epoch's registers into a sketch over the same family and
   // push it through the export packet.
   const auto family = sketch::make_tabulation_family(kSeed, kH);
   sketch::KarySketch merged(family, kK);
@@ -88,7 +91,7 @@ TEST(SerializeShardRoundTrip, ParallelMergeSurvivesTheWireFormat) {
 }
 
 TEST(SerializeShardRoundTrip, CorruptedShardExportIsRejected) {
-  // A truncated or bit-flipped export from a shard merge must be rejected
+  // A truncated or bit-flipped export of a sharded epoch must be rejected
   // with a typed error, not silently merged into the collector's view.
   BatchSink sink;
   ShardSet<sketch::KarySketch> shards(kSeed, kH, /*k=*/256,
@@ -100,8 +103,8 @@ TEST(SerializeShardRoundTrip, CorruptedShardExportIsRejected) {
   for (std::uint64_t key = 0; key < 500; ++key) {
     chunk.push_back(Record{key, 3.0});
   }
-  shards.submit(0, std::move(chunk));
-  const core::IntervalBatch batch = sink.close_and_drain(shards);
+  shards.submit(std::move(chunk));
+  const core::IntervalBatch batch = sink.close_and_drain(shards, 500);
   shards.stop();
 
   const auto family = sketch::make_tabulation_family(kSeed, kH);

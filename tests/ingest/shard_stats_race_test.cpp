@@ -46,21 +46,24 @@ TEST(ShardStatsRace, StatsReadableFromMonitorThreadDuringIngest) {
   });
 
   for (std::size_t c = 0; c < kChunks; ++c) {
-    for (std::size_t shard = 0; shard < kWorkers; ++shard) {
-      Chunk chunk(kChunkRecords);
-      for (std::size_t i = 0; i < kChunkRecords; ++i) {
-        chunk[i] = {c * kChunkRecords + i, 1.0};
-      }
-      shards.submit(shard, std::move(chunk));
+    Chunk chunk(kChunkRecords);
+    for (std::size_t i = 0; i < kChunkRecords; ++i) {
+      chunk[i] = {c * kChunkRecords + i, 1.0};
     }
+    shards.submit(std::move(chunk));
   }
-  const core::IntervalBatch batch = sink.close_and_drain(shards);
+  const core::IntervalBatch batch =
+      sink.close_and_drain(shards, kChunks * kChunkRecords);
   done.store(true, std::memory_order_release);
   monitor.join();
   shards.stop();
 
-  // Nothing was dropped or double-counted while the monitor was reading.
-  EXPECT_EQ(batch.records, kWorkers * kChunks * kChunkRecords);
+  // Nothing was dropped while the monitor was reading: every record landed
+  // in every row, so the table's mass is the record count.
+  EXPECT_EQ(batch.records, kChunks * kChunkRecords);
+  double row_sum = 0.0;
+  for (std::size_t j = 0; j < 1024; ++j) row_sum += batch.registers[j];
+  EXPECT_EQ(row_sum, static_cast<double>(kChunks * kChunkRecords));
   EXPECT_EQ(shards.dropped_records(), 0u);
   EXPECT_GE(shards.backpressure_waits(), last_waits);
 }

@@ -250,28 +250,29 @@ TEST(ObsPipelineIntegration, ParallelIngestSurfacesItsOwnFamilies) {
   const std::map<std::string, std::string> expected_types = {
       {"scd_ingest_queue_records", "gauge"},
       {"scd_ingest_backpressure_total", "counter"},
-      {"scd_ingest_merge_seconds", "histogram"},
+      {"scd_ingest_pending_epochs", "gauge"},
       {"scd_ingest_shard_apply_seconds", "histogram"},
   };
   for (const auto& [name, type] : expected_types) {
     ASSERT_EQ(parsed.family_type.count(name), 1u) << name;
     EXPECT_EQ(parsed.family_type.at(name), type) << name;
   }
-  // One apply histogram per shard, and every applied chunk was drained from
+  // One apply histogram per row worker, each of which applied every chunk
+  // (160 records in chunks of 8), and every applied chunk was drained from
   // the queue gauge (it must read 0 after flush).
   for (const char* shard : {"0", "1"}) {
     const std::string series = std::string(
         "scd_ingest_shard_apply_seconds_count{shard=\"") + shard + "\"}";
     ASSERT_EQ(parsed.samples.count(series), 1u) << series;
-    EXPECT_GT(std::stoull(parsed.samples.at(series)), 0u) << series;
+    EXPECT_GE(std::stoull(parsed.samples.at(series)), 20u) << series;
   }
   const auto queue = parsed.samples.find("scd_ingest_queue_records");
   ASSERT_NE(queue, parsed.samples.end());
   EXPECT_DOUBLE_EQ(std::stod(queue->second), 0.0);
-  // A barrier merge ran once per interval close.
-  const auto merges = parsed.samples.find("scd_ingest_merge_seconds_count");
-  ASSERT_NE(merges, parsed.samples.end());
-  EXPECT_GE(std::stoull(merges->second), 4u);
+  // Every interval was delivered.
+  const auto pending = parsed.samples.find("scd_ingest_pending_epochs");
+  ASSERT_NE(pending, parsed.samples.end());
+  EXPECT_DOUBLE_EQ(std::stod(pending->second), 0.0);
 }
 
 }  // namespace

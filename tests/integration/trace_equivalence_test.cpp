@@ -148,7 +148,7 @@ TEST(TraceEquivalence, ParallelTracedAlarmsBitEqualSerialUntraced) {
   for (const obs::TraceEvent& e : snap.events) {
     const std::string name = e.name;
     if (name == "shard_update_batch") saw_update = true;
-    if (name == "barrier_combine") saw_barrier = true;
+    if (name == "interval_close_barrier") saw_barrier = true;
   }
   EXPECT_TRUE(saw_update);
   EXPECT_TRUE(saw_barrier);

@@ -318,18 +318,14 @@ void reference_vote(std::uint64_t& cand, double& vote, std::uint64_t key,
 }
 
 /// The merge as BasicMvSketch::add_scaled used to run it: an axpy on the
-/// counters, then vote() per cell; clear_stale first resets the candidate
-/// of every zero-vote cell, drain then zeroes the source.
-void reference_fold(MvTable& dst, MvTable& src, double c, bool clear_stale,
-                    bool drain) {
+/// counters, then vote() per cell.
+void reference_fold(MvTable& dst, const MvTable& src, double c) {
   const std::size_t n = dst.counts.size();
   for (std::size_t i = 0; i < n; ++i) {
     dst.counts[i] += c * src.counts[i];
-    if (clear_stale && dst.votes[i] == 0.0) dst.candidates[i] = 0;
     reference_vote(dst.candidates[i], dst.votes[i], src.candidates[i],
                    std::abs(c) * src.votes[i]);
   }
-  if (drain) src = MvTable(n);
 }
 
 /// The cell shapes mv_fold's selection distinguishes.
@@ -385,7 +381,7 @@ std::pair<MvTable, MvTable> vote_case_tables(common::Rng& rng, std::size_t n,
 }
 
 using MvFoldFn = void (*)(const MvCells&, const MvConstCells&, std::size_t,
-                          double, bool, const MvCells*) noexcept;
+                          double) noexcept;
 
 std::vector<std::pair<const char*, MvFoldFn>> mv_fold_impls() {
   std::vector<std::pair<const char*, MvFoldFn>> impls = {
@@ -403,23 +399,14 @@ TEST(KernelEquivalence, MvFoldMatchesThePerCellVoteRule) {
   for (const auto& [name, fold] : mv_fold_impls()) {
     for (const std::size_t n : {0UL, 1UL, 7UL, 8UL, 9UL, 33UL, 4099UL}) {
       for (const double c : {1.0, -1.0, 0.5, 0.0}) {
-        for (const bool clear_stale : {false, true}) {
-          for (const bool drain : {false, true}) {
-            SCOPED_TRACE(::testing::Message()
-                         << name << " n=" << n << " c=" << c
-                         << " clear_stale=" << clear_stale
-                         << " drain=" << drain);
-            auto [dst, src] = vote_case_tables(rng, n, c);
-            MvTable expect_dst = dst;
-            MvTable expect_src = src;
-            reference_fold(expect_dst, expect_src, c, clear_stale, drain);
-            const MvCells src_cells = src.cells();
-            fold(dst.cells(), src.const_cells(), n, c, clear_stale,
-                 drain ? &src_cells : nullptr);
-            ASSERT_TRUE(dst.same_bytes(expect_dst));
-            ASSERT_TRUE(src.same_bytes(expect_src));
-          }
-        }
+        SCOPED_TRACE(::testing::Message() << name << " n=" << n << " c=" << c);
+        auto [dst, src] = vote_case_tables(rng, n, c);
+        MvTable expect_dst = dst;
+        const MvTable before_src = src;
+        reference_fold(expect_dst, src, c);
+        fold(dst.cells(), src.const_cells(), n, c);
+        ASSERT_TRUE(dst.same_bytes(expect_dst));
+        ASSERT_TRUE(src.same_bytes(before_src));
       }
     }
   }
@@ -433,7 +420,7 @@ TEST(KernelEquivalence, MvFoldVoteCasesReachEveryOutcome) {
   common::Rng rng(19);
   auto [dst, src] = vote_case_tables(rng, n, 1.0);
   const MvTable before = dst;
-  reference_fold(dst, src, 1.0, /*clear_stale=*/true, /*drain=*/false);
+  reference_fold(dst, src, 1.0);
   std::array<std::size_t, kVoteCases> seen{};
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t key = src.candidates[i];
@@ -446,8 +433,7 @@ TEST(KernelEquivalence, MvFoldVoteCasesReachEveryOutcome) {
       case VoteCase::kEmptySource:
         outcome = src.votes[i] == 0.0 && key != 0 &&
                   dst.votes[i] == before.votes[i] &&
-                  dst.candidates[i] ==
-                      (before.votes[i] == 0.0 ? 0 : before.candidates[i]);
+                  dst.candidates[i] == before.candidates[i];
         break;
       case VoteCase::kSameCandidate:
         outcome = dst.candidates[i] == key &&
@@ -547,12 +533,17 @@ KernelDigests digest_leg(const Leg& leg) {
     leg.index_shift_mask(packed.data(), n, 16, 0xFFFFULL, idx.data());
     d.index_shift_mask = fnv1a(d.index_shift_mask, idx);
 
-    // A plain merge, then a scaled, stale-clearing, draining one.
+    // A plain merge, then a scaled one into a table whose zero-vote cells
+    // read candidate 0, with the source zeroed after it: the tables the
+    // pinned digest was first taken over.
     auto [dst, src] = vote_case_tables(rng_fold, n, 1.0);
-    leg.mv_fold(dst.cells(), src.const_cells(), n, 1.0, false, nullptr);
+    leg.mv_fold(dst.cells(), src.const_cells(), n, 1.0);
     auto [dst2, src2] = vote_case_tables(rng_fold, n, -0.5);
-    const MvCells drain = src2.cells();
-    leg.mv_fold(dst2.cells(), src2.const_cells(), n, -0.5, true, &drain);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (dst2.votes[i] == 0.0) dst2.candidates[i] = 0;
+    }
+    leg.mv_fold(dst2.cells(), src2.const_cells(), n, -0.5);
+    src2 = MvTable(n);
     for (const MvTable* t : {&dst, &dst2, &src2}) {
       d.mv_fold = fnv1a(d.mv_fold, t->counts);
       d.mv_fold = fnv1a(d.mv_fold, t->candidates);

@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sketch/mv_sketch.h"
@@ -197,6 +199,89 @@ TEST(MvBatchUpdate, MatchesPerRecordUpdate) {
       }
     }
   }
+}
+
+// update_rows: the sharded front end's row workers each sweep a contiguous
+// row range of one shared table. Applying every range of any contiguous
+// split of [0, H), in any order, must leave the table update_batch leaves,
+// for the k-ary and the majority-vote sketch, on both hash families. K=2048
+// runs the plain sweep and K=32768 the prefetching one (for tabulation with
+// simd::index_shift_mask); ctest reruns this binary on every dispatch leg.
+
+/// Every split of [0, h) into contiguous ranges: bit i of `cuts` set means
+/// a range ends after row i.
+std::vector<std::pair<std::size_t, std::size_t>> split_ranges(
+    std::size_t h, std::uint32_t cuts) {
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  std::size_t begin = 0;
+  for (std::size_t row = 0; row + 1 < h; ++row) {
+    if ((cuts >> row) & 1U) {
+      ranges.emplace_back(begin, row + 1);
+      begin = row + 1;
+    }
+  }
+  ranges.emplace_back(begin, h);
+  return ranges;
+}
+
+template <typename Sketch, typename FamilyPtr>
+void expect_every_split_matches(const FamilyPtr& family, std::size_t k,
+                                std::span<const Record> records,
+                                const std::string& what) {
+  const std::size_t h = family->rows();
+  Sketch full(family, k);
+  full.update_batch(records);
+  for (std::uint32_t cuts = 0; cuts < (1U << (h - 1)); ++cuts) {
+    Sketch split(family, k);
+    // Last range first: the ranges do not depend on each other.
+    const auto ranges = split_ranges(h, cuts);
+    for (auto it = ranges.rbegin(); it != ranges.rend(); ++it) {
+      split.update_rows(records, it->first, it->second);
+    }
+    const std::string shape = what + " cuts=" + std::to_string(cuts);
+    ASSERT_TRUE(same_bits(split.registers(), full.registers())) << shape;
+    if constexpr (requires { split.votes(); }) {
+      ASSERT_TRUE(same_bits(split.candidates(), full.candidates())) << shape;
+      ASSERT_TRUE(same_bits(split.votes(), full.votes())) << shape;
+    }
+  }
+}
+
+TEST(RowSplitUpdate, EveryContiguousSplitEqualsTheFullSweep) {
+  common::Rng rng(76);
+  // H=5 is the sharded layouts' shape (3/2 at W=2, 2/1/1/1 at W=4); H=9
+  // splits across both tabulation group boundaries.
+  for (const std::size_t h : {5UL, 9UL}) {
+    for (const std::size_t k : {2048UL, 32768UL}) {
+      if (h == 9 && k == 32768) continue;  // 256 splits of a 2.4 MB table
+      const std::string shape =
+          " h=" + std::to_string(h) + " k=" + std::to_string(k);
+      const auto records32 = vote_records(rng, 5000, 1ULL << 32);
+      const auto records64 = vote_records(rng, 5000, ~0ULL);
+      expect_every_split_matches<KarySketch>(
+          make_tabulation_family(4000 + h, h), k, records32,
+          "kary tabulation" + shape);
+      expect_every_split_matches<KarySketch64>(make_cw_family(5000 + h, h), k,
+                                               records64, "kary cw" + shape);
+      expect_every_split_matches<MvSketch>(
+          make_tabulation_family(6000 + h, h), k, records32,
+          "mv tabulation" + shape);
+      expect_every_split_matches<MvSketch64>(make_cw_family(7000 + h, h), k,
+                                             records64, "mv cw" + shape);
+    }
+  }
+}
+
+TEST(RowSplitUpdate, RangeOutsideTheTableThrows) {
+  const auto family = make_tabulation_family(11, 5);
+  KarySketch kary(family, 64);
+  MvSketch mv(family, 64);
+  const std::vector<Record> records{{1, 1.0}};
+  EXPECT_THROW(kary.update_rows(records, 3, 2), std::invalid_argument);
+  EXPECT_THROW(kary.update_rows(records, 0, 6), std::invalid_argument);
+  EXPECT_THROW(mv.update_rows(records, 2, 6), std::invalid_argument);
+  EXPECT_NO_THROW(kary.update_rows(records, 2, 2));  // empty range
+  EXPECT_EQ(kary.sum(), 0.0);
 }
 
 }  // namespace

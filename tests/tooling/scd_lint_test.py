@@ -189,12 +189,12 @@ class AnnotationContractTest(unittest.TestCase):
         self.assert_contract_break(
             "src/ingest/shard_set.h", " SCD_GUARDED_BY(epoch_mutex_)")
 
-    def test_stripping_pool_guard_from_shard_set_fails(self):
-        # The pool shares the ledger's one lock; strip that guard from the
-        # pool_ declaration only.
+    def test_stripping_ring_guard_from_shard_set_fails(self):
+        # The epoch-table ring shares the ledger's one lock; strip that
+        # guard from the ring_ declaration only.
         self.assert_contract_break(
             "src/ingest/shard_set.h", " SCD_GUARDED_BY(epoch_mutex_)",
-            after="pool_")
+            after="ring_")
 
     def test_stripping_requires_from_shard_set_fails(self):
         # The leading newline+indent pins the match to the declaration,
