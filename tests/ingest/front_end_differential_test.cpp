@@ -4,7 +4,7 @@
 // Each seed draws a sequence of API operations: add_record in order, late,
 // or past one or more boundaries; start_at; flush; drain; and save_state
 // followed by restore_state into a fresh pipeline of either type
-// (ChangeDetectionPipeline, or ParallelPipeline at W = 1, 2 or 4). The
+// (ChangeDetectionPipeline, or ParallelPipeline at W = 1, 2, 4 or 8). The
 // sequence runs on the serial oracle and on the subject, and after every
 // operation the two must agree on:
 //   * the report stream, timings masked, with stats() read inside each
@@ -49,7 +49,8 @@ namespace {
 using Bytes = std::vector<std::uint8_t>;
 
 constexpr double kIntervalS = 10.0;
-constexpr std::size_t kH = 5;   // W=2 splits 3/2, W=4 splits 2/1/1/1
+// W=2 splits the rows 3/2, W=4 splits them 2/1/1/1, W=8 runs 5 workers.
+constexpr std::size_t kH = 5;
 constexpr std::size_t kK = 64;
 constexpr std::size_t kCells = kH * kK;
 
@@ -83,7 +84,7 @@ struct Op {
   enum Kind { kAdd, kLate, kJump, kStartAt, kFlush, kDrain, kSaveRestore };
   Kind kind = kAdd;
   std::uint64_t arg = 0;  // kAdd: records; kJump: intervals; kSaveRestore:
-                          // target (0 serial, else W = 1, 2, 4)
+                          // target (0 serial, else W = 1, 2, 4, 8)
   std::uint64_t seed = 0;  // draws of the records or the anchor
 };
 
@@ -111,7 +112,7 @@ std::vector<Op> draw_ops(std::uint64_t seed) {
   std::vector<Op> ops;
   if (rng.next_below(3) == 0) ops.push_back({Op::kStartAt, 0, rng.next_u64()});
   const std::size_t n = 20 + rng.next_below(25);
-  static constexpr std::uint64_t kTargets[] = {0, 1, 2, 4};
+  static constexpr std::uint64_t kTargets[] = {0, 1, 2, 4, 8};
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t draw = rng.next_below(100);
     Op op;
@@ -129,7 +130,7 @@ std::vector<Op> draw_ops(std::uint64_t seed) {
     } else if (draw < 88) {
       op.kind = Op::kDrain;
     } else {
-      op = {Op::kSaveRestore, kTargets[rng.next_below(4)], op.seed};
+      op = {Op::kSaveRestore, kTargets[rng.next_below(5)], op.seed};
     }
     ops.push_back(op);
   }
@@ -616,8 +617,8 @@ struct Scenario {
   std::uint64_t seed;
   [[nodiscard]] bool wide_keys() const { return (seed & 1) != 0; }
   [[nodiscard]] std::uint64_t workers() const {
-    static constexpr std::uint64_t kWorkers[] = {1, 2, 4};
-    return kWorkers[(seed >> 1) % 3];
+    static constexpr std::uint64_t kWorkers[] = {1, 2, 4, 8};
+    return kWorkers[(seed >> 1) % 4];
   }
 };
 
