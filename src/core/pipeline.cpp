@@ -257,6 +257,7 @@ class Engine final : public EngineBase {
           "ChangeDetectionPipeline: update must be finite");
     }
     cutter_.place(time_s, [this] { close_interval(); });
+    clear_observed();
     // Records are counted by the cutter and published once per interval:
     // one shared fetch_add per close instead of one per record keeps this
     // path free of cross-core traffic (a per-record inc alone costs ~5%
@@ -315,10 +316,11 @@ class Engine final : public EngineBase {
     }
     cutter_.open(batch.start_s, batch.len_s, batch.records, batch.out_of_order,
                  batch.high_water_s);
-    // Adopt the batch's tables by swap. No interval is open, so observed_
-    // is all zeros, and the batch leaves holding zeroed tables of the same
-    // shape (the IntervalBatch post-condition).
+    // Adopt the batch's tables by swap. The batch leaves holding the
+    // engine's previous tables, of the same shape and not zeroed (the
+    // IntervalBatch post-condition): whoever fills them next zeroes them.
     observed_.swap_registers(batch.registers);
+    observed_dirty_ = false;
     if constexpr (kRecovers) {
       observed_.swap_aux(batch.mv_candidates, batch.mv_votes);
     } else {
@@ -385,7 +387,7 @@ class Engine final : public EngineBase {
 
   void restore_state(ByteReader& in) override {
     transfer(in, *this);
-    observed_.set_zero();
+    observed_dirty_ = true;
     keys_.clear();
   }
 
@@ -553,7 +555,17 @@ class Engine final : public EngineBase {
     }
   }
 
+  /// Whoever fills a table zeroes it: a close leaves observed_ holding a
+  /// closed interval's state, cleared before the next interval's first
+  /// update (or its close, for an interval without records).
+  void clear_observed() noexcept {
+    if (!observed_dirty_) return;
+    observed_.set_zero();
+    observed_dirty_ = false;
+  }
+
   void close_interval() {
+    clear_observed();
     const IntervalCutter::Position& clock = cutter_.position();
     IntervalReport report;
     report.index = static_cast<std::size_t>(clock.index);
@@ -621,9 +633,11 @@ class Engine final : public EngineBase {
       }
 
       // Keep this interval's votes for the next detection, reusing the older
-      // table as the new open interval.
+      // table as the new open interval. It is zeroed when the next interval
+      // fills it through add(), not here: ingest_interval() swaps it out to
+      // a filler that zeroes it itself.
       if constexpr (kRecovers) std::swap(observed_, *previous_);
-      observed_.set_zero();
+      observed_dirty_ = true;
       keys_.clear();
       cutter_.next();
     }
@@ -844,6 +858,9 @@ class Engine final : public EngineBase {
   obs::PipelineInstruments* obs_;
   std::shared_ptr<const Family> family_;
   Sketch observed_;
+  /// observed_ holds a closed interval's state; clear_observed() zeroes it
+  /// before the next interval fills it.
+  bool observed_dirty_ = false;
   /// kRecovers only: the last closed interval's observed sketch, swapped in
   /// at close; its votes find keys that vanished this interval. Replay
   /// engines leave it empty.

@@ -141,11 +141,14 @@ using PipelineStats = obs::PipelineStats;
 /// Post-condition of ChangeDetectionPipeline::ingest_interval: the pipeline
 /// adopts the tables by swap, not by copy. On return `registers` — and, for
 /// an invertible (kInvertible) pipeline, `mv_candidates` and `mv_votes` —
-/// hold the pipeline's previous tables: all zeros, same h x k shape. The
-/// other fields keep their values. A rejected batch (the call throws) is
-/// left untouched. The sharded front end puts these zeroed tables back into
-/// its epoch-table ring, so in steady state no h x k table is allocated or
-/// copied per interval.
+/// hold the pipeline's previous tables: same h x k shape, contents
+/// unspecified (an earlier interval's state, not zeroed). Whoever fills a
+/// table zeroes it first; the pipeline zeroes none at close. The other
+/// fields keep their values. A rejected batch (the call throws) is left
+/// untouched. The sharded front end puts these tables back into its
+/// epoch-table ring, whose row workers zero their rows before filling them,
+/// so in steady state no h x k table is allocated, copied or zeroed on the
+/// merger per interval.
 struct IntervalBatch {
   double start_s = 0.0;
   double len_s = 0.0;

@@ -56,7 +56,8 @@ SketchPathResult compute_sketch_errors(const IntervalizedStream& stream,
     Sketch observed(std::make_shared<const Family>(options.seed, options.h),
                     options.k);
     for (std::size_t t = 0; t < stream.num_intervals(); ++t) {
-      // observed is zero: it holds the table the engine handed back last.
+      // observed holds the table the engine handed back last, not zeroed.
+      observed.set_zero();
       stream.fill_observed_sketch(t, observed);
       observed.swap_registers(batch.registers);
       batch.start_s = static_cast<double>(t) * batch.len_s;

@@ -28,12 +28,16 @@ namespace scd::forecast {
 template <LinearSignal V>
 class ArimaModel final : public ModelBase<ArimaModel<V>, V> {
  public:
+  using ForecastModel<V>::forecast_into;
+  using ForecastModel<V>::observe;
+
   ArimaModel(const ArimaCoeffs& coeffs, const V& prototype)
       : coeffs_(coeffs),
         z_history_(static_cast<std::size_t>(coeffs.p > 0 ? coeffs.p : 1)),
         e_history_(static_cast<std::size_t>(coeffs.q > 0 ? coeffs.q : 1)),
         prev_y_(zero_like(prototype)),
-        zero_(zero_like(prototype)) {
+        zero_(zero_like(prototype)),
+        zf_(zero_like(prototype)) {
     assert(coeffs_.p >= 0 && coeffs_.p <= 2);
     assert(coeffs_.q >= 0 && coeffs_.q <= 2);
     assert(coeffs_.d == 0 || coeffs_.d == 1);
@@ -48,31 +52,36 @@ class ArimaModel final : public ModelBase<ArimaModel<V>, V> {
     return count_ >= (need > 0 ? need : 1);
   }
 
-  void forecast_into(V& out) const override {
+  void forecast_into(V& out, CellRange r) const override {
     assert(ready());
-    forecast_z(out);
-    if (coeffs_.d == 1) out.add_scaled(prev_y_, 1.0);
+    forecast_z(out, r);
+    if (coeffs_.d == 1) out.add_scaled(prev_y_, 1.0, r);
   }
 
-  void observe(const V& observed) override {
-    const bool was_ready = ready();
+  void observe(const V& observed, CellRange r) override {
+    // Z_f from the rings comes first: the slots the new Z and e take are
+    // the oldest ones it reads.
+    const bool forecast = ready() && have_z();
+    if (forecast) forecast_z(zf_, r);
     // Z for this interval. With d = 1 the first observation yields no Z.
-    const bool have_z = coeffs_.d == 0 || count_ >= 1;
-    V z = zero_;
-    if (have_z) {
-      z = observed;
-      if (coeffs_.d == 1) z.add_scaled(prev_y_, -1.0);
+    if (have_z()) {
+      V& z = z_history_.next(zero_);
+      z.assign(observed, r);
+      if (coeffs_.d == 1) z.add_scaled(prev_y_, -1.0, r);
     }
     // Forecast error e(t) = Z(t) - Z_f(t); zero before forecasts start.
-    V err = zero_;
-    if (was_ready && have_z) {
-      V zf = zero_;
-      forecast_z(zf);
-      err = subtract(z, zf);
+    V& err = e_history_.next(zero_);
+    if (forecast) {
+      subtract_into(err, z_history_.next(zero_), zf_, r);
+    } else {
+      err.set_zero(r);
     }
-    if (have_z) z_history_.push(z);
-    e_history_.push(err);
-    prev_y_ = observed;
+    prev_y_.assign(observed, r);
+  }
+
+  void advance() override {
+    if (have_z()) z_history_.commit();
+    e_history_.commit();
     ++count_;
   }
 
@@ -89,19 +98,25 @@ class ArimaModel final : public ModelBase<ArimaModel<V>, V> {
   }
 
  private:
+  /// Whether the interval being observed has a Z (every one but the first
+  /// under d = 1).
+  [[nodiscard]] bool have_z() const noexcept {
+    return coeffs_.d == 0 || count_ >= 1;
+  }
+
   /// Z_f for the next interval from the current rings (missing history = 0).
-  void forecast_z(V& out) const {
-    out = zero_;
+  void forecast_z(V& out, CellRange r) const {
+    out.set_zero(r);
     for (int j = 1; j <= coeffs_.p; ++j) {
       const auto ago = static_cast<std::size_t>(j);
       if (ago <= z_history_.size()) {
-        out.add_scaled(z_history_.back(ago), coeffs_.ar[ago - 1]);
+        out.add_scaled(z_history_.back(ago), coeffs_.ar[ago - 1], r);
       }
     }
     for (int i = 1; i <= coeffs_.q; ++i) {
       const auto ago = static_cast<std::size_t>(i);
       if (ago <= e_history_.size()) {
-        out.add_scaled(e_history_.back(ago), coeffs_.ma[ago - 1]);
+        out.add_scaled(e_history_.back(ago), coeffs_.ma[ago - 1], r);
       }
     }
   }
@@ -110,7 +125,9 @@ class ArimaModel final : public ModelBase<ArimaModel<V>, V> {
   HistoryRing<V> z_history_;
   HistoryRing<V> e_history_;
   V prev_y_;
-  V zero_;
+  V zero_;  // the rings' slot shape
+  /// Scratch for Z_f in observe(): no state, so outside transfer.
+  V zf_;
   std::size_t count_ = 0;
 };
 

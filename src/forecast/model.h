@@ -5,6 +5,16 @@
 //   2. call observe(o)                     -> feeds S_o(t) into the state
 // The caller computes the error signal S_e(t) = S_o(t) - S_f(t).
 //
+// Every model is a linear map applied cell by cell, so steps 1 and 2 also
+// come in a cell-range form: for each range of a partition of the cells
+// (common::CellRange), forecast_into(f, range) then observe(o, range);
+// then advance() once, which moves the per-interval scalar state (the
+// observation count, the history rings' heads). That gives the same bits
+// as the whole-signal calls, which are exactly this over one range of all
+// cells; ForecastRunner walks the table in cache-sized blocks this way.
+// Within an interval a range's observe() may overwrite state that its
+// forecast_into() read, so each range is forecast before it is observed.
+//
 // ready() is false while the model is still warming up (e.g. NSHW needs two
 // observations to initialize its trend component).
 #pragma once
@@ -45,11 +55,24 @@ class ForecastModel : public ModelState<V> {
   /// interval.
   [[nodiscard]] virtual bool ready() const noexcept = 0;
 
-  /// Writes the forecast for the next interval. Precondition: ready().
-  virtual void forecast_into(V& out) const = 0;
+  /// Writes the forecast for the next interval into the cells of `out` in
+  /// `range`. Precondition: ready().
+  virtual void forecast_into(V& out, CellRange range) const = 0;
 
-  /// Feeds the observed signal for the interval the last forecast covered.
-  virtual void observe(const V& observed) = 0;
+  /// Feeds the cells in `range` of the observed signal for the interval the
+  /// last forecast covered. Takes effect with the next advance().
+  virtual void observe(const V& observed, CellRange range) = 0;
+
+  /// Ends the interval whose cells observe() fed: updates the scalar state.
+  virtual void advance() = 0;
+
+  /// The whole-signal calls: the range forms over all cells, and observe()
+  /// also advances.
+  void forecast_into(V& out) const { forecast_into(out, {0, out.cells()}); }
+  void observe(const V& observed) {
+    observe(observed, {0, observed.cells()});
+    advance();
+  }
 
   /// Number of observe() calls so far.
   [[nodiscard]] virtual std::size_t observed_count() const noexcept = 0;

@@ -20,14 +20,30 @@ class HistoryRing {
     slots_.reserve(capacity_);
   }
 
+  /// The slot the next commit() makes the most recent element: the oldest
+  /// element's slot once the ring is full. While the ring is not full the
+  /// slot is added as a copy of `shape` on first use; slots never move, as
+  /// the capacity is reserved up front. Calls before the commit() return
+  /// the same slot, so a model fills it one cell range at a time while
+  /// back() still reads the elements it held before.
+  V& next(const V& shape) {
+    const std::size_t i = next_slot();
+    if (i == slots_.size()) slots_.push_back(shape);
+    return slots_[i];
+  }
+
+  /// Makes the next() slot the most recent element, evicting the oldest
+  /// when the ring is full. Precondition: next() was called since the last
+  /// commit().
+  void commit() noexcept {
+    assert(next_slot() < slots_.size());
+    head_ = next_slot();
+    if (size_ < capacity_) ++size_;
+  }
+
   void push(const V& v) {
-    if (slots_.size() < capacity_) {
-      slots_.push_back(v);
-      head_ = slots_.size() - 1;
-    } else {
-      head_ = (head_ + 1) % capacity_;
-      slots_[head_] = v;
-    }
+    next(v) = v;
+    commit();
   }
 
   /// Element observed `ago` steps in the past (1 = most recent).
@@ -49,6 +65,7 @@ class HistoryRing {
                                  std::to_string(ring.capacity_));
       }
       ring.slots_.assign(n, shape);
+      ring.size_ = n;
       ring.head_ = n == 0 ? 0 : n - 1;
     }
     for (std::size_t ago = n; ago >= 1; --ago) {
@@ -56,18 +73,23 @@ class HistoryRing {
     }
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
-  [[nodiscard]] bool full() const noexcept { return slots_.size() == capacity_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool full() const noexcept { return size_ == capacity_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   [[nodiscard]] std::size_t slot(std::size_t ago) const noexcept {
-    assert(ago >= 1 && ago <= slots_.size());
+    assert(ago >= 1 && ago <= size_);
     return (head_ + capacity_ - (ago - 1)) % capacity_;
   }
 
+  [[nodiscard]] std::size_t next_slot() const noexcept {
+    return size_ < capacity_ ? size_ : (head_ + 1) % capacity_;
+  }
+
   std::size_t capacity_;
-  std::size_t head_ = 0;
+  std::size_t size_ = 0;   // elements held
+  std::size_t head_ = 0;   // slot of the most recent element
   std::vector<V> slots_;
 };
 

@@ -19,6 +19,31 @@
 
 namespace scd::forecast {
 
+/// One interval of `model` over `observed`, walked in blocks of `block`
+/// cells: for each block, the forecast S_f into `forecast` (once the model
+/// is ready), the observation, and S_e = S_o - S_f into `error`; then the
+/// model advances. Every operation is elementwise, so any block size gives
+/// the bits of the whole-signal step (block >= cells). Returns whether the
+/// model was ready, i.e. whether `forecast` and `error` were written.
+/// `error` may be `observed` itself.
+template <LinearSignal V>
+bool step_blocks(ForecastModel<V>& model, const V& observed, V& forecast,
+                 V& error, std::size_t block) {
+  const bool ready = model.ready();
+  const std::size_t n = observed.cells();
+  for (std::size_t begin = 0; begin < n; begin += block) {
+    const CellRange r{begin, std::min(n, begin + block)};
+    if (ready) model.forecast_into(forecast, r);
+    model.observe(observed, r);
+    if (ready) {
+      error.assign(observed, r);  // a no-op when error is observed
+      error.add_scaled(forecast, -1.0, r);
+    }
+  }
+  model.advance();
+  return ready;
+}
+
 template <LinearSignal V>
 class ForecastRunner {
  public:
@@ -32,24 +57,25 @@ class ForecastRunner {
     V error;
   };
 
+  /// Cells per block of step_into's walk: a block's forecast, observation,
+  /// model state and error (five to nine streams of 8 B per cell) stay in
+  /// L1/L2 while the model's whole operation sequence runs over them, where
+  /// the whole-table sequence streams every table from memory once per
+  /// operation.
+  static constexpr std::size_t kStepBlock = 1024;
+
   /// Processes one interval's observed signal, writing the result into the
   /// caller's signals: once the model is warmed up, S_f(t) goes into
   /// `forecast` and S_e(t) = S_o(t) - S_f(t) into `error`, and it returns
   /// true; during warm-up it returns false and leaves both untouched. Both
   /// must have the observed signal's shape, and `error` may be `observed`
   /// itself (S_e is then computed over S_o in place, after the model has
-  /// observed it). The models write `forecast` by assignment and
-  /// add_scaled, so a caller that keeps the two signals across intervals
-  /// allocates nothing here.
+  /// observed it). Walks the cells in blocks of kStepBlock (step_blocks);
+  /// the models write `forecast` by assignment and add_scaled and keep
+  /// their scratch, so a caller that keeps the two signals across
+  /// intervals allocates nothing here once the model's history is full.
   bool step_into(const V& observed, V& forecast, V& error) {
-    const bool ready = model_->ready();
-    if (ready) model_->forecast_into(forecast);
-    model_->observe(observed);
-    if (ready) {
-      error = observed;  // a no-op when error is observed
-      error.add_scaled(forecast, -1.0);
-    }
-    return ready;
+    return step_blocks(*model_, observed, forecast, error, kStepBlock);
   }
 
   /// step_into() into fresh signals: the forecast/error pair for this

@@ -28,6 +28,9 @@ template <LinearSignal V>
 class SeasonalHoltWintersModel final
     : public ModelBase<SeasonalHoltWintersModel<V>, V> {
  public:
+  using ForecastModel<V>::forecast_into;
+  using ForecastModel<V>::observe;
+
   SeasonalHoltWintersModel(double alpha, double beta, double gamma,
                            std::size_t period, const V& prototype)
       : alpha_(alpha),
@@ -37,7 +40,9 @@ class SeasonalHoltWintersModel final
         level_(zero_like(prototype)),
         trend_(zero_like(prototype)),
         seasons_(period),
-        warmup_(period) {
+        warmup_(period),
+        prev_level_(zero_like(prototype)),
+        scratch_(zero_like(prototype)) {
     assert(alpha_ >= 0.0 && alpha_ <= 1.0);
     assert(beta_ >= 0.0 && beta_ <= 1.0);
     assert(gamma_ >= 0.0 && gamma_ <= 1.0);
@@ -48,40 +53,49 @@ class SeasonalHoltWintersModel final
     return count_ >= period_;
   }
 
-  void forecast_into(V& out) const override {
+  void forecast_into(V& out, CellRange r) const override {
     assert(ready());
-    out = level_;
-    out.add_scaled(trend_, 1.0);
+    out.assign(level_, r);
+    out.add_scaled(trend_, 1.0, r);
     // season(t+1-m): the oldest live seasonal slot.
-    out.add_scaled(seasons_.back(period_), 1.0);
+    out.add_scaled(seasons_.back(period_), 1.0, r);
   }
 
-  void observe(const V& observed) override {
+  void observe(const V& observed, CellRange r) override {
     if (count_ < period_) {
-      warmup_.push(observed);
+      warmup_.next(level_).assign(observed, r);
+      return;
+    }
+    // Standard additive recurrences; season(t-m) is the oldest slot, which
+    // the new season replaces, so it is read before it is written.
+    const V& old_season = seasons_.back(period_);
+    prev_level_.assign(level_, r);
+    scratch_.assign(level_, r);  // level(t-1) + trend(t-1)
+    scratch_.add_scaled(trend_, 1.0, r);
+
+    level_.assign(observed, r);  // alpha*(o - season(t-m)) + ...
+    level_.add_scaled(old_season, -1.0, r);
+    level_.scale(alpha_, r);
+    level_.add_scaled(scratch_, 1.0 - alpha_, r);
+
+    subtract_into(scratch_, level_, prev_level_, r);  // the level's delta
+    trend_.scale(1.0 - beta_, r);
+    trend_.add_scaled(scratch_, beta_, r);
+
+    subtract_into(scratch_, observed, level_, r);  // the new season
+    scratch_.scale(gamma_, r);
+    scratch_.add_scaled(old_season, 1.0 - gamma_, r);
+    seasons_.next(level_).assign(scratch_, r);
+  }
+
+  void advance() override {
+    if (count_ < period_) {
+      warmup_.commit();
       ++count_;
       if (count_ == period_) initialize();
       return;
     }
-    // Standard additive recurrences; season(t-m) is the oldest slot.
-    const V& old_season = seasons_.back(period_);
-    V prev_forecast_base = level_;          // level(t-1) + trend(t-1)
-    prev_forecast_base.add_scaled(trend_, 1.0);
-    V prev_level = level_;
-
-    level_ = observed;                       // alpha*(o - season(t-m)) + ...
-    level_.add_scaled(old_season, -1.0);
-    level_.scale(alpha_);
-    level_.add_scaled(prev_forecast_base, 1.0 - alpha_);
-
-    V delta = subtract(level_, prev_level);
-    trend_.scale(1.0 - beta_);
-    trend_.add_scaled(delta, beta_);
-
-    V new_season = subtract(observed, level_);
-    new_season.scale(gamma_);
-    new_season.add_scaled(old_season, 1.0 - gamma_);
-    seasons_.push(new_season);
+    seasons_.commit();
     ++count_;
   }
 
@@ -109,17 +123,19 @@ class SeasonalHoltWintersModel final
   }
 
  private:
+  /// Once, after the m-th warm-up observation, over the whole signal.
   void initialize() {
     // level = mean of the first m observations; season_i = o_i - level.
-    V mean = zero_like(level_);
+    level_.set_zero();
     const double w = 1.0 / static_cast<double>(period_);
     for (std::size_t ago = 1; ago <= period_; ++ago) {
-      mean.add_scaled(warmup_.back(ago), w);
+      level_.add_scaled(warmup_.back(ago), w);
     }
-    level_ = mean;
     trend_.set_zero();
     for (std::size_t ago = period_; ago >= 1; --ago) {  // oldest first
-      seasons_.push(subtract(warmup_.back(ago), mean));
+      subtract_into(seasons_.next(level_), warmup_.back(ago), level_,
+                    {0, level_.cells()});
+      seasons_.commit();
     }
   }
 
@@ -131,6 +147,9 @@ class SeasonalHoltWintersModel final
   V trend_;
   HistoryRing<V> seasons_;
   HistoryRing<V> warmup_;
+  /// Scratch for one observe(): no state, so outside transfer.
+  V prev_level_;
+  V scratch_;
   std::size_t count_ = 0;
 };
 

@@ -19,6 +19,9 @@ template <LinearSignal V>
 class MovingAverageModel final
     : public ModelBase<MovingAverageModel<V>, V> {
  public:
+  using ForecastModel<V>::forecast_into;
+  using ForecastModel<V>::observe;
+
   MovingAverageModel(std::size_t window, const V& prototype)
       : window_(window), history_(window), zero_(zero_like(prototype)) {
     assert(window_ >= 1);
@@ -26,16 +29,22 @@ class MovingAverageModel final
 
   [[nodiscard]] bool ready() const noexcept override { return count_ >= 1; }
 
-  void forecast_into(V& out) const override {
+  void forecast_into(V& out, CellRange r) const override {
     assert(ready());
     const std::size_t n = history_.size();
-    out = zero_;
+    out.set_zero(r);
     const double w = 1.0 / static_cast<double>(n);
-    for (std::size_t ago = 1; ago <= n; ++ago) out.add_scaled(history_.back(ago), w);
+    for (std::size_t ago = 1; ago <= n; ++ago) {
+      out.add_scaled(history_.back(ago), w, r);
+    }
   }
 
-  void observe(const V& observed) override {
-    history_.push(observed);
+  void observe(const V& observed, CellRange r) override {
+    history_.next(zero_).assign(observed, r);
+  }
+
+  void advance() override {
+    history_.commit();
     ++count_;
   }
 
@@ -52,7 +61,7 @@ class MovingAverageModel final
  private:
   std::size_t window_;
   HistoryRing<V> history_;
-  V zero_;
+  V zero_;  // the ring's slot shape
   std::size_t count_ = 0;
 };
 
@@ -64,6 +73,9 @@ class MovingAverageModel final
 template <LinearSignal V>
 class SShapedMaModel final : public ModelBase<SShapedMaModel<V>, V> {
  public:
+  using ForecastModel<V>::forecast_into;
+  using ForecastModel<V>::observe;
+
   SShapedMaModel(std::size_t window, const V& prototype)
       : window_(window), history_(window), zero_(zero_like(prototype)) {
     assert(window_ >= 1);
@@ -79,19 +91,23 @@ class SShapedMaModel final : public ModelBase<SShapedMaModel<V>, V> {
 
   [[nodiscard]] bool ready() const noexcept override { return count_ >= 1; }
 
-  void forecast_into(V& out) const override {
+  void forecast_into(V& out, CellRange r) const override {
     assert(ready());
     const std::size_t n = history_.size();
     double total = 0.0;
     for (std::size_t ago = 1; ago <= n; ++ago) total += weights_[ago - 1];
-    out = zero_;
+    out.set_zero(r);
     for (std::size_t ago = 1; ago <= n; ++ago) {
-      out.add_scaled(history_.back(ago), weights_[ago - 1] / total);
+      out.add_scaled(history_.back(ago), weights_[ago - 1] / total, r);
     }
   }
 
-  void observe(const V& observed) override {
-    history_.push(observed);
+  void observe(const V& observed, CellRange r) override {
+    history_.next(zero_).assign(observed, r);
+  }
+
+  void advance() override {
+    history_.commit();
     ++count_;
   }
 
@@ -108,7 +124,7 @@ class SShapedMaModel final : public ModelBase<SShapedMaModel<V>, V> {
  private:
   std::size_t window_;
   HistoryRing<V> history_;
-  V zero_;
+  V zero_;  // the ring's slot shape
   std::vector<double> weights_;  // weights_[i-1] = weight for "i ago"
   std::size_t count_ = 0;
 };
@@ -117,6 +133,9 @@ class SShapedMaModel final : public ModelBase<SShapedMaModel<V>, V> {
 template <LinearSignal V>
 class EwmaModel final : public ModelBase<EwmaModel<V>, V> {
  public:
+  using ForecastModel<V>::forecast_into;
+  using ForecastModel<V>::observe;
+
   EwmaModel(double alpha, const V& prototype)
       : alpha_(alpha), forecast_(zero_like(prototype)) {
     assert(alpha_ >= 0.0 && alpha_ <= 1.0);
@@ -124,20 +143,21 @@ class EwmaModel final : public ModelBase<EwmaModel<V>, V> {
 
   [[nodiscard]] bool ready() const noexcept override { return count_ >= 1; }
 
-  void forecast_into(V& out) const override {
+  void forecast_into(V& out, CellRange r) const override {
     assert(ready());
-    out = forecast_;
+    out.assign(forecast_, r);
   }
 
-  void observe(const V& observed) override {
+  void observe(const V& observed, CellRange r) override {
     if (count_ == 0) {
-      forecast_ = observed;  // S_f(2) = S_o(1)
+      forecast_.assign(observed, r);  // S_f(2) = S_o(1)
     } else {
-      forecast_.scale(1.0 - alpha_);
-      forecast_.add_scaled(observed, alpha_);
+      forecast_.scale(1.0 - alpha_, r);
+      forecast_.add_scaled(observed, alpha_, r);
     }
-    ++count_;
   }
+
+  void advance() override { ++count_; }
 
   [[nodiscard]] std::size_t observed_count() const noexcept override {
     return count_;
@@ -166,49 +186,56 @@ class EwmaModel final : public ModelBase<EwmaModel<V>, V> {
 template <LinearSignal V>
 class HoltWintersModel final : public ModelBase<HoltWintersModel<V>, V> {
  public:
+  using ForecastModel<V>::forecast_into;
+  using ForecastModel<V>::observe;
+
   HoltWintersModel(double alpha, double beta, const V& prototype)
       : alpha_(alpha),
         beta_(beta),
         smooth_(zero_like(prototype)),
         trend_(zero_like(prototype)),
-        first_obs_(zero_like(prototype)) {
+        first_obs_(zero_like(prototype)),
+        prev_smooth_(zero_like(prototype)) {
     assert(alpha_ >= 0.0 && alpha_ <= 1.0);
     assert(beta_ >= 0.0 && beta_ <= 1.0);
   }
 
   [[nodiscard]] bool ready() const noexcept override { return count_ >= 2; }
 
-  void forecast_into(V& out) const override {
+  void forecast_into(V& out, CellRange r) const override {
     assert(ready());
-    out = smooth_;
-    out.add_scaled(trend_, 1.0);
+    out.assign(smooth_, r);
+    out.add_scaled(trend_, 1.0, r);
   }
 
-  void observe(const V& observed) override {
+  void observe(const V& observed, CellRange r) override {
     if (count_ == 0) {
-      first_obs_ = observed;
-      smooth_ = observed;  // S_s(2) = S_o(1)
-    } else {
-      if (count_ == 1) {
-        // S_t(2) = S_o(2) - S_o(1); the pre-update forecast S_f(2) is
-        // S_s(2) + S_t(2).
-        trend_ = subtract(observed, first_obs_);
-      }
-      // Advance: S_s(t+1) = alpha*S_o(t) + (1-alpha)*S_f(t), with
-      // S_f(t) = S_s(t) + S_t(t) the forecast covering this observation.
-      V prev_smooth = smooth_;
-      V forecast = smooth_;
-      forecast.add_scaled(trend_, 1.0);
-      smooth_ = forecast;
-      smooth_.scale(1.0 - alpha_);
-      smooth_.add_scaled(observed, alpha_);
-      // S_t(t+1) = beta*(S_s(t+1) - S_s(t)) + (1-beta)*S_t(t)
-      V delta = subtract(smooth_, prev_smooth);
-      trend_.scale(1.0 - beta_);
-      trend_.add_scaled(delta, beta_);
+      first_obs_.assign(observed, r);
+      smooth_.assign(observed, r);  // S_s(2) = S_o(1)
+      return;
     }
-    ++count_;
+    if (count_ == 1) {
+      // S_t(2) = S_o(2) - S_o(1); the pre-update forecast S_f(2) is
+      // S_s(2) + S_t(2).
+      subtract_into(trend_, observed, first_obs_, r);
+    }
+    // Advance: S_s(t+1) = alpha*S_o(t) + (1-alpha)*S_f(t), with
+    // S_f(t) = S_s(t) + S_t(t) the forecast covering this observation,
+    // formed in place.
+    prev_smooth_.assign(smooth_, r);
+    smooth_.add_scaled(trend_, 1.0, r);
+    smooth_.scale(1.0 - alpha_, r);
+    smooth_.add_scaled(observed, alpha_, r);
+    // S_t(t+1) = beta*(S_s(t+1) - S_s(t)) + (1-beta)*S_t(t); the scratch
+    // turns into the difference -S_s(t) + S_s(t+1), which is
+    // S_s(t+1) - S_s(t) bit for bit.
+    prev_smooth_.scale(-1.0, r);
+    prev_smooth_.add_scaled(smooth_, 1.0, r);
+    trend_.scale(1.0 - beta_, r);
+    trend_.add_scaled(prev_smooth_, beta_, r);
   }
+
+  void advance() override { ++count_; }
 
   [[nodiscard]] std::size_t observed_count() const noexcept override {
     return count_;
@@ -228,6 +255,9 @@ class HoltWintersModel final : public ModelBase<HoltWintersModel<V>, V> {
   V smooth_;  // S_s for the next interval
   V trend_;   // S_t for the next interval
   V first_obs_;
+  /// Scratch for S_s(t) while S_s(t+1) is formed; no state, so outside
+  /// transfer.
+  V prev_smooth_;
   std::size_t count_ = 0;
 };
 

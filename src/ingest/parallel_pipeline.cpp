@@ -220,8 +220,9 @@ class ParallelPipeline::Impl {
     // while it is still intact, and ship-then-ingest-then-checkpoint is the
     // ordering the rejoin protocol relies on (docs/DISTRIBUTED.md).
     if (on_interval_batch_) on_interval_batch_(close.index, batch);
-    // The engine adopts the epoch's tables and leaves its zeroed ones in
-    // the batch; they go back into the workers' table ring.
+    // The engine adopts the epoch's tables and leaves its previous ones in
+    // the batch; they go back into the workers' table ring, and the workers
+    // zero them before the epoch that reuses them.
     serial_.ingest_interval(std::move(batch));
     // Fires with this interval fully ingested: save_state() from the
     // callback captures serial-equivalent state for the closed interval.

@@ -30,8 +30,13 @@
 // 1): with at most max_outstanding epochs closed but undelivered, a slot is
 // free again before the producer opens the epoch that reuses it. The merger
 // swaps a done slot's tables into its batch, whose tables the owner left
-// zeroed (ChangeDetectionPipeline::ingest_interval adopts a batch's tables
-// by swap and leaves zeroed ones), so the slot rejoins the ring zeroed.
+// there (ChangeDetectionPipeline::ingest_interval adopts a batch's tables by
+// swap and leaves its previous ones, not zeroed), so the slot rejoins the
+// ring holding an older interval's state. Whoever fills a table zeroes it:
+// each worker zeroes its own rows of the slot, registers and, for the
+// invertible sketch, candidates and votes, before the epoch's first chunk
+// (at the barrier, for an epoch without chunks). Stale candidates would
+// otherwise survive where a vote is zero and reach the engine's snapshot.
 //
 // Locking contract (docs/CONCURRENCY.md): epoch_mutex_ is the set's one
 // lock (the worker queues keep their own). It guards the epoch ledger
@@ -58,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cell_range.h"
 #include "common/mutex.h"
 #include "common/numa.h"
 #include "common/thread_annotations.h"
@@ -94,9 +100,10 @@ class ShardSetBase {
   /// its table: the cutter position of the interval being closed.
   using Close = core::IntervalCutter::Position;
   /// Epoch delivery: (close, batch), invoked on the merger thread in strict
-  /// epoch order. The callback must leave zeroed tables of the batch's
-  /// shape in it (ChangeDetectionPipeline::ingest_interval does): they
-  /// become a later epoch's table.
+  /// epoch order. The callback must leave tables of the batch's shape in it,
+  /// with any contents (ChangeDetectionPipeline::ingest_interval leaves its
+  /// previous ones): they become a later epoch's table, which the workers
+  /// zero before filling.
   using MergedBatchCallback =
       std::function<void(const Close&, core::IntervalBatch&)>;
 
@@ -173,8 +180,8 @@ class ShardSet final : public ShardSetBase {
         ring_.emplace_back(family, k);
       }
     }
-    // The merger's batch starts with zeroed tables, which the first
-    // delivery swaps into the ring.
+    // The merger's batch starts with tables of the ring's shape, which the
+    // first delivery swaps into the ring.
     batch_.registers.assign(cells_, 0.0);
     if constexpr (kRecovers) {
       batch_.mv_candidates.assign(cells_, 0);
@@ -188,7 +195,7 @@ class ShardSet final : public ShardSetBase {
       const std::size_t extra = h % workers;
       const std::size_t begin = w * base + std::min(w, extra);
       workers_.push_back(std::make_unique<Worker>(
-          queue_chunks, begin, begin + base + (w < extra ? 1 : 0)));
+          queue_chunks, begin, begin + base + (w < extra ? 1 : 0), k));
     }
     for (std::size_t w = 0; w < workers; ++w) {
       workers_[w]->thread = std::thread([this, w] { run_worker(w); });
@@ -309,11 +316,16 @@ class ShardSet final : public ShardSetBase {
   };
 
   struct Worker {
-    Worker(std::size_t queue_chunks, std::size_t begin, std::size_t end)
-        : queue(queue_chunks), row_begin(begin), row_end(end) {}
+    Worker(std::size_t queue_chunks, std::size_t begin, std::size_t end,
+           std::size_t k)
+        : queue(queue_chunks),
+          row_begin(begin),
+          row_end(end),
+          cells{begin * k, end * k} {}
     BoundedQueue<ShardMessage> queue;
     const std::size_t row_begin;
     const std::size_t row_end;
+    const common::CellRange cells;  // the rows' cells, row-major
     std::thread thread;
   };
 
@@ -342,8 +354,9 @@ class ShardSet final : public ShardSetBase {
     return ring_[epoch % ring_.size()].done == workers_.size();
   }
 
-  /// Moves the ready `epoch`'s tables and keys into batch_ and its zeroed
-  /// tables into the slot, which is then free for a later epoch.
+  /// Moves the ready `epoch`'s tables and keys into batch_ and batch_'s
+  /// tables (the ones the callback left) into the slot, which is then free
+  /// for a later epoch.
   void take_epoch_locked(std::uint64_t epoch) SCD_REQUIRES(epoch_mutex_) {
     Epoch& slot = ring_[epoch % ring_.size()];
     slot.table.swap_registers(batch_.registers);
@@ -434,6 +447,9 @@ class ShardSet final : public ShardSetBase {
     std::unordered_set<std::uint64_t> keys;
     std::uint64_t epoch = 0;
     Sketch* table = nullptr;
+    // The slot holds an older interval's state until this worker zeroes
+    // its rows of it, once per epoch.
+    bool rows_zeroed = false;
     {
       common::MutexLock lock(epoch_mutex_);
       table = &epoch_table_locked(epoch);
@@ -451,6 +467,12 @@ class ShardSet final : public ShardSetBase {
       }
       if (!msg.has_value()) break;
       if (msg->records == nullptr) {
+        if (!rows_zeroed) {  // an epoch without chunks
+          obs::ScopedTimer timer(apply_hist, nullptr, "shard_zero_rows",
+                                 "ingest");
+          table->set_zero(worker.cells);
+        }
+        rows_zeroed = false;
         std::vector<std::uint64_t> handoff(keys.begin(), keys.end());
         keys.clear();
         {
@@ -465,6 +487,10 @@ class ShardSet final : public ShardSetBase {
       const Chunk& chunk = *msg->records;
       obs::ScopedTimer timer(apply_hist, nullptr, "shard_update_batch",
                              "ingest", chunk.size());
+      if (!rows_zeroed) {
+        table->set_zero(worker.cells);
+        rows_zeroed = true;
+      }
       // The row sweep over this worker's rows (docs/PERFORMANCE.md): a
       // hash pass over the chunk, then one row at a time, votes included.
       table->update_rows(chunk, worker.row_begin, worker.row_end);
@@ -494,7 +520,8 @@ class ShardSet final : public ShardSetBase {
   // The epoch-table ring: max_outstanding + 1 slots, sized at construction.
   std::vector<Epoch> ring_ SCD_GUARDED_BY(epoch_mutex_);
   // The merger's batch: the delivered epoch's tables while its callback
-  // runs, zeroed tables between deliveries. Merger thread only.
+  // runs, the tables the callback left between deliveries. Merger thread
+  // only.
   core::IntervalBatch batch_;
   std::thread merger_;
   // Stats counters: producer thread writes, stats() may be called from any

@@ -7,11 +7,13 @@
 // figure in §5.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <span>
 #include <vector>
 
+#include "common/cell_range.h"
 #include "forecast/linear_space.h"
 #include "simd/kernels.h"
 
@@ -22,17 +24,41 @@ class DenseVector {
   DenseVector() = default;
   explicit DenseVector(std::size_t dimension) : values_(dimension, 0.0) {}
 
-  void set_zero() noexcept {
-    std::fill(values_.begin(), values_.end(), 0.0);
-  }
+  /// The component count; the cells of the cell-range operations
+  /// (common::CellRange), whose whole-vector calls are the full range.
+  [[nodiscard]] std::size_t cells() const noexcept { return values_.size(); }
 
-  void scale(double c) noexcept {
-    simd::scale(values_.data(), values_.size(), c);
+  void set_zero(common::CellRange r) noexcept {
+    assert(r.begin <= r.end && r.end <= values_.size());
+    std::fill_n(values_.begin() + static_cast<std::ptrdiff_t>(r.begin),
+                r.size(), 0.0);
   }
+  void set_zero() noexcept { set_zero(common::CellRange{0, cells()}); }
 
-  void add_scaled(const DenseVector& other, double c) noexcept {
+  void scale(double c, common::CellRange r) noexcept {
+    assert(r.begin <= r.end && r.end <= values_.size());
+    simd::scale(values_.data() + r.begin, r.size(), c);
+  }
+  void scale(double c) noexcept { scale(c, common::CellRange{0, cells()}); }
+
+  void add_scaled(const DenseVector& other, double c,
+                  common::CellRange r) noexcept {
     assert(values_.size() == other.values_.size());
-    simd::axpy(values_.data(), other.values_.data(), values_.size(), c);
+    assert(r.begin <= r.end && r.end <= values_.size());
+    simd::axpy(values_.data() + r.begin, other.values_.data() + r.begin,
+               r.size(), c);
+  }
+  void add_scaled(const DenseVector& other, double c) noexcept {
+    add_scaled(other, c, common::CellRange{0, cells()});
+  }
+
+  void assign(const DenseVector& other, common::CellRange r) noexcept {
+    assert(values_.size() == other.values_.size());
+    assert(r.begin <= r.end && r.end <= values_.size());
+    if (this == &other) return;
+    std::copy_n(other.values_.begin() + static_cast<std::ptrdiff_t>(r.begin),
+                r.size(),
+                values_.begin() + static_cast<std::ptrdiff_t>(r.begin));
   }
 
   [[nodiscard]] double& operator[](std::size_t i) noexcept { return values_[i]; }

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/cell_range.h"
 #include "hash/cw_hash.h"
 #include "hash/hash_family.h"
 #include "hash/tabulation_hash.h"
@@ -306,35 +307,79 @@ class BasicKarySketch {
 
   // ---- Linear-space operations (COMBINE) ------------------------------
   // These make BasicKarySketch a LinearSignal so that every forecasting
-  // model in src/forecast runs unchanged at the sketch level.
+  // model in src/forecast runs unchanged at the sketch level. The cells are
+  // the row-major registers (cell i * K + j is T[i][j]); each range form
+  // touches only the registers in its common::CellRange, and the
+  // whole-table call is the range over all cells(). A range short of the
+  // whole table invalidates the sum cache. Calls on disjoint ranges of one
+  // sketch may run concurrently: the row workers zero their own rows so.
 
-  void set_zero() noexcept {
-    std::fill(table_.begin(), table_.end(), 0.0);
-    // mo: release publishes the zero cache exactly like sum()'s fill path.
-    cached_sum_.store(0.0, std::memory_order_relaxed);
-    sum_valid_.store(true, std::memory_order_release);
-  }
+  /// The register count H * K.
+  [[nodiscard]] std::size_t cells() const noexcept { return table_.size(); }
 
-  void scale(double c) noexcept {
-    simd::scale(table_.data(), table_.size(), c);
-    // mo: single-mutator path — scaling the cached sum in place keeps the
-    // cache coherent without republishing (validity flag is unchanged).
-    cached_sum_.store(cached_sum_.load(std::memory_order_relaxed) * c,
-                      std::memory_order_relaxed);
-  }
-
-  /// *this += c * other. Throws std::invalid_argument unless the two
-  /// sketches share the same family and width — combining incompatible
-  /// sketches is meaningless and, unchecked, an out-of-bounds read/write.
-  void add_scaled(const BasicKarySketch& other, double c) {
-    if (!compatible(other)) {
-      throw std::invalid_argument(
-          "BasicKarySketch::add_scaled: incompatible sketches (family or "
-          "width mismatch)");
+  void set_zero(common::CellRange r) noexcept {
+    assert(r.begin <= r.end && r.end <= table_.size());
+    std::fill(table_.begin() + static_cast<std::ptrdiff_t>(r.begin),
+              table_.begin() + static_cast<std::ptrdiff_t>(r.end), 0.0);
+    if (r.size() == table_.size()) {
+      // mo: release publishes the zero cache exactly like sum()'s fill path.
+      cached_sum_.store(0.0, std::memory_order_relaxed);
+      sum_valid_.store(true, std::memory_order_release);
+    } else {
+      invalidate_sum();
     }
-    simd::axpy(table_.data(), other.table_.data(), table_.size(), c);
-    // mo: cache invalidation on the single-mutator path (see update()).
-    sum_valid_.store(false, std::memory_order_relaxed);
+  }
+  void set_zero() noexcept { set_zero(common::CellRange{0, cells()}); }
+
+  void scale(double c, common::CellRange r) noexcept {
+    assert(r.begin <= r.end && r.end <= table_.size());
+    simd::scale(table_.data() + r.begin, r.size(), c);
+    if (r.size() == table_.size()) {
+      // mo: single-mutator path — scaling the cached sum in place keeps the
+      // cache coherent without republishing (validity flag is unchanged).
+      cached_sum_.store(cached_sum_.load(std::memory_order_relaxed) * c,
+                        std::memory_order_relaxed);
+    } else {
+      invalidate_sum();
+    }
+  }
+  void scale(double c) noexcept {
+    scale(c, common::CellRange{0, cells()});
+  }
+
+  /// *this += c * other over the cells in `r`. Throws std::invalid_argument
+  /// unless the two sketches share the same family and width and `r` lies
+  /// within the table — combining incompatible sketches is meaningless and,
+  /// unchecked, an out-of-bounds read/write.
+  void add_scaled(const BasicKarySketch& other, double c,
+                  common::CellRange r) {
+    if (const char* why = misfit(other, r)) {
+      throw std::invalid_argument(std::string("BasicKarySketch::add_scaled") +
+                                  why);
+    }
+    simd::axpy(table_.data() + r.begin, other.table_.data() + r.begin,
+               r.size(), c);
+    invalidate_sum();
+  }
+  void add_scaled(const BasicKarySketch& other, double c) {
+    add_scaled(other, c, common::CellRange{0, cells()});
+  }
+
+  /// Copies other's registers in `r` (the whole range also takes its sum
+  /// cache, as copy assignment does). Same checks as add_scaled.
+  void assign(const BasicKarySketch& other, common::CellRange r) {
+    if (const char* why = misfit(other, r)) {
+      throw std::invalid_argument(std::string("BasicKarySketch::assign") + why);
+    }
+    if (this == &other) return;
+    std::copy(other.table_.begin() + static_cast<std::ptrdiff_t>(r.begin),
+              other.table_.begin() + static_cast<std::ptrdiff_t>(r.end),
+              table_.begin() + static_cast<std::ptrdiff_t>(r.begin));
+    if (r.size() == table_.size()) {
+      copy_sum_cache(other);
+    } else {
+      invalidate_sum();
+    }
   }
 
   [[nodiscard]] bool compatible(const BasicKarySketch& other) const noexcept {
@@ -426,6 +471,25 @@ class BasicKarySketch {
   // pass (simd::mv_fold), which writes this table through
   // registers_for_write(), and sweeps its rows with sweep_rows.
   friend class BasicMvSketch<Family>;
+
+  /// Why `other` does not combine with this sketch over the cells in `r`,
+  /// or null when it does.
+  [[nodiscard]] const char* misfit(const BasicKarySketch& other,
+                                   common::CellRange r) const noexcept {
+    if (!compatible(other)) {
+      return ": incompatible sketches (family or width mismatch)";
+    }
+    if (r.begin > r.end || r.end > table_.size()) {
+      return ": cell range outside the table";
+    }
+    return nullptr;
+  }
+
+  void invalidate_sum() noexcept {
+    // mo: cache invalidation on the single-mutator path (see update()); a
+    // relaxed atomic store, so writers of disjoint ranges may race on it.
+    sum_valid_.store(false, std::memory_order_relaxed);
+  }
 
   void check_row_range(std::size_t row_begin, std::size_t row_end) const {
     if (row_begin > row_end || row_end > depth()) {

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/cell_range.h"
 #include "hash/cw_hash.h"
 #include "hash/hash_family.h"
 #include "hash/tabulation_hash.h"
@@ -151,30 +152,63 @@ class BasicMvSketch {
   // follows with the weighted-majority merge rule so the combined sketch
   // remains invertible.
 
-  void set_zero() noexcept {
-    counters_.set_zero();
-    std::fill(candidates_.begin(), candidates_.end(), 0);
-    std::fill(votes_.begin(), votes_.end(), 0.0);
+  // The cells are the counters' (row-major H x K); each range form applies
+  // to the counters, candidates and votes in its common::CellRange, and
+  // the whole-sketch call is the range over all cells(). Calls on disjoint
+  // ranges may run concurrently: the row workers zero their rows so.
+
+  /// The cell count H * K.
+  [[nodiscard]] std::size_t cells() const noexcept {
+    return counters_.cells();
   }
+
+  void set_zero(common::CellRange r) noexcept {
+    counters_.set_zero(r);
+    std::fill_n(candidates_.begin() + static_cast<std::ptrdiff_t>(r.begin),
+                r.size(), 0);
+    std::fill_n(votes_.begin() + static_cast<std::ptrdiff_t>(r.begin),
+                r.size(), 0.0);
+  }
+  void set_zero() noexcept { set_zero(common::CellRange{0, cells()}); }
 
   /// Counters scale linearly; votes scale by |c| (a vote is an absolute
   /// mass), candidates are unchanged. scale(0) clears every vote, which
   /// resets each bucket to the "no candidate" state.
-  void scale(double c) noexcept {
-    counters_.scale(c);
+  void scale(double c, common::CellRange r) noexcept {
+    counters_.scale(c, r);
     const double w = std::abs(c);
-    for (double& v : votes_) v *= w;
+    for (std::size_t i = r.begin; i < r.end; ++i) votes_[i] *= w;
+  }
+  void scale(double c) noexcept { scale(c, common::CellRange{0, cells()}); }
+
+  /// *this += c * other over the cells in `r`. Counters combine entry-wise;
+  /// each bucket's candidate pair merges by majority vote with weight
+  /// |c| * other.vote — one branch-free simd::mv_fold pass over the six
+  /// tables, bit-identical on every dispatch leg to update()'s vote() step
+  /// applied per cell. Throws std::invalid_argument unless the two sketches
+  /// share the same family and width and `r` lies within the table.
+  void add_scaled(const BasicMvSketch& other, double c,
+                  common::CellRange r) {
+    check_compatible(other, r, "add_scaled");
+    simd::mv_fold(cells_from(r.begin), other.const_cells_from(r.begin),
+                  r.size(), c);
+  }
+  void add_scaled(const BasicMvSketch& other, double c) {
+    add_scaled(other, c, common::CellRange{0, cells()});
   }
 
-  /// *this += c * other. Counters combine entry-wise; each bucket's
-  /// candidate pair merges by majority vote with weight |c| * other.vote —
-  /// one branch-free simd::mv_fold pass over the six tables, bit-identical
-  /// on every dispatch leg to update()'s vote() step applied per cell.
-  /// Throws std::invalid_argument unless the two sketches share the same
-  /// family and width.
-  void add_scaled(const BasicMvSketch& other, double c) {
-    check_compatible(other, "add_scaled");
-    simd::mv_fold(cells(), other.const_cells(), votes_.size(), c);
+  /// Copies other's counters, candidates and votes in `r`. Same checks as
+  /// add_scaled.
+  void assign(const BasicMvSketch& other, common::CellRange r) {
+    check_compatible(other, r, "assign");
+    counters_.assign(other.counters_, r);
+    if (this == &other) return;
+    const auto from = static_cast<std::ptrdiff_t>(r.begin);
+    const auto to = static_cast<std::ptrdiff_t>(r.end);
+    std::copy(other.candidates_.begin() + from,
+              other.candidates_.begin() + to, candidates_.begin() + from);
+    std::copy(other.votes_.begin() + from, other.votes_.begin() + to,
+              votes_.begin() + from);
   }
 
   /// COMBINE(c_1, S_1, ..., c_l, S_l). Throws std::invalid_argument when
@@ -291,20 +325,28 @@ class BasicMvSketch {
         });
   }
 
-  void check_compatible(const BasicMvSketch& other, const char* op) const {
+  void check_compatible(const BasicMvSketch& other, common::CellRange r,
+                        const char* op) const {
     if (!counters_.compatible(other.counters_)) {
       throw std::invalid_argument(
           std::string("BasicMvSketch::") + op +
           ": incompatible sketches (family or width mismatch)");
     }
+    if (r.begin > r.end || r.end > cells()) {
+      throw std::invalid_argument(std::string("BasicMvSketch::") + op +
+                                  ": cell range outside the table");
+    }
   }
 
-  [[nodiscard]] simd::MvCells cells() noexcept {
-    return {counters_.registers_for_write(), candidates_.data(),
-            votes_.data()};
+  /// The three tables from cell `first` on.
+  [[nodiscard]] simd::MvCells cells_from(std::size_t first) noexcept {
+    return {counters_.registers_for_write() + first,
+            candidates_.data() + first, votes_.data() + first};
   }
-  [[nodiscard]] simd::MvConstCells const_cells() const noexcept {
-    return {counters_.registers().data(), candidates_.data(), votes_.data()};
+  [[nodiscard]] simd::MvConstCells const_cells_from(
+      std::size_t first) const noexcept {
+    return {counters_.registers().data() + first, candidates_.data() + first,
+            votes_.data() + first};
   }
 
   Counters counters_;

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
@@ -331,45 +333,167 @@ TEST(Pipeline, RejectedBatchLeavesTheEngineReadyForTheNext) {
   EXPECT_EQ(pipeline.reports()[1].records, 4u);
 }
 
-TEST(Pipeline, IngestIntervalReturnsZeroedTablesOfTheSameShape) {
-  // The engine adopts the batch's tables by swap and leaves its own zeroed
-  // ones behind (the IntervalBatch post-condition), in both recovery modes.
+TEST(Pipeline, IngestIntervalReturnsItsPreviousTablesOfTheSameShape) {
+  // The engine adopts the batch's tables by swap and leaves an earlier
+  // interval's tables behind, not zeroed (the IntervalBatch post-condition):
+  // the last ones it adopted in replay mode, and the ones before those in
+  // invertible mode, whose close keeps the last interval's votes.
   const std::size_t cells = base_config().h * base_config().k;
   for (const bool invertible : {false, true}) {
     SCOPED_TRACE(invertible ? "invertible" : "replay");
     const PipelineConfig config =
         invertible ? invertible_config() : base_config();
+    const std::size_t lag = invertible ? 2 : 1;
     ChangeDetectionPipeline pipeline(config);
-    for (int t = 0; t < 3; ++t) {
-      IntervalBatch batch = invertible_batch(config, 10.0 * t, 5 + t);
+    std::vector<const double*> adopted;
+    for (std::size_t t = 0; t < 4; ++t) {
+      IntervalBatch batch =
+          invertible_batch(config, 10.0 * static_cast<double>(t),
+                           5 + static_cast<int>(t));
       if (!invertible) {  // only the register table's shape matters here
         batch.mv_candidates.clear();
         batch.mv_votes.clear();
         batch.keys = {7};
       }
-      const double* adopted = batch.registers.data();
+      adopted.push_back(batch.registers.data());
       pipeline.ingest_interval(std::move(batch));
       // NOLINTBEGIN(bugprone-use-after-move): ingest_interval swaps.
-      EXPECT_NE(batch.registers.data(), adopted);
       ASSERT_EQ(batch.registers.size(), cells);
-      EXPECT_TRUE(std::all_of(batch.registers.begin(), batch.registers.end(),
-                              [](double v) { return v == 0.0; }));
+      if (t >= lag) {
+        EXPECT_EQ(batch.registers.data(), adopted[t - lag]);
+        EXPECT_TRUE(std::any_of(batch.registers.begin(),
+                                batch.registers.end(),
+                                [](double v) { return v != 0.0; }));
+      } else {
+        EXPECT_NE(batch.registers.data(), adopted[t]);
+      }
       if (invertible) {
-        ASSERT_EQ(batch.mv_candidates.size(), cells);
-        ASSERT_EQ(batch.mv_votes.size(), cells);
-        EXPECT_TRUE(std::all_of(batch.mv_candidates.begin(),
-                                batch.mv_candidates.end(),
-                                [](std::uint64_t c) { return c == 0; }));
-        EXPECT_TRUE(std::all_of(batch.mv_votes.begin(), batch.mv_votes.end(),
-                                [](double v) { return v == 0.0; }));
+        EXPECT_EQ(batch.mv_candidates.size(), cells);
+        EXPECT_EQ(batch.mv_votes.size(), cells);
       } else {
         EXPECT_TRUE(batch.mv_candidates.empty());
       }
       EXPECT_EQ(batch.records, static_cast<std::uint64_t>(5 + t));
       // NOLINTEND(bugprone-use-after-move)
     }
-    ASSERT_EQ(pipeline.reports().size(), 3u);
+    ASSERT_EQ(pipeline.reports().size(), 4u);
   }
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+std::uint64_t fnv1a(std::uint64_t hash,
+                    const std::vector<std::uint8_t>& bytes) {
+  for (const std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// One interval's records: 40 steady keys, and from interval 7 on a surge
+/// on one of them.
+std::vector<std::pair<std::uint64_t, double>> interval_records(
+    std::size_t t, bool wide_keys) {
+  scd::common::Rng rng(100 + t);
+  std::vector<std::pair<std::uint64_t, double>> out;
+  for (std::uint64_t key = 1; key <= 40; ++key) {
+    const std::uint64_t k = wide_keys ? key * 0x9e3779b97f4a7c15ULL : key;
+    out.emplace_back(k, 100.0 + rng.uniform(-5.0, 5.0));
+  }
+  if (t >= 7) out.emplace_back(wide_keys ? 0xfeedULL << 40 : 77, 900.0);
+  return out;
+}
+
+/// Digest of every save_state() taken right after each close and of every
+/// report, for a serial pipeline fed interval by interval through add() or
+/// through ingest_interval() with a batch it fills itself, with a gap the
+/// add() path closes as an empty interval.
+template <class Sketch>
+std::uint64_t alternating_feeds_digest(const PipelineConfig& config) {
+  constexpr bool kVotes =
+      requires(const Sketch& s) { s.recover_heavy_keys(0.0); };
+  const bool wide_keys = config.key_kind == traffic::KeyKind::kSrcDstPair;
+  ChangeDetectionPipeline pipeline(config);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  pipeline.set_interval_close_callback([&](std::size_t) {
+    std::vector<std::uint8_t> state = pipeline.save_state();
+    // The stats block's wall-clock stage totals vary run to run: zeroed at
+    // the offsets tests/golden/golden_bytes_test.cpp documents, after a
+    // check that stats.records sits where the layout puts it.
+    std::uint64_t records = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      records |= static_cast<std::uint64_t>(state.at(304 + i)) << (8 * i);
+    }
+    EXPECT_EQ(records, pipeline.stats().records);
+    for (const std::size_t offset : {376u, 392u, 400u, 408u, 416u, 424u}) {
+      std::fill_n(state.begin() + static_cast<std::ptrdiff_t>(offset), 8, 0);
+    }
+    digest = fnv1a(digest, state);
+  });
+  const auto family =
+      std::make_shared<const typename Sketch::FamilyType>(config.seed,
+                                                          config.h);
+  // 'a': add(); 'i': ingest_interval(); '-': no records.
+  const std::string feeds = "aiaai-aiaaia";
+  for (std::size_t t = 0; t < feeds.size(); ++t) {
+    const double start = 10.0 * static_cast<double>(t);
+    const auto records = interval_records(t, wide_keys);
+    if (feeds[t] == 'a') {
+      for (const auto& [key, update] : records) {
+        pipeline.add(key, update, start);  // anchors interval 0 at 0 s
+      }
+    } else if (feeds[t] == 'i') {
+      pipeline.flush();  // closes an interval add() opened
+      Sketch sketch(family, config.k);
+      IntervalBatch batch;
+      for (const auto& [key, update] : records) {
+        sketch.update(key, update);
+        batch.keys.push_back(key);
+      }
+      if constexpr (kVotes) batch.keys.clear();
+      batch.start_s = start;
+      batch.len_s = config.interval_s;
+      batch.records = records.size();
+      batch.high_water_s = start;
+      batch.registers.assign(sketch.registers().begin(),
+                             sketch.registers().end());
+      if constexpr (kVotes) {
+        batch.mv_candidates.assign(sketch.candidates().begin(),
+                                   sketch.candidates().end());
+        batch.mv_votes.assign(sketch.votes().begin(), sketch.votes().end());
+      }
+      pipeline.ingest_interval(std::move(batch));
+    }
+  }
+  pipeline.flush();
+  for (const IntervalReport& r : pipeline.reports()) {
+    std::vector<std::uint8_t> bytes;
+    common::ByteWriter out(bytes);
+    out.field(r.index);
+    out.field(r.estimated_error_f2);
+    out.field(r.alarm_threshold);
+    for (const detect::Alarm& alarm : r.alarms) out.field(alarm.key);
+    digest = fnv1a(digest, bytes);
+  }
+  EXPECT_EQ(pipeline.reports().size(), feeds.size());
+  return digest;
+}
+
+TEST(Pipeline, AlternatingFeedsSaveTheBytesTheyAlwaysSaved) {
+  // The engine zeroes its observed table when an interval's first record
+  // (or an empty interval's close) needs it, not at every close, and
+  // ingest_interval hands back the tables it held. Neither may move a byte
+  // of what the pipeline saves or reports: the digests were taken when
+  // every close zeroed the table it recycled.
+  PipelineConfig replay = base_config();
+  replay.k = 1024;
+  EXPECT_EQ(alternating_feeds_digest<sketch::KarySketch>(replay),
+            0xa37105ee9d082f85ULL);
+  PipelineConfig invertible = replay;
+  invertible.key_kind = traffic::KeyKind::kSrcDstPair;
+  invertible.recovery = RecoveryMode::kInvertible;
+  EXPECT_EQ(alternating_feeds_digest<sketch::MvSketch64>(invertible),
+            0x2550370727a38282ULL);
 }
 
 TEST(Pipeline, CallbackSeesEveryReport) {

@@ -1,7 +1,8 @@
 // EpochRecycle: in steady state an epoch's table travels from the row
 // workers' ring to the engine and back by swap, and the engine steps its
 // forecast into tables it keeps. No h x k table is allocated or copied per
-// interval (docs/PERFORMANCE.md, "Fill, adopt, recycle").
+// interval, and whoever fills a table zeroes it: the tables go back to the
+// ring as the engine left them (docs/PERFORMANCE.md).
 //
 // The pin is an allocation count. This file replaces the global operator
 // new for the whole test_ingest binary with one that counts allocations of
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -81,10 +83,9 @@ constexpr std::size_t kH = 5;
 constexpr std::size_t kK = 4096;
 constexpr std::size_t kTableBytes = kH * kK * sizeof(double);
 
-/// Stands in for the engine: adopts each delivered batch's tables by swap,
-/// clears what it adopted (the engine's close does the same) and leaves its
-/// zeroed tables in the batch. Records which tables arrived and which went
-/// back.
+/// Stands in for the engine: adopts each delivered batch's tables by swap
+/// and leaves the ones it held in the batch, not zeroed, as the engine does.
+/// Records which tables arrived and which went back.
 template <typename SketchT>
 class AdoptingConsumer {
  public:
@@ -109,9 +110,6 @@ class AdoptingConsumer {
       registers_.swap(batch.registers);
       candidates_.swap(batch.mv_candidates);
       votes_.swap(batch.mv_votes);
-      std::fill(registers_.begin(), registers_.end(), 0.0);
-      std::fill(candidates_.begin(), candidates_.end(), 0);
-      std::fill(votes_.begin(), votes_.end(), 0.0);
       known_.insert(batch.registers.data());
     };
   }
@@ -312,6 +310,138 @@ TEST(EpochRecycle, RefitHistoryReusesItsOldestTable) {
   config.refit_every = 100;
   config.refit_window = 4;
   expect_no_table_allocated_by_the_engines(config);
+}
+
+TEST(EpochRecycle, SteadyStateStepsAllocateNoTableForEveryModel) {
+  // Every model keeps its history in rings whose slots it fills in place
+  // and its per-step temporaries as persistent scratch, so once the rings
+  // are full a step allocates no table: NSHW, SHW and ARIMA included.
+  std::vector<forecast::ModelConfig> models(7);
+  models[0].kind = forecast::ModelKind::kEwma;
+  models[1].kind = forecast::ModelKind::kHoltWinters;
+  models[2].kind = forecast::ModelKind::kSeasonalHoltWinters;
+  models[2].period = 3;
+  models[3].kind = forecast::ModelKind::kMovingAverage;
+  models[3].window = 3;
+  models[4].kind = forecast::ModelKind::kSShapedMA;
+  models[4].window = 4;
+  models[5].kind = forecast::ModelKind::kArima0;
+  models[5].arima = {2, 0, 1, {0.5, 0.2}, {0.3, 0.0}};
+  models[6].kind = forecast::ModelKind::kArima1;
+  models[6].arima = {1, 1, 2, {0.4, 0.0}, {0.3, 0.1}};
+  for (const forecast::ModelConfig& model : models) {
+    SCOPED_TRACE(model.to_string());
+    core::PipelineConfig config = steady_config();
+    config.recovery = core::RecoveryMode::kInvertible;
+    config.model = model;
+    expect_no_table_allocated_by_the_engines(config);
+  }
+}
+
+/// `pipeline`'s saved state with the stats block's wall-clock stage totals
+/// zeroed, at the offsets tests/golden/golden_bytes_test.cpp documents.
+std::vector<std::uint8_t> state_without_timings(
+    const core::ChangeDetectionPipeline& pipeline) {
+  std::vector<std::uint8_t> state = pipeline.save_state();
+  for (const std::size_t offset : {376u, 392u, 400u, 408u, 416u, 424u}) {
+    std::fill_n(state.begin() + static_cast<std::ptrdiff_t>(offset), 8, 0);
+  }
+  return state;
+}
+
+/// A ShardSet whose consumer hands back dirty tables — every register,
+/// candidate and vote 1 — fed the stream a serial pipeline gets through
+/// add(), interval 5 left empty; both must report the same intervals.
+template <typename SketchT>
+void expect_dirty_tables_change_nothing(const core::PipelineConfig& config,
+                                        std::size_t workers) {
+  SCOPED_TRACE(::testing::Message() << "W=" << workers);
+  constexpr std::size_t kIntervals = 12;
+  constexpr std::size_t kGap = 5;
+  core::ChangeDetectionPipeline serial(config);
+  core::ChangeDetectionPipeline engine(config);
+  {
+    ShardSet<SketchT> shards(
+        config.seed, config.h, config.k, workers, /*queue_chunks=*/64,
+        nullptr, /*max_outstanding=*/1,
+        [&engine](const ShardSetBase::Close& close,
+                  core::IntervalBatch& batch) {
+          batch.start_s = close.start_s;
+          batch.len_s = close.len_s;
+          batch.high_water_s = close.high_water_s;
+          engine.ingest_interval(std::move(batch));
+          // NOLINTBEGIN(bugprone-use-after-move): ingest_interval swaps.
+          std::fill(batch.registers.begin(), batch.registers.end(), 1.0);
+          std::fill(batch.mv_candidates.begin(), batch.mv_candidates.end(),
+                    1);
+          std::fill(batch.mv_votes.begin(), batch.mv_votes.end(), 1.0);
+          // NOLINTEND(bugprone-use-after-move)
+        });
+    double high_water = 0.0;
+    for (std::size_t t = 0; t < kIntervals; ++t) {
+      const double time = static_cast<double>(t) * 10.0;  // anchors at 0
+      Chunk chunk;
+      if (t != kGap) {
+        for (std::uint64_t key = 1; key <= 40; ++key) {
+          const double update =
+              100.0 + static_cast<double>((key + t) % 5) +
+              (t >= 8 && key == 3 ? 5000.0 : 0.0);
+          serial.add(key * 7919, update, time);
+          chunk.push_back({key * 7919, update});
+        }
+        high_water = time;
+      }
+      ShardSetBase::Close close;
+      close.started = true;
+      close.start_s = static_cast<double>(t) * 10.0;
+      close.len_s = 10.0;
+      close.high_water_s = high_water;
+      close.index = t;
+      close.records = chunk.size();
+      if (!chunk.empty()) shards.submit(std::move(chunk));
+      shards.close_epoch(close);
+    }
+    shards.drain();
+    shards.stop();
+  }
+  serial.flush();
+  engine.flush();
+  ASSERT_EQ(engine.reports().size(), kIntervals);
+  ASSERT_EQ(serial.reports().size(), kIntervals);
+  std::size_t alarms = 0;
+  for (std::size_t i = 0; i < kIntervals; ++i) {
+    const core::IntervalReport& a = engine.reports()[i];
+    const core::IntervalReport& b = serial.reports()[i];
+    EXPECT_EQ(a.records, b.records) << i;
+    EXPECT_EQ(a.estimated_error_f2, b.estimated_error_f2) << i;
+    ASSERT_EQ(a.alarms.size(), b.alarms.size()) << i;
+    for (std::size_t j = 0; j < a.alarms.size(); ++j) {
+      EXPECT_EQ(a.alarms[j].key, b.alarms[j].key) << i;
+      EXPECT_EQ(a.alarms[j].error, b.alarms[j].error) << i;
+    }
+    alarms += a.alarms.size();
+  }
+  EXPECT_GT(alarms, 0u);
+  // The snapshot carries the last interval's candidates and votes: a stale
+  // candidate left in a zero-vote cell would show here.
+  EXPECT_EQ(state_without_timings(engine), state_without_timings(serial));
+}
+
+TEST(EpochRecycle, DirtyReturnedTablesStillYieldSerialReports) {
+  // Whoever fills a table zeroes it: the row workers zero their rows of a
+  // recycled slot, candidates and votes included, before its epoch's first
+  // chunk, or at the barrier of an epoch without chunks. A consumer may
+  // therefore hand back tables with any contents.
+  core::PipelineConfig replay = steady_config();
+  replay.key_kind = traffic::KeyKind::kDstIp;
+  replay.recovery = core::RecoveryMode::kReplay;
+  core::PipelineConfig invertible = steady_config();
+  invertible.recovery = core::RecoveryMode::kInvertible;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    expect_dirty_tables_change_nothing<sketch::KarySketch>(replay, workers);
+    expect_dirty_tables_change_nothing<sketch::MvSketch64>(invertible,
+                                                           workers);
+  }
 }
 
 }  // namespace

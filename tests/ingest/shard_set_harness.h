@@ -1,10 +1,10 @@
 // Drives a ShardSet through its one delivery path, the one ParallelPipeline
-// uses: the epoch callback copies each batch into a sink and leaves zeroed
-// tables behind, as the engine does, and a close waits for the merger with
-// close_epoch() + drain().
+// uses: the epoch callback copies each batch into a sink and leaves the
+// delivered tables behind, not zeroed (the engine leaves an earlier
+// interval's), and a close waits for the merger with close_epoch() +
+// drain().
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -21,9 +21,6 @@ class BatchSink {
   [[nodiscard]] ShardSetBase::MergedBatchCallback callback() {
     return [this](const ShardSetBase::Close&, core::IntervalBatch& batch) {
       batches_.push_back(batch);
-      std::fill(batch.registers.begin(), batch.registers.end(), 0.0);
-      std::fill(batch.mv_candidates.begin(), batch.mv_candidates.end(), 0);
-      std::fill(batch.mv_votes.begin(), batch.mv_votes.end(), 0.0);
     };
   }
 
